@@ -33,12 +33,7 @@ from .maps import (
     return_time,
     validate_hypotheses,
 )
-from .induced import (
-    InducedOpenSystem,
-    build_induced,
-    eval_log_weight,
-    eval_zeta,
-)
+from .induced import InducedOpenSystem, build_induced
 from .operators import (
     Grid,
     TransferMatrix,
@@ -66,7 +61,6 @@ from .escape import (
     compute_escape,
     escape_rate_induced,
     escape_rate_original,
-    escape_rate_ulam,
     fit_scaling,
     induced_analysis,
     sandwich_bounds,
@@ -110,11 +104,8 @@ __all__ = [
     "default_pwl_weights",
     "escape_rate_induced",
     "escape_rate_original",
-    "escape_rate_ulam",
     "eval_derivative",
-    "eval_log_weight",
     "eval_map",
-    "eval_zeta",
     "fit_scaling",
     "hole_grid",
     "identity_residual",

@@ -24,7 +24,7 @@ from . import operators as ops
 from . import spectral
 from .exceptions import ConfigError, EscapeError
 from .induced import build_induced
-from .maps import ExplicitWeights, Hole, MapSpec, ZipfWeights, default_pwl_weights
+from .maps import FAMILIES, ExplicitWeights, Hole, MapSpec, ZipfWeights, default_pwl_weights
 
 COMMANDS = ("escape", "sweep", "fit", "sandwich", "mc", "verify")
 METHODS = ("induced", "ulam", "montecarlo")
@@ -51,7 +51,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.map not in ("pm", "lsv", "farey", "pwl"):
+        if self.map not in FAMILIES:
             raise ConfigError(f"unknown map family {self.map!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
@@ -247,20 +247,7 @@ def run(cfg: RunConfig) -> int:
                 for n, k in zip(curve.n_values, curve.survivors)
             ],
         }
-        if cfg.format == "csv":
-            import io
-
-            buf = io.StringIO()
-            err = curve.stderr()
-            estm = curve.estimates
-            buf.write("n,survivors,estimate,stderr\n")
-            for i, n in enumerate(curve.n_values):
-                buf.write(
-                    f"{int(n)},{int(curve.survivors[i])},{estm[i]:.17g},{err[i]:.17g}\n"
-                )
-            _emit(cfg, payload, buf.getvalue())
-        else:
-            _emit(cfg, payload, None)
+        _emit(cfg, payload, mc.curve_csv_text(curve))
         return 0
 
     if cfg.command == "verify":
@@ -349,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--map", choices=("pm", "lsv", "farey", "pwl"))
+        p.add_argument("--map", choices=FAMILIES)
         p.add_argument("--s", type=float)
         p.add_argument("--pwl-weights", dest="pwl_weights", help='"zipf", "harmonic", or a JSON file of weights')
         p.add_argument("--hole-index", dest="hole_index", help="N, start:stop:step, or start:stop:geom[:ratio]")

@@ -39,7 +39,6 @@ from .induced import InducedOpenSystem, build_induced
 from .maps import Hole, MapSpec, return_time
 from .operators import (
     Grid,
-    TransferMatrix,
     assemble_ulam_open,
     combine_branch_matrices,
     hole_grid,
@@ -77,30 +76,17 @@ def escape_rate_induced(triple: SpectralTriple) -> float:
     return -math.log(lam)
 
 
-def escape_rate_original(triple: SpectralTriple, masses: Optional[np.ndarray] = None) -> float:
-    """Pressure-ratio escape rate: induced rate over the mean return time.
+def escape_rate_original(triple: SpectralTriple, masses: np.ndarray) -> float:
+    """Pressure-ratio escape rate: induced rate over the mean return time of
+    the cylinder ``masses``.
 
-    ``masses`` defaults to the cylinder masses attached to the triple.  The
-    value is exact in the shrinking-hole limit and an upper bound for any
+    The value is exact in the shrinking-hole limit and an upper bound for any
     fixed hole.
     """
-    if masses is None:
-        masses = triple.cylinder_masses
-    if masses is None:
-        raise DomainError("cylinder masses required; attach them to the triple or pass them")
     masses = np.asarray(masses, float)
     if abs(masses.sum() - 1.0) > 1e-6 or np.any(masses < -1e-15):
         raise DomainError("masses must form a probability vector")
     return escape_rate_induced(triple) / mean_return_time(masses)
-
-
-def escape_rate_ulam(tm_or_triple) -> float:
-    """Escape rate from the discretized open operator of the original map."""
-    if isinstance(tm_or_triple, TransferMatrix):
-        triple = leading_eigen(tm_or_triple)
-    else:
-        triple = tm_or_triple
-    return escape_rate_induced(triple)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +283,6 @@ def compute_escape(
     """One escape-rate computation, returned as a schema-stable report."""
     t0 = time.perf_counter()
     edge = hole.edge(m)
-    measure = hole.measure(m)
 
     if method == "induced":
         if hole.index is None:
@@ -310,7 +295,7 @@ def compute_escape(
             hole.index,
             None,
             edge,
-            measure,
+            edge,
             ia.eigenvalue,
             ia.gamma_induced,
             ia.mean_return,
@@ -334,7 +319,7 @@ def compute_escape(
             hole.index,
             hole.epsilon,
             edge,
-            measure,
+            edge,
             triple.eigenvalue,
             None,
             None,
@@ -356,7 +341,7 @@ def compute_escape(
             hole.index,
             hole.epsilon,
             edge,
-            measure,
+            edge,
             None,
             None,
             None,
@@ -492,23 +477,11 @@ def sandwich_bounds(m: MapSpec, epsilon: float, grid_size: int = 4096) -> Sandwi
 # table output
 # ---------------------------------------------------------------------------
 
-def write_reports_csv(reports: Sequence[EscapeReport], fh) -> None:
-    """Fixed-schema CSV; floats at 17 significant digits."""
-    close = False
-    if not hasattr(fh, "write"):
-        fh = open(fh, "w", newline="")
-        close = True
-    try:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        for r in reports:
-            writer.writerow(r.to_row())
-    finally:
-        if close:
-            fh.close()
-
-
 def reports_csv_text(reports: Sequence[EscapeReport]) -> str:
+    """Fixed-schema CSV; floats at 17 significant digits."""
     buf = io.StringIO()
-    write_reports_csv(reports, buf)
+    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS))
+    writer.writeheader()
+    for r in reports:
+        writer.writerow(r.to_row())
     return buf.getvalue()

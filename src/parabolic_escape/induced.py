@@ -39,10 +39,6 @@ class InducedOpenSystem:
         vals.setflags(write=False)
         object.__setattr__(self, "preimages", vals)
 
-    @property
-    def hole_edge(self) -> float:
-        return float(self.preimages[self.branch_count])
-
     def branch_interval(self, n: int) -> tuple:
         """Closure of the image of branch n, [a_n, a_{n-1}]."""
         return float(self.preimages[n]), float(self.preimages[n - 1])
@@ -52,8 +48,7 @@ def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
     """Open induced system with surviving symbols 1..N (requires N >= 2)."""
     if N < 2:
         raise DomainError("Markov hole index must be >= 2")
-    seq = preimage_sequence(m, N)
-    return InducedOpenSystem(m, N, seq.values.copy())
+    return InducedOpenSystem(m, N, preimage_sequence(m, N).values)
 
 
 def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
@@ -91,16 +86,6 @@ def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
     if scalar:
         return float(y), float(logw)
     return y, logw
-
-
-def eval_zeta(sys: InducedOpenSystem, n: int, x):
-    """zeta_n(x), a point of (a_n, a_{n-1})."""
-    return zeta_and_log_weight(sys, n, x)[0]
-
-
-def eval_log_weight(sys: InducedOpenSystem, n: int, x):
-    """log|zeta_n'(x)|, the induced potential evaluated along branch n."""
-    return zeta_and_log_weight(sys, n, x)[1]
 
 
 def forward_jump(sys: InducedOpenSystem, n: int, y):

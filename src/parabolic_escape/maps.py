@@ -15,6 +15,7 @@ return time are the half-open cells A_n = (a_n, a_{n-1}].
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -196,16 +197,17 @@ def default_pwl_weights(s: float) -> Weights:
 class MapSpec:
     """Immutable description of one parabolic map.
 
-    All evaluation helpers accept scalars or numpy arrays and are pure, so a
-    MapSpec may be shared freely across threads.  The preimage cache grows
-    monotonically and never mutates published entries.
+    All evaluation helpers accept scalars or numpy arrays and are pure.  The
+    cached preimage chain is a read-only array that only grows, under a lock,
+    by publishing a longer copy, so a MapSpec may be shared across threads.
     """
 
     family: str
     s: float = 1.0
     weights: Optional[Weights] = None
     _branch_cut: float = field(init=False, repr=False, compare=False)
-    _preimages: list = field(init=False, repr=False, compare=False)
+    _chain: np.ndarray = field(init=False, repr=False, compare=False)
+    _chain_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -218,7 +220,10 @@ class MapSpec:
         elif self.weights is not None:
             raise DomainError("weights are only meaningful for the pwl family")
         object.__setattr__(self, "_branch_cut", self._compute_branch_cut())
-        object.__setattr__(self, "_preimages", [1.0, self._branch_cut])
+        chain = np.array([1.0, self._branch_cut])
+        chain.setflags(write=False)
+        object.__setattr__(self, "_chain", chain)
+        object.__setattr__(self, "_chain_lock", threading.Lock())
 
     # -- constructors ------------------------------------------------------
 
@@ -434,11 +439,6 @@ class PreimageSeq:
 
     values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
     def __len__(self):
         return len(self.values)
 
@@ -446,23 +446,35 @@ class PreimageSeq:
         return float(self.values[i])
 
 
+def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
+    """The map's read-only chain a_0, a_1, ..., at least up to a_n.
+
+    Growth happens under the map's lock and publishes a new array, so readers
+    never see a partly written chain and each entry is computed once.
+    """
+    chain = m._chain
+    if len(chain) > n:
+        return chain
+    with m._chain_lock:
+        chain = m._chain
+        if len(chain) <= n:
+            values = chain.tolist()
+            while len(values) <= n:
+                if m.family == "pwl":
+                    values.append(float(m.weights.tail(len(values))))
+                else:
+                    values.append(float(left_inverse(m, values[-1])))
+            chain = np.array(values)
+            chain.setflags(write=False)
+            object.__setattr__(m, "_chain", chain)
+    return chain
+
+
 def preimage_sequence(m: MapSpec, N: int) -> PreimageSeq:
     """a_0..a_N.  Values are cached on the map and never recomputed."""
     if N < 1:
         raise DomainError("need N >= 1")
-    _extend_preimages(m, N)
-    return PreimageSeq(np.array(m._preimages[: N + 1]))
-
-
-def _extend_preimages(m: MapSpec, n: int):
-    cache = m._preimages
-    if m.family == "pwl":
-        # closed-form tails; appending in order keeps the cache grow-only
-        while len(cache) <= n:
-            cache.append(float(m.weights.tail(len(cache))))
-        return
-    while len(cache) <= n:
-        cache.append(float(left_inverse(m, cache[-1])))
+    return PreimageSeq(_preimage_chain(m, N)[: N + 1])
 
 
 def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int:
@@ -476,14 +488,13 @@ def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int
         raise DomainError("return time defined for x in (0, 1]")
     if m.family == "pwl":
         return int(m.weights.cell_index(x, cap=cap))
-    cache = m._preimages
-    while cache[-1] >= x:
-        target = min(2 * len(cache), cap + 2)
-        if len(cache) >= target:
+    chain = m._chain
+    while chain[-1] >= x:
+        target = min(2 * len(chain), cap + 2)
+        if len(chain) >= target:
             raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
-        _extend_preimages(m, target - 1)
-    arr = np.asarray(cache[: len(cache)])
-    n = int(np.searchsorted(-arr, -x, side="right"))
+        chain = _preimage_chain(m, target - 1)
+    n = int(np.searchsorted(-chain, -x, side="right"))
     if n > cap:
         raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
     return n
@@ -524,9 +535,6 @@ class Hole:
         if self.epsilon is not None:
             return self.epsilon
         return preimage_sequence(m, self.index)[self.index]
-
-    def measure(self, m: MapSpec) -> float:
-        return self.edge(m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ count, and merging is plain integer addition.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
@@ -153,13 +152,10 @@ def mc_escape_rate(curve: SurvivalCurve, window: Optional[Tuple[int, int]] = Non
     return McEstimate(float(slope), float(np.hypot(se_ols, se_binom)), (lo, hi))
 
 
-def write_curve_csv(curve: SurvivalCurve, path) -> None:
-    err = curve.stderr()
-    est = curve.estimates
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "survivors", "estimate", "stderr"])
-        for i, n in enumerate(curve.n_values):
-            writer.writerow(
-                [int(n), int(curve.survivors[i]), format(est[i], ".17g"), format(err[i], ".17g")]
-            )
+def curve_csv_text(curve: SurvivalCurve) -> str:
+    """The curve as CSV rows n, survivors, estimate, stderr; floats at 17
+    significant digits."""
+    rows = ["n,survivors,estimate,stderr\n"]
+    for n, k, est, err in zip(curve.n_values, curve.survivors, curve.estimates, curve.stderr()):
+        rows.append(f"{int(n)},{int(k)},{est:.17g},{err:.17g}\n")
+    return "".join(rows)

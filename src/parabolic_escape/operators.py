@@ -11,7 +11,9 @@ the exact factorization
 
 exact because N applications of Q0 push all support into the hole; evaluating
 both sides numerically therefore measures only root-solver and rounding
-error, which is what :func:`identity_residual` reports.
+error, which is what :func:`identity_residual` reports.  The pointwise
+operators call the test function ``f`` on whole arrays of points, so ``f``
+must be vectorized.
 
 Discretization is by the Ulam method on aligned grids: piecewise-constant
 densities, Gauss-Legendre quadrature of the branch weights for the induced
@@ -20,7 +22,6 @@ operator, and exact preimage-overlap entries for the direct operator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -140,7 +141,7 @@ def _anchor_chain(m: MapSpec, edge: float, limit: int = 4096) -> np.ndarray:
     return anchors
 
 
-def _with_hole_block(edge: float, live_nodes: np.ndarray) -> Grid:
+def _with_hole_block(live_nodes: np.ndarray) -> Grid:
     # one cell spans the hole: nothing flows into it, and a single wide cell
     # keeps the overlap arithmetic well conditioned
     return Grid(np.unique(np.concatenate([[0.0], live_nodes])))
@@ -150,19 +151,22 @@ def markov_grid(m: MapSpec, N: int, size: int = 4096) -> Grid:
     """Grid for the Markov hole [0, a_N]: nodes include the preimage chain
     a_N .. a_0 and right-branch preimages, log-graded between anchors; the
     hole interior gets a handful of coarse cells (no mass flows into them).
-    Piecewise-linear maps use the natural partition, which is already exact.
+    Piecewise-linear maps use the natural partition, which is already exact;
+    for the other families ``size`` must exceed N (DomainError otherwise).
     """
+    if m.family == "pwl":
+        return natural_partition_grid(m, N)
+    if size <= N:
+        raise DomainError(f"grid size {size} must exceed the hole index {N}")
     seq = preimage_sequence(m, N).values
     edge = float(seq[N])
-    if m.family == "pwl" or size <= N:
-        return _with_hole_block(edge, seq[::-1].copy())
-    anchors = np.unique(np.concatenate([seq[: N + 1][::-1], _anchor_chain(m, edge, limit=size)]))
-    return _with_hole_block(edge, _graded_nodes(anchors, size))
+    anchors = np.unique(np.concatenate([seq[::-1], _anchor_chain(m, edge, limit=size)]))
+    return _with_hole_block(_graded_nodes(anchors, size))
 
 
 def natural_partition_grid(m: MapSpec, N: int) -> Grid:
     """The coarse Markov grid whose cells are exactly A_N, ..., A_1."""
-    return markov_grid(m, N, size=1)
+    return _with_hole_block(preimage_sequence(m, N).values[::-1])
 
 
 def hole_grid(m: MapSpec, epsilon: float, size: int = 4096) -> Grid:
@@ -172,7 +176,7 @@ def hole_grid(m: MapSpec, epsilon: float, size: int = 4096) -> Grid:
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
     anchors = _anchor_chain(m, epsilon, limit=size)
-    return _with_hole_block(epsilon, _graded_nodes(anchors, size))
+    return _with_hole_block(_graded_nodes(anchors, size))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +187,8 @@ def hole_grid(m: MapSpec, epsilon: float, size: int = 4096) -> Grid:
 class TransferMatrix:
     """Nonnegative matrix acting on piecewise-constant grid functions.
 
-    ``matvec`` applies the discretized operator to a vector of cell values;
-    ``rmatvec`` applies the adjoint to a vector of cell masses.  Assembly is
-    deterministic: fixed quadrature order and fixed per-row summation order.
+    Assembly is deterministic: fixed quadrature order and fixed per-row
+    summation order.
     """
 
     kind: str
@@ -196,60 +199,11 @@ class TransferMatrix:
     def shape(self):
         return self.matrix.shape
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ v
-
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-
-def save_matrix_csv(tm: TransferMatrix, path) -> None:
-    """Debug export: header comments with size/kind/nodes, then dense rows."""
-    dense = tm.to_dense()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# M={dense.shape[0]}\n")
-        fh.write(f"# kind={tm.kind}\n")
-        fh.write("# nodes=" + ",".join(format(v, ".17g") for v in tm.grid.nodes) + "\n")
-        writer = csv.writer(fh)
-        for row in dense:
-            writer.writerow([format(v, ".17g") for v in row])
-
-
-def load_matrix_csv(path) -> TransferMatrix:
-    kind = None
-    nodes = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                if key == "kind":
-                    kind = val
-                elif key == "nodes":
-                    nodes = np.array([float(v) for v in val.split(",")])
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    dense = np.asarray(rows)
-    return TransferMatrix(kind or KIND_ULAM, Grid(nodes), sp.csr_matrix(dense))
-
-
-def save_matrix_npz(tm: TransferMatrix, path) -> None:
-    """Binary export of the dense entries plus grid metadata."""
-    np.savez(path, entries=tm.to_dense(), nodes=tm.grid.nodes, kind=np.str_(tm.kind))
-
-
-def load_matrix_npz(path) -> TransferMatrix:
-    data = np.load(path, allow_pickle=False)
-    return TransferMatrix(str(data["kind"]), Grid(data["nodes"]), sp.csr_matrix(data["entries"]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +226,7 @@ def apply_Q0(m: MapSpec, N: int, f: Callable, x):
         xs = np.atleast_1d(x_a)[alive1]
         y = np.asarray(maps.left_inverse(m, xs), float)
         w = 1.0 / np.asarray(maps._left_derivative(m, y), float)
-        fy = np.asarray([f(v) for v in np.atleast_1d(y)], float) if not _vector_ok(f) else np.asarray(f(y), float)
-        out[alive1] = w * fy
+        out[alive1] = w * np.asarray(f(y), float)
     out = out.reshape(x_a.shape)
     return out if np.asarray(x).ndim else float(out)
 
@@ -284,17 +237,8 @@ def apply_Q1(m: MapSpec, f: Callable, x):
     x_a = np.asarray(x, float)
     y = np.asarray(maps.right_inverse(m, x_a), float)
     w = 1.0 / np.asarray(maps._right_derivative_abs(m, y), float)
-    fy = np.asarray([f(v) for v in np.atleast_1d(y)], float).reshape(y.shape) if not _vector_ok(f) else np.asarray(f(y), float)
-    out = w * fy
+    out = w * np.asarray(f(y), float)
     return out if np.asarray(x).ndim else float(out)
-
-
-def _vector_ok(f: Callable) -> bool:
-    try:
-        probe = np.asarray(f(np.asarray([0.25, 0.5])), float)
-        return probe.shape == (2,)
-    except Exception:
-        return False
 
 
 def apply_open_induced(sys: InducedOpenSystem, z: float, f: Callable, x):
@@ -303,14 +247,12 @@ def apply_open_induced(sys: InducedOpenSystem, z: float, f: Callable, x):
         raise DomainError("z must lie in [0, 1]")
     x_a = np.atleast_1d(np.asarray(x, float))
     total = np.zeros_like(x_a)
-    vec = _vector_ok(f)
     for n in range(1, sys.branch_count + 1):
         zn = z ** n
         if zn == 0.0:
             break
         y, lw = zeta_and_log_weight(sys, n, x_a)
-        fy = np.asarray(f(y), float) if vec else np.asarray([f(v) for v in y], float)
-        total += zn * np.exp(lw) * fy
+        total += zn * np.exp(lw) * np.asarray(f(y), float)
     return total if np.asarray(x).ndim else float(total[0])
 
 
@@ -405,8 +347,7 @@ def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces, z: float
     total = pieces[0] * z
     for n, piece in enumerate(pieces[1:], start=2):
         total = total + piece * (z ** n)
-    kind = KIND_PWL_EXACT if (sys.map.family == "pwl" and grid.n_cells <= sys.branch_count + 4 and z == 1.0) else KIND_INDUCED
-    return TransferMatrix(kind, grid, total.tocsr())
+    return TransferMatrix(KIND_INDUCED, grid, total.tocsr())
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:

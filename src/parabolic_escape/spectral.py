@@ -42,15 +42,12 @@ class SpectralTriple:
     ``eigenfunction`` holds per-cell values (the density-like right vector),
     ``eigenmeasure`` per-cell masses summing to one.  The joint normalization
     sum(eigenmeasure * eigenfunction) = 1 makes their product a probability.
-    ``cylinder_masses``, when attached, is that probability split over the
-    surviving branches.
     """
 
     eigenvalue: float
     eigenfunction: np.ndarray
     eigenmeasure: np.ndarray
     grid: Grid
-    cylinder_masses: Optional[np.ndarray] = None
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -64,12 +61,11 @@ class SpectralTriple:
         return max(self.stats.get("residual_right", 0.0), self.stats.get("residual_left", 0.0))
 
     def to_json_dict(self) -> dict:
-        """JSON-serializable export: eigenvalue, vectors, cylinder masses."""
+        """JSON-serializable export: eigenvalue, vectors, grid and stats."""
         return {
             "lambda": self.eigenvalue,
             "eigenfunction": self.eigenfunction.tolist(),
             "eigenmeasure": self.eigenmeasure.tolist(),
-            "cylinder_masses": None if self.cylinder_masses is None else self.cylinder_masses.tolist(),
             "grid_nodes": self.grid.nodes.tolist(),
             "stats": dict(self.stats),
         }
@@ -257,20 +253,6 @@ def cylinder_masses(
     return masses / total
 
 
-def attach_cylinder_masses(
-    sys: InducedOpenSystem, triple: SpectralTriple, pieces: Optional[list] = None
-) -> SpectralTriple:
-    masses = cylinder_masses(sys, triple, pieces=pieces)
-    return SpectralTriple(
-        triple.eigenvalue,
-        triple.eigenfunction,
-        triple.eigenmeasure,
-        triple.grid,
-        cylinder_masses=masses,
-        stats=dict(triple.stats),
-    )
-
-
 def invariant_function(sys: InducedOpenSystem, triple: SpectralTriple, grid: Optional[Grid] = None) -> np.ndarray:
     """Accumulated hole-avoiding pullbacks of the eigenfunction.
 
@@ -318,11 +300,7 @@ def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple, grid: Optiona
     grid = grid or triple.grid
     e = invariant_function(sys, triple, grid)
     mass_a = float(triple.eigenmeasure @ e)
-    masses = triple.cylinder_masses
-    if masses is None:
-        masses = cylinder_masses(sys, triple, grid)
-    ks = np.arange(1, sys.branch_count + 1)
-    mass_b = float(ks @ masses)
+    mass_b = mean_return_time(cylinder_masses(sys, triple, grid))
     return MassCheck(mass_a, mass_b, abs(mass_a - mass_b))
 
 

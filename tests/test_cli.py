@@ -4,7 +4,9 @@ import math
 import pytest
 
 from parabolic_escape.cli import RunConfig, build_map, config_from_args, build_parser, main, parse_index_range, parse_window, run
-from parabolic_escape.exceptions import ConfigError
+from parabolic_escape.exceptions import ConfigError, DomainError
+from parabolic_escape.maps import MapSpec
+from parabolic_escape.operators import markov_grid
 
 
 def run_cli(argv, capsys):
@@ -175,6 +177,18 @@ def test_both_hole_specs_rejected(capsys):
     )
     assert code == 2
     assert "ConfigError" in err
+
+
+def test_coarse_grid_rejected(capsys):
+    # a grid with no more cells than branches must fail loudly rather than
+    # fall back to the natural partition (1.7% low for lsv s=0.5, N=30, grid 16)
+    with pytest.raises(DomainError):
+        markov_grid(MapSpec.lsv(0.5), 30, 16)
+    code, out, err = run_cli(
+        ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "30", "--grid", "16"], capsys
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -8,7 +8,6 @@ from parabolic_escape.escape import (
     compute_escape,
     escape_rate_induced,
     escape_rate_original,
-    escape_rate_ulam,
     fit_scaling,
     induced_analysis,
     reports_csv_text,
@@ -16,9 +15,10 @@ from parabolic_escape.escape import (
     sweep,
 )
 from parabolic_escape.exceptions import DomainError, InsufficientRangeError, MonotonicityError
+from parabolic_escape.induced import build_induced
 from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, preimage_sequence
 from parabolic_escape.operators import pwl_exact_matrix
-from parabolic_escape.spectral import attach_cylinder_masses, leading_eigen
+from parabolic_escape.spectral import cylinder_masses, leading_eigen
 
 FAREY = MapSpec.farey()
 LSV_HALF = MapSpec.lsv(0.5)
@@ -60,11 +60,9 @@ def test_escape_rate_induced_values():
 
 
 def test_escape_rate_original_ratio():
-    triple = attach_cylinder_masses(
-        __import__("parabolic_escape").build_induced(PWL_ONE, 2),
-        leading_eigen(pwl_exact_matrix(PWL_ONE, 2)),
-    )
-    value = escape_rate_original(triple)
+    triple = leading_eigen(pwl_exact_matrix(PWL_ONE, 2))
+    masses = cylinder_masses(build_induced(PWL_ONE, 2), triple)
+    value = escape_rate_original(triple, masses)
     assert value == pytest.approx(0.3243720864865315, abs=1e-12)
     # degenerate all-mass-on-first-branch: the ratio equals the induced rate
     assert escape_rate_original(triple, np.array([1.0])) == pytest.approx(

@@ -5,8 +5,6 @@ from parabolic_escape.exceptions import DomainError
 from parabolic_escape.induced import (
     branch_weight_sums,
     build_induced,
-    eval_log_weight,
-    eval_zeta,
     forward_jump,
     zeta_and_log_weight,
 )
@@ -28,7 +26,7 @@ def test_build_requires_two_branches():
 
 def test_farey_branches_are_gauss():
     sys = build_induced(FAREY, 5)
-    assert eval_zeta(sys, 2, 1.0) == pytest.approx(1 / 3, abs=1e-15)
+    assert zeta_and_log_weight(sys, 2, 1.0)[0] == pytest.approx(1 / 3, abs=1e-15)
     for n in (1, 3, 5):
         z, lw = zeta_and_log_weight(sys, n, XS)
         assert np.max(np.abs(z - 1.0 / (n + XS))) <= 1e-12
@@ -43,7 +41,7 @@ def test_gauss_crosscheck_composed_inverses():
         y = inverse_branch(FAREY, 1, xs)
         for _ in range(n - 1):
             y = inverse_branch(FAREY, 0, y)
-        assert np.max(np.abs(np.asarray(eval_zeta(sys, n, xs)) - y)) <= 1e-12
+        assert np.max(np.abs(zeta_and_log_weight(sys, n, xs)[0] - y)) <= 1e-12
 
 
 def test_pwl_branches_affine():
@@ -58,14 +56,14 @@ def test_first_branch_is_right_inverse():
     xs = np.linspace(0.05, 0.95, 11)
     for m in (FAREY, LSV_HALF, PM_ONE, PWL_ONE):
         sys = build_induced(m, 3)
-        assert np.max(np.abs(np.asarray(eval_zeta(sys, 1, xs)) - inverse_branch(m, 1, xs))) <= 1e-13
+        assert np.max(np.abs(zeta_and_log_weight(sys, 1, xs)[0] - inverse_branch(m, 1, xs))) <= 1e-13
 
 
 def test_branches_nest_into_disjoint_intervals():
     xs = np.linspace(0.0, 1.0, 100)
     for m in (FAREY, LSV_HALF, PM_ONE, PWL_ONE):
         sys = build_induced(m, 6)
-        values = [np.asarray(eval_zeta(sys, n, xs)) for n in range(1, 7)]
+        values = [zeta_and_log_weight(sys, n, xs)[0] for n in range(1, 7)]
         for n in range(1, 7):
             lo, hi = sys.branch_interval(n)
             assert values[n - 1].min() >= lo - 1e-13
@@ -79,7 +77,7 @@ def test_jump_roundtrip_residual():
     for m in (FAREY, LSV_HALF, PM_ONE):
         sys = build_induced(m, 8)
         for n in (1, 4, 8):
-            z = eval_zeta(sys, n, xs)
+            z, _ = zeta_and_log_weight(sys, n, xs)
             assert np.max(np.abs(forward_jump(sys, n, z) - xs)) <= 1e-11
 
 
@@ -89,8 +87,8 @@ def test_chain_rule_against_central_differences():
     for m in (LSV_HALF, PM_ONE, FAREY):
         sys = build_induced(m, 6)
         for n in (2, 5):
-            lw = np.asarray(eval_log_weight(sys, n, xs))
-            num = (np.asarray(eval_zeta(sys, n, xs + h)) - np.asarray(eval_zeta(sys, n, xs - h))) / (2 * h)
+            _, lw = zeta_and_log_weight(sys, n, xs)
+            num = (zeta_and_log_weight(sys, n, xs + h)[0] - zeta_and_log_weight(sys, n, xs - h)[0]) / (2 * h)
             assert np.max(np.abs(np.exp(lw) - np.abs(num))) <= 1e-6
 
 
@@ -107,8 +105,8 @@ def test_branch_weight_sums_bounded():
 def test_branch_index_validation():
     sys = build_induced(FAREY, 3)
     with pytest.raises(DomainError):
-        eval_zeta(sys, 0, 0.5)
+        zeta_and_log_weight(sys, 0, 0.5)
     with pytest.raises(DomainError):
-        eval_zeta(sys, 4, 0.5)
+        zeta_and_log_weight(sys, 4, 0.5)
     with pytest.raises(DomainError):
-        eval_zeta(sys, 2, 1.5)
+        zeta_and_log_weight(sys, 2, 1.5)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -149,6 +151,35 @@ def test_return_time_against_orbit_iteration():
             assert return_time(m, x) == tau
 
 
+def test_preimage_chain_shared_across_threads():
+    # four threads grow the chain of one fresh map at once; a lost or doubled
+    # append would break the exact match with a chain grown serially
+    serial = preimage_sequence(MapSpec.lsv(0.5), 2000).values
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            m = MapSpec.lsv(0.5)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def grow(i, m=m, start=start, results=results):
+                start.wait(timeout=30)
+                results[i] = preimage_sequence(m, 2000).values
+
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for values in results:
+                assert values is not None and np.array_equal(values, serial)
+            assert np.array_equal(preimage_sequence(m, 2000).values, serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_return_time_cap():
     with pytest.raises(ReturnTimeOverflowError):
         return_time(FAREY, 1e-7, cap=1000)
@@ -215,7 +246,7 @@ def test_explicit_weights_bounds():
 def test_hole_construction():
     h = Hole.markov(3)
     assert h.edge(FAREY) == pytest.approx(0.25, abs=1e-14)
-    assert Hole.interval(0.1).measure(FAREY) == 0.1
+    assert Hole.interval(0.1).edge(FAREY) == 0.1
     with pytest.raises(DomainError):
         Hole(index=2, epsilon=0.1)
     with pytest.raises(DomainError):

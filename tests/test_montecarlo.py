@@ -7,9 +7,9 @@ from parabolic_escape.exceptions import DomainError, InsufficientSurvivorsError
 from parabolic_escape.maps import Hole, MapSpec
 from parabolic_escape.montecarlo import (
     SurvivalCurve,
+    curve_csv_text,
     mc_escape_rate,
     survival_curve,
-    write_curve_csv,
 )
 
 PWL_ONE = MapSpec.pwl(1.0)
@@ -34,7 +34,7 @@ def test_different_seeds_differ():
 def test_survivors_monotone_and_first_step():
     curve = survival_curve(LSV_HALF, Hole.markov(3), n_max=25, samples=300_000, seed=5)
     assert np.all(np.diff(curve.survivors) <= 0)
-    m_hole = Hole.markov(3).measure(LSV_HALF)
+    m_hole = Hole.markov(3).edge(LSV_HALF)
     # one-step survival = complement of the hole, up to binomial error
     est = curve.estimates[0]
     se = math.sqrt(m_hole * (1 - m_hole) / curve.samples)
@@ -112,11 +112,9 @@ def test_statistical_acceptance_against_exact_rate():
     assert hits >= 95, f"only {hits}/100 within three standard errors"
 
 
-def test_curve_csv(tmp_path):
+def test_curve_csv():
     curve = survival_curve(PWL_ONE, Hole.markov(2), n_max=12, samples=10_000, seed=1)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
-    lines = path.read_text().splitlines()
+    lines = curve_csv_text(curve).splitlines()
     assert lines[0] == "n,survivors,estimate,stderr"
     assert len(lines) == 13
     n, k, est, se = lines[1].split(",")

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -17,13 +15,9 @@ from parabolic_escape.operators import (
     identity_residual,
     induced_branch_matrices,
     interval_cell_overlaps,
-    load_matrix_csv,
-    load_matrix_npz,
     markov_grid,
     natural_partition_grid,
     pwl_exact_matrix,
-    save_matrix_csv,
-    save_matrix_npz,
 )
 from parabolic_escape.spectral import leading_eigen
 
@@ -202,22 +196,3 @@ def test_assemble_ulam_requires_node():
     with pytest.raises(DomainError):
         assemble_ulam_open(FAREY, 0.21, grid)
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def test_matrix_export_roundtrip(tmp_path):
-    sys = build_induced(PWL_ONE, 3)
-    tm = assemble_induced_matrix(sys, natural_partition_grid(PWL_ONE, 3))
-    csv_path = tmp_path / "m.csv"
-    npz_path = tmp_path / "m.npz"
-    save_matrix_csv(tm, csv_path)
-    save_matrix_npz(tm, npz_path)
-    back_csv = load_matrix_csv(csv_path)
-    back_npz = load_matrix_npz(npz_path)
-    assert back_csv.kind == tm.kind
-    assert np.array_equal(back_csv.grid.nodes, tm.grid.nodes)
-    assert np.max(np.abs(back_csv.to_dense() - tm.to_dense())) == 0.0
-    assert np.max(np.abs(back_npz.to_dense() - tm.to_dense())) == 0.0
-    assert os.path.getsize(csv_path) > 0
