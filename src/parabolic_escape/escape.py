@@ -40,10 +40,10 @@ from .maps import Hole, MapSpec, return_time
 from .operators import (
     Grid,
     assemble_ulam_open,
-    combine_branch_matrices,
     hole_grid,
     induced_branch_matrices,
     markov_grid,
+    stack_branch_matrices,
 )
 from .spectral import SpectralTriple, cylinder_masses, leading_eigen, mean_return_time
 
@@ -126,7 +126,10 @@ def _bracket_and_solve(evaluate, gamma_formula: float) -> float:
         raise DomainError("failed to bracket the unit-eigenvalue parameter")
     if evaluate(1.0) >= 1.0:
         raise DomainError("open system already has eigenvalue one at z = 1")
-    z_bar = brentq(lambda z: evaluate(z) - 1.0, 1.0, z_hi, xtol=1e-14, rtol=8.9e-16)
+    # evaluate goes in through args: brentq keeps its callable in a
+    # self-referencing closure, which would pin a captured evaluate (and the
+    # operator data it holds) until a full garbage collection
+    z_bar = brentq(lambda z, ev: ev(z) - 1.0, 1.0, z_hi, args=(evaluate,), xtol=1e-14, rtol=8.9e-16)
     return math.log(z_bar)
 
 
@@ -166,16 +169,15 @@ def induced_analysis(
     sys = build_induced(m, N)
     grid = markov_grid(m, N, grid_size)
     pieces = induced_branch_matrices(sys, grid)
-    tm = combine_branch_matrices(sys, grid, pieces, z=1.0)
-    triple = leading_eigen(tm, tol=eigen_tol)
+    stack = stack_branch_matrices(grid, pieces)
+    triple = leading_eigen(stack.at(1.0), tol=eigen_tol)
     masses = cylinder_masses(sys, triple, pieces=pieces)
     gamma_induced = escape_rate_induced(triple)
     mean_ret = mean_return_time(masses)
     gamma_formula = gamma_induced / mean_ret
 
     def evaluate(z: float) -> float:
-        tm_z = combine_branch_matrices(sys, grid, pieces, z=z)
-        return leading_eigen(tm_z, tol=eigen_tol).eigenvalue
+        return leading_eigen(stack.at(z), tol=eigen_tol).eigenvalue
 
     gamma = _bracket_and_solve(evaluate, gamma_formula)
     return InducedAnalysis(

@@ -14,6 +14,7 @@ smooth families cannot underflow.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,39 +52,47 @@ def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
     return InducedOpenSystem(m, N, preimage_sequence(m, N).values)
 
 
-def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
-    """Evaluate branch n and log|zeta_n'| together (they share the chain).
+def branch_walk(sys: InducedOpenSystem, x):
+    """Yield (zeta_n(x), log|zeta_n'(x)|) for n = 1, ..., N in one walk.
 
     For the Farey map the branches are the closed-form Gauss branches
     1/(n + x); for piecewise-linear maps they are affine with slope p_n.  The
-    smooth families compose the local inverses step by step, refreshing the
-    root solve at every stage so the error stays linear in n.
+    smooth families walk the chain once, zeta_1 = phi_1 and
+    zeta_n = phi_0(zeta_{n-1}), accumulating the log weight along the way: one
+    root solve per step, so N branches cost N - 1 left-inverse solves and the
+    error stays linear in n.
     """
-    if not 1 <= n <= sys.branch_count:
-        raise DomainError(f"branch index {n} outside 1..{sys.branch_count}")
     m = sys.map
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):
         raise DomainError("branch evaluation needs x in [0, 1]")
-    scalar = np.asarray(x).ndim == 0
-
+    N = sys.branch_count
     if m.family == "farey":
-        y = 1.0 / (n + x_a)
-        logw = -2.0 * np.log(n + x_a)
+        for n in range(1, N + 1):
+            yield 1.0 / (n + x_a), -2.0 * np.log(n + x_a)
     elif m.family == "pwl":
         w = m.weights
-        p_n = float(np.asarray(w.mass(n), float))
-        y = float(w.tail(n)) + p_n * x_a
-        logw = np.full_like(np.asarray(x_a, float), np.log(p_n))
+        for n in range(1, N + 1):
+            p_n = float(np.asarray(w.mass(n), float))
+            yield float(w.tail(n)) + p_n * x_a, np.full_like(x_a, np.log(p_n))
     else:
         y = maps.right_inverse(m, x_a)
         logw = -np.log(maps._right_derivative_abs(m, np.asarray(y, float)))
-        for _ in range(n - 1):
+        yield y, logw
+        for _ in range(N - 1):
             y = maps.left_inverse(m, y)
             logw = logw - np.log(maps._left_derivative(m, np.asarray(y, float)))
+            yield y, logw
+
+
+def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
+    """Branch n and log|zeta_n'| together: the n-th step of :func:`branch_walk`."""
+    if not 1 <= n <= sys.branch_count:
+        raise DomainError(f"branch index {n} outside 1..{sys.branch_count}")
+    y, logw = next(itertools.islice(branch_walk(sys, x), n - 1, None))
     y = np.asarray(y, float)
     logw = np.asarray(logw, float)
-    if scalar:
+    if np.asarray(x).ndim == 0:
         return float(y), float(logw)
     return y, logw
 
@@ -105,8 +114,4 @@ def branch_weight_sums(sys: InducedOpenSystem, samples: int = 129) -> np.ndarray
     the sequence is increasing in N by construction and must stay bounded.
     """
     xs = np.linspace(0.0, 1.0, samples)
-    sups = []
-    for n in range(1, sys.branch_count + 1):
-        _, lw = zeta_and_log_weight(sys, n, xs)
-        sups.append(float(np.exp(lw).max()))
-    return np.cumsum(sups)
+    return np.cumsum([float(np.exp(lw).max()) for _, lw in branch_walk(sys, xs)])

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import maps
 from .exceptions import DomainError
-from .induced import InducedOpenSystem, zeta_and_log_weight
+from .induced import InducedOpenSystem, branch_walk
 from .maps import MapSpec, preimage_sequence
 
 #: fixed quadrature rule per cell; order 5 Gauss-Legendre
@@ -247,11 +247,10 @@ def apply_open_induced(sys: InducedOpenSystem, z: float, f: Callable, x):
         raise DomainError("z must lie in [0, 1]")
     x_a = np.atleast_1d(np.asarray(x, float))
     total = np.zeros_like(x_a)
-    for n in range(1, sys.branch_count + 1):
+    for n, (y, lw) in enumerate(branch_walk(sys, x_a), start=1):
         zn = z ** n
         if zn == 0.0:
             break
-        y, lw = zeta_and_log_weight(sys, n, x_a)
         total += zn * np.exp(lw) * np.asarray(f(y), float)
     return total if np.asarray(x).ndim else float(total[0])
 
@@ -319,15 +318,16 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     |zeta_n'(x)| [zeta_n(x) in cell_j] dx.  Because the weight is exactly the
     branch derivative, the integral is the length of zeta_n(cell_i)
     intersected with cell_j, so every entry is computed in closed form from
-    branch values at the grid nodes; no quadrature error enters.  The full
-    open operator at parameter z is sum_n z**n piece_n.
+    branch values at the grid nodes; no quadrature error enters.  The node
+    values come from one walk down the inverse-branch chain
+    (:func:`branch_walk`), so N pieces cost N - 1 left-inverse solves.  The
+    full open operator at parameter z is sum_n z**n piece_n.
     """
     M = grid.n_cells
     nodes = grid.nodes
     widths = grid.widths
     pieces = []
-    for n in range(1, sys.branch_count + 1):
-        u, _ = zeta_and_log_weight(sys, n, nodes)
+    for u, _ in branch_walk(sys, nodes):
         img_lo = np.minimum(u[:-1], u[1:])
         img_hi = np.maximum(u[:-1], u[1:])
         cells, rows, overlap = interval_cell_overlaps(nodes, img_lo, img_hi)
@@ -337,6 +337,65 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     return pieces
 
 
+@dataclass(frozen=True, eq=False)
+class BranchStack:
+    """The branch pieces laid once over their union sparsity pattern.
+
+    ``slot`` gives, for the entries of all pieces taken in branch order, the
+    entry of the union CSR pattern (``indptr``, ``indices``) each one adds
+    to.  None of this depends on z, so N_z costs one weighted
+    ``np.bincount`` into the fixed pattern.  bincount adds each slot's terms
+    in branch order, starting from zero, which is exactly the sum that adding
+    the scaled pieces one after another produces, so the result is bitwise
+    the same.
+    """
+
+    grid: Grid
+    pieces: tuple
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def at(self, z: float) -> TransferMatrix:
+        """N_z = sum_n z**n piece_n on the grid."""
+        weights = np.empty(len(self.slot))
+        end = 0
+        for n, piece in enumerate(self.pieces, start=1):
+            # Python's z ** n: numpy's z ** array differs in the last bit
+            np.multiply(piece.data, z ** n, out=weights[end:end + piece.nnz])
+            end += piece.nnz
+        vals = np.bincount(self.slot, weights=weights, minlength=len(self.indices))
+        M = self.grid.n_cells
+        matrix = sp.csr_matrix((vals, self.indices, self.indptr), shape=(M, M))
+        if not vals.all():
+            # a sparse sum drops entries that add up to exactly zero
+            matrix = matrix.copy()
+            matrix.eliminate_zeros()
+        return TransferMatrix(KIND_INDUCED, self.grid, matrix)
+
+
+def stack_branch_matrices(grid: Grid, pieces) -> BranchStack:
+    """Lay the pieces over their union pattern once (see :class:`BranchStack`)."""
+    M = grid.n_cells
+
+    def positions(piece):  # row-major position M * row + column of each entry
+        return np.repeat(np.arange(M) * M, np.diff(piece.indptr)) + piece.indices
+
+    ends = np.cumsum([piece.nnz for piece in pieces])
+    spans = [slice(end - piece.nnz, end) for piece, end in zip(pieces, ends)]
+    keys = np.empty(ends[-1], np.int64)
+    for piece, span in zip(pieces, spans):
+        keys[span] = positions(piece)
+    keys.sort()
+    union = keys[np.append(True, keys[1:] != keys[:-1])]
+    del keys  # sorted in place and dropped early: the keys set the peak memory
+    slot = np.empty(ends[-1], np.int32)
+    for piece, span in zip(pieces, spans):
+        slot[span] = np.searchsorted(union, positions(piece))
+    indptr = np.searchsorted(union, np.arange(M + 1) * M).astype(np.int32)
+    return BranchStack(grid, tuple(pieces), slot, indptr, (union % M).astype(np.int32))
+
+
 def assemble_induced_matrix(sys: InducedOpenSystem, grid: Grid, z: float = 1.0) -> TransferMatrix:
     """Discretized open induced operator N_z on the given grid."""
     pieces = induced_branch_matrices(sys, grid)
@@ -344,10 +403,9 @@ def assemble_induced_matrix(sys: InducedOpenSystem, grid: Grid, z: float = 1.0) 
 
 
 def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces, z: float = 1.0) -> TransferMatrix:
-    total = pieces[0] * z
-    for n, piece in enumerate(pieces[1:], start=2):
-        total = total + piece * (z ** n)
-    return TransferMatrix(KIND_INDUCED, grid, total.tocsr())
+    """N_z from the pieces: stack them, then evaluate the stack at z.  Each
+    entry is summed in branch order."""
+    return stack_branch_matrices(grid, pieces).at(z)
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:

@@ -126,8 +126,6 @@ def _component_radius(block: sp.csr_matrix) -> float:
     around a periodic point of the branch maps), where ratio-based power
     iteration cannot settle.
     """
-    if block.shape[0] == 1:
-        return float(block[0, 0])
     if block.shape[0] <= 256:
         return float(np.max(np.abs(np.linalg.eigvals(block.toarray()))))
     lam, _, _, _ = _power_pair(block, 1e-8, 20_000)
@@ -183,8 +181,12 @@ def leading_eigen(tm: TransferMatrix, tol: float = 1e-13, maxiter: int = 100_000
         core_block = B
         n_transient = 0
     else:
+        # one-cell classes take their radius straight from the diagonal
+        sizes = np.bincount(labels, minlength=ncomp)
         radii = np.empty(ncomp)
-        for c in range(ncomp):
+        single = sizes[labels] == 1
+        radii[labels[single]] = B.diagonal()[single]
+        for c in np.nonzero(sizes > 1)[0]:
             idx = np.nonzero(labels == c)[0]
             radii[c] = _component_radius(B[np.ix_(idx, idx)].tocsr())
         order = np.argsort(radii)
@@ -293,14 +295,20 @@ class MassCheck(NamedTuple):
     discrepancy: float
 
 
-def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple, grid: Optional[Grid] = None) -> MassCheck:
+def invariant_mass(
+    sys: InducedOpenSystem,
+    triple: SpectralTriple,
+    grid: Optional[Grid] = None,
+    pieces: Optional[list] = None,
+) -> MassCheck:
     """Total mass of the accumulated invariant function versus the mean
     return time of the cylinder masses; their gap is a pure discretization
-    diagnostic (the two agree in exact arithmetic)."""
+    diagnostic (the two agree in exact arithmetic).  ``pieces`` are passed on
+    to :func:`cylinder_masses`, which otherwise builds them again."""
     grid = grid or triple.grid
     e = invariant_function(sys, triple, grid)
     mass_a = float(triple.eigenmeasure @ e)
-    mass_b = mean_return_time(cylinder_masses(sys, triple, grid))
+    mass_b = mean_return_time(cylinder_masses(sys, triple, grid, pieces))
     return MassCheck(mass_a, mass_b, abs(mass_a - mass_b))
 
 

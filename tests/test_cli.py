@@ -5,6 +5,7 @@ import pytest
 
 from parabolic_escape.cli import RunConfig, build_map, config_from_args, build_parser, main, parse_index_range, parse_window, run
 from parabolic_escape.exceptions import ConfigError, DomainError
+from parabolic_escape import escape, operators, spectral
 from parabolic_escape.maps import MapSpec
 from parabolic_escape.operators import markov_grid
 
@@ -204,3 +205,19 @@ def test_verify_command(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_builds_each_set_of_pieces_once(monkeypatch, capsys):
+    # the mass identity check hands its pieces on to invariant_mass
+    builds = []
+    original = operators.induced_branch_matrices
+
+    def counting(sys, grid):
+        builds.append((id(sys), id(grid)))
+        return original(sys, grid)
+
+    for module in (operators, spectral, escape):
+        monkeypatch.setattr(module, "induced_branch_matrices", counting)
+    code, _, _ = run_cli(["verify", "--grid", "2048"], capsys)
+    assert code == 0
+    assert builds and len(builds) == len(set(builds))

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from parabolic_escape.escape import (
     sweep,
 )
 from parabolic_escape.exceptions import DomainError, InsufficientRangeError, MonotonicityError
-from parabolic_escape.induced import build_induced
+from parabolic_escape.induced import InducedOpenSystem, build_induced
 from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, preimage_sequence
-from parabolic_escape.operators import pwl_exact_matrix
+from parabolic_escape.operators import Grid, pwl_exact_matrix
 from parabolic_escape.spectral import cylinder_masses, leading_eigen
 
 FAREY = MapSpec.farey()
@@ -265,3 +266,18 @@ def test_mc_method_report():
     # statistical agreement with the exact decay rate
     exact = induced_analysis(PWL_ONE, 2).gamma
     assert abs(rep.gamma - exact) <= max(0.05 * exact, 4 * rep.diagnostics["stderr"])
+
+
+def test_induced_analysis_leaves_no_reference_cycle():
+    # a cycle through the z-solve would pin the grid, the system and the
+    # branch pieces until a full garbage collection
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        induced_analysis(LSV_HALF, 25, grid_size=512)
+        gc.collect()
+        pinned = [type(o).__name__ for o in gc.garbage if isinstance(o, (Grid, InducedOpenSystem))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert pinned == []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from parabolic_escape import maps
 from parabolic_escape.exceptions import DomainError
 from parabolic_escape.induced import build_induced
 from parabolic_escape.maps import MapSpec, preimage_sequence
@@ -11,6 +13,7 @@ from parabolic_escape.operators import (
     apply_Q1,
     assemble_induced_matrix,
     assemble_ulam_open,
+    combine_branch_matrices,
     hole_grid,
     identity_residual,
     induced_branch_matrices,
@@ -196,3 +199,70 @@ def test_assemble_ulam_requires_node():
     with pytest.raises(DomainError):
         assemble_ulam_open(FAREY, 0.21, grid)
 
+
+
+# ---------------------------------------------------------------------------
+# branch pieces from one chain walk, combined from one stack
+# ---------------------------------------------------------------------------
+
+def _reference_branch_nodes(m, n, x):
+    """zeta_n(x) built from scratch for one n: the closed forms for farey and
+    pwl, otherwise phi_1 followed by n - 1 applications of phi_0."""
+    if m.family == "farey":
+        return 1.0 / (n + x)
+    if m.family == "pwl":
+        p_n = float(np.asarray(m.weights.mass(n), float))
+        return float(m.weights.tail(n)) + p_n * x
+    y = maps.right_inverse(m, x)
+    for _ in range(n - 1):
+        y = maps.left_inverse(m, y)
+    return np.asarray(y, float)
+
+
+@pytest.mark.parametrize("m", [PM_ONE, LSV_HALF, FAREY, PWL_ONE], ids=lambda m: m.family)
+def test_branch_pieces_match_per_branch_reference(m):
+    N = 12
+    sys = build_induced(m, N)
+    grid = markov_grid(m, N, 512)
+    nodes, widths, M = grid.nodes, grid.widths, grid.n_cells
+    pieces = induced_branch_matrices(sys, grid)
+    assert len(pieces) == N
+    for n, piece in enumerate(pieces, start=1):
+        u = _reference_branch_nodes(m, n, nodes)
+        cells, rows, overlap = interval_cell_overlaps(nodes, np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:]))
+        ref = sp.coo_matrix((overlap / widths[rows], (rows, cells)), shape=(M, M)).tocsr()
+        assert np.array_equal(piece.indptr, ref.indptr)
+        assert np.array_equal(piece.indices, ref.indices)
+        assert piece.data.tobytes() == ref.data.tobytes()
+
+
+def test_branch_pieces_walk_the_chain_once(monkeypatch):
+    N = 40
+    sys = build_induced(LSV_HALF, N)
+    grid = markov_grid(LSV_HALF, N, 512)
+    calls = []
+    original = maps.left_inverse
+
+    def counting(m, y):
+        calls.append(1)
+        return original(m, y)
+
+    monkeypatch.setattr(maps, "left_inverse", counting)
+    induced_branch_matrices(sys, grid)
+    assert len(calls) == N - 1  # rebuilding each branch from scratch takes N(N-1)/2
+
+
+def test_combined_matrix_is_the_sequential_sum():
+    N = 100
+    sys = build_induced(LSV_HALF, N)
+    grid = markov_grid(LSV_HALF, N, 4096)
+    pieces = induced_branch_matrices(sys, grid)
+    for z in (1.0, 1.0003, 0.0):
+        total = pieces[0] * z
+        for n, piece in enumerate(pieces[1:], start=2):
+            total = total + piece * (z ** n)
+        total = total.tocsr()
+        A = combine_branch_matrices(sys, grid, pieces, z).matrix
+        assert np.array_equal(A.indptr, total.indptr)
+        assert np.array_equal(A.indices, total.indices)
+        assert A.data.tobytes() == total.data.tobytes()
