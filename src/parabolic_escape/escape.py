@@ -10,7 +10,14 @@ Three methods produce escape rates of the original map:
     value (induced rate divided by the mean return time) is reported
     alongside as a diagnostic: it is an upper bound that becomes exact only
     as the hole shrinks, with a relative excess of roughly half the return
-    time variance times the rate itself.
+    time variance times the rate itself.  It is also the first Newton
+    iterate for t = log z on the convex function log lambda(e^t), whose
+    derivative is the mean return time of the cylinder masses at z; the
+    iterates fall onto the root from above, each eigen solve warm-started
+    from the last on a support structure computed once per hole, so a rate
+    costs a handful of eigen solves.  Induced reports carry the number of
+    unit-eigenvalue evaluations and the total power iterations in their
+    JSON diagnostics.
 
 ``ulam``
     Discretize the open operator of the original map directly on a
@@ -31,10 +38,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import montecarlo as mc
-from .exceptions import DomainError, InsufficientRangeError, MonotonicityError
+from .exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError
 from .induced import InducedOpenSystem, build_induced
 from .maps import Hole, MapSpec, return_time
 from .operators import (
@@ -45,7 +51,7 @@ from .operators import (
     markov_grid,
     stack_branch_matrices,
 )
-from .spectral import SpectralTriple, cylinder_masses, leading_eigen, mean_return_time
+from .spectral import SpectralTriple, cylinder_masses, leading_eigen, mean_return_time, support_structure
 
 CSV_COLUMNS = (
     "family",
@@ -108,29 +114,40 @@ class InducedAnalysis:
     gamma: float  # exact rate, log of the unit-eigenvalue parameter
     eigen_residual: float
     grid_size: int
+    zsolve_evals: int  # evaluations of the unit-eigenvalue equation
+    eigen_iterations: int  # power iterations over every eigen solve, z = 1 included
 
 
-def _bracket_and_solve(evaluate, gamma_formula: float) -> float:
-    """Solve evaluate(z) = 1 for z >= 1; evaluate is increasing in z.
+_NEWTON_CAP = 50
 
-    The pressure-ratio rate bounds the exact rate from above, so
-    z = exp(gamma_formula) brackets the root; a short expansion loop guards
-    against rounding at the boundary.
+
+def _bracket_and_solve(evaluate, lam1: float, t1: float, ftol: float) -> tuple:
+    """Root t > 0 of f(t) = log lambda(e^t) by one-sided Newton iteration.
+
+    ``evaluate(t)`` returns (f(t), f'(t)); ``lam1`` is lambda(1), so
+    f(0) = log lam1, and ``t1`` is the Newton iterate from t = 0, the
+    pressure-ratio rate.  f is convex (the entries of N_z are sums of
+    e^(n t) times constants, and a spectral radius of log-convex entries is
+    log-convex, Kingman 1961) and increasing, so every iterate from t1 on lies
+    above the root and the iterates fall to it monotonically and
+    quadratically.  The iteration stops when a step falls below 1e-15 t, when
+    it would not decrease t, or when |f(t)| <= ``ftol``: f is known only to the
+    eigenvalue tolerance, and a smaller step would follow rounding.  The last
+    step taken is the final Newton correction.  Returns the root and the
+    number of evaluations.
     """
-    z_hi = math.exp(gamma_formula)
-    for _ in range(60):
-        if evaluate(z_hi) >= 1.0:
-            break
-        z_hi *= 1.25
-    else:
-        raise DomainError("failed to bracket the unit-eigenvalue parameter")
-    if evaluate(1.0) >= 1.0:
+    if lam1 >= 1.0:
         raise DomainError("open system already has eigenvalue one at z = 1")
-    # evaluate goes in through args: brentq keeps its callable in a
-    # self-referencing closure, which would pin a captured evaluate (and the
-    # operator data it holds) until a full garbage collection
-    z_bar = brentq(lambda z, ev: ev(z) - 1.0, 1.0, z_hi, args=(evaluate,), xtol=1e-14, rtol=8.9e-16)
-    return math.log(z_bar)
+    t = t1
+    for evals in range(1, _NEWTON_CAP + 1):
+        f, df = evaluate(t)
+        step = f / df
+        if not math.isfinite(step):
+            raise ConvergenceError(f"Newton step {step!r} at t = {t!r}")
+        if step <= 1e-15 * t or abs(f) <= ftol:
+            return t - max(step, 0.0), evals
+        t -= step
+    raise ConvergenceError(f"unit-eigenvalue Newton iteration did not settle in {_NEWTON_CAP} steps")
 
 
 def induced_analysis(
@@ -144,7 +161,8 @@ def induced_analysis(
 
     Piecewise-linear maps short-circuit to their closed forms (rank-one
     operator; polynomial unit-eigenvalue condition) unless ``exact_pwl`` is
-    disabled, in which case the generic grid pipeline runs.
+    disabled, in which case the generic grid pipeline runs.  The exact rate
+    comes from :func:`_bracket_and_solve` either way.
     """
     if m.family == "pwl" and exact_pwl:
         w = m.weights
@@ -155,31 +173,41 @@ def induced_analysis(
         gamma_induced = -math.log(lam)
         mean_ret = float(ks @ p) / lam
         gamma_formula = gamma_induced / mean_ret
-        coeffs = np.concatenate([[0.0], p])  # polynomial sum p_k z^k
+        coeffs = np.concatenate([[0.0], p])  # polynomial P(z) = sum p_k z^k
+        dcoeffs = coeffs * np.arange(N + 1)  # z P'(z)
 
-        def evaluate(z: float) -> float:
-            return float(np.polynomial.polynomial.polyval(z, coeffs))
+        def evaluate(t: float) -> tuple:
+            z = math.exp(t)
+            value = float(np.polynomial.polynomial.polyval(z, coeffs))
+            return math.log(value), float(np.polynomial.polynomial.polyval(z, dcoeffs)) / value
 
-        gamma = _bracket_and_solve(evaluate, gamma_formula)
+        gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, eigen_tol)
         sys = build_induced(m, N)
         return InducedAnalysis(
-            sys, None, None, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, 0.0, N
+            sys, None, None, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, 0.0, N, evals, 0
         )
 
     sys = build_induced(m, N)
     grid = markov_grid(m, N, grid_size)
     pieces = induced_branch_matrices(sys, grid)
     stack = stack_branch_matrices(grid, pieces)
-    triple = leading_eigen(stack.at(1.0), tol=eigen_tol)
+    at_one = stack.at(1.0)
+    support = support_structure(at_one.matrix)
+    triple = leading_eigen(at_one, tol=eigen_tol, support=support)
+    del at_one  # one full-size N_z alive at a time during the z-solve
     masses = cylinder_masses(sys, triple, pieces=pieces)
     gamma_induced = escape_rate_induced(triple)
     mean_ret = mean_return_time(masses)
     gamma_formula = gamma_induced / mean_ret
+    solves = [triple]  # each warm-starts the next
 
-    def evaluate(z: float) -> float:
-        return leading_eigen(stack.at(z), tol=eigen_tol).eigenvalue
+    def evaluate(t: float) -> tuple:
+        z = math.exp(t)
+        solves.append(leading_eigen(stack.at(z), tol=eigen_tol, support=support, start=solves[-1]))
+        rho = cylinder_masses(sys, solves[-1], pieces=pieces, z=z)
+        return math.log(solves[-1].eigenvalue), mean_return_time(rho)
 
-    gamma = _bracket_and_solve(evaluate, gamma_formula)
+    gamma, evals = _bracket_and_solve(evaluate, triple.eigenvalue, gamma_formula, eigen_tol)
     return InducedAnalysis(
         sys,
         grid,
@@ -192,6 +220,8 @@ def induced_analysis(
         gamma,
         triple.residual,
         grid.n_cells,
+        evals,
+        sum(tr.stats["iterations"] for tr in solves),
     )
 
 
@@ -306,7 +336,11 @@ def compute_escape(
             ia.grid_size,
             ia.eigen_residual,
             runtime,
-            {"gamma_pressure_ratio": ia.gamma_formula},
+            {
+                "gamma_pressure_ratio": ia.gamma_formula,
+                "zsolve_evals": ia.zsolve_evals,
+                "eigen_iterations": ia.eigen_iterations,
+            },
         )
 
     if method == "ulam":

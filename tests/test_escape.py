@@ -1,10 +1,14 @@
 import gc
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from parabolic_escape import escape as esc
 from parabolic_escape.escape import (
+    CSV_COLUMNS,
     EscapeReport,
     compute_escape,
     escape_rate_induced,
@@ -15,7 +19,7 @@ from parabolic_escape.escape import (
     sandwich_bounds,
     sweep,
 )
-from parabolic_escape.exceptions import DomainError, InsufficientRangeError, MonotonicityError
+from parabolic_escape.exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError
 from parabolic_escape.induced import InducedOpenSystem, build_induced
 from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, preimage_sequence
 from parabolic_escape.operators import Grid, pwl_exact_matrix
@@ -281,3 +285,94 @@ def test_induced_analysis_leaves_no_reference_cycle():
         gc.set_debug(0)
         gc.garbage.clear()
     assert pinned == []
+
+
+def test_diagnostics_carry_solver_counts_in_json_only():
+    rep = compute_escape(LSV_HALF, Hole.markov(4), method="induced", grid_size=512)
+    assert rep.diagnostics["zsolve_evals"] >= 1
+    # the z = 1 solve plus one per Newton evaluation, each at least one iteration
+    assert rep.diagnostics["eigen_iterations"] >= rep.diagnostics["zsolve_evals"] + 1
+    d = rep.to_dict()
+    assert d["diagnostics"]["zsolve_evals"] == rep.diagnostics["zsolve_evals"]
+    assert d["diagnostics"]["eigen_iterations"] == rep.diagnostics["eigen_iterations"]
+    fixed = ("family", "s", "N", "a_N", "m_H", "lambda", "gamma_rho", "sum_k_rho", "gamma_mu",
+             "method", "grid_M", "eigen_residual", "runtime_ms")
+    assert CSV_COLUMNS == fixed
+    assert tuple(rep.to_row()) == fixed
+    header = reports_csv_text([rep]).splitlines()[0]
+    assert header == "family,s,N,a_N,m_H,lambda,gamma_rho,sum_k_rho,gamma_mu,method,grid_M,eigen_residual,runtime_ms"
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, parabolic_escape; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the unit-eigenvalue solve
+# ---------------------------------------------------------------------------
+
+# gamma at lsv s = 0.5, M = 4096, as the bracketing solver gave it
+LSV_HALF_PINNED_GAMMA = {
+    25: 0.0017255719857377,
+    50: 0.00039262132560999573,
+    100: 9.172635071472353e-05,
+    200: 2.1942672979385822e-05,
+}
+
+
+@pytest.mark.parametrize("N", sorted(LSV_HALF_PINNED_GAMMA))
+def test_induced_gamma_pinned(N):
+    gamma = compute_escape(LSV_HALF, Hole.markov(N), method="induced", grid_size=4096).gamma
+    assert abs(gamma - LSV_HALF_PINNED_GAMMA[N]) <= 1e-10 * LSV_HALF_PINNED_GAMMA[N]
+
+
+NEWTON_CASES = [(MapSpec.lsv(0.5), 25), (FAREY, 13), (MapSpec("pm", 1.0), 3)]
+
+
+@pytest.mark.parametrize("m,N", NEWTON_CASES, ids=["lsv-25", "farey-13", "pm-3"])
+def test_unit_eigenvalue_solve_takes_few_eigen_solves(monkeypatch, m, N):
+    calls = []
+    original = esc.leading_eigen
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(esc, "leading_eigen", counting)
+    ia = esc.induced_analysis(m, N, grid_size=4096)
+    assert len(calls) <= 6
+    assert ia.zsolve_evals == len(calls) - 1  # all but the z = 1 solve
+
+
+@pytest.mark.parametrize("m,N", NEWTON_CASES + [(PWL_ONE, 50)], ids=["lsv-25", "farey-13", "pm-3", "pwl-50"])
+def test_newton_iterates_fall_onto_the_root(monkeypatch, m, N):
+    iterates = []
+    original = esc._bracket_and_solve
+
+    def recording(evaluate, *args):
+        def ev(t):
+            iterates.append(t)
+            return evaluate(t)
+
+        return original(ev, *args)
+
+    monkeypatch.setattr(esc, "_bracket_and_solve", recording)
+    ia = esc.induced_analysis(m, N, grid_size=4096)
+    # the first iterate is the pressure-ratio rate, the Newton step from t = 0
+    assert iterates[0] == ia.gamma_formula
+    assert all(b <= a for a, b in zip(iterates, iterates[1:]))
+    assert min(iterates) >= ia.gamma
+    assert 0.0 < ia.gamma < ia.gamma_formula
+
+
+def test_newton_solver_stops_and_fails_loudly():
+    # a convex increasing f, started above its root log 1.5
+    root, evals = esc._bracket_and_solve(lambda t: (math.exp(t) - 1.5, math.exp(t)), 0.5, 1.0, 1e-15)
+    assert root == pytest.approx(math.log(1.5), rel=1e-14)
+    assert evals <= 8
+    with pytest.raises(DomainError):  # eigenvalue one already at z = 1
+        esc._bracket_and_solve(lambda t: (t, 1.0), 1.0, 0.1, 1e-15)
+    with pytest.raises(ConvergenceError):  # steps that never shrink hit the cap
+        esc._bracket_and_solve(lambda t: (1.0, 1e-3), 0.5, 1.0, 1e-15)
