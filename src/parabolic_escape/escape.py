@@ -3,21 +3,22 @@
 Three methods produce escape rates of the original map:
 
 ``induced``
-    Build the open induced system for a Markov hole, take the leading
-    spectral data of its discretized operator, and find the smallest
-    parameter z at which the weighted operator family reaches eigenvalue
-    one; the escape rate is log of that root.  The classical pressure-ratio
-    value (induced rate divided by the mean return time) is reported
-    alongside as a diagnostic: it is an upper bound that becomes exact only
-    as the hole shrinks, with a relative excess of roughly half the return
-    time variance times the rate itself.  It is also the first Newton
-    iterate for t = log z on the convex function log lambda(e^t), whose
-    derivative is the mean return time of the cylinder masses at z; the
-    iterates fall onto the root from above, each eigen solve warm-started
-    from the last on a support structure computed once per hole, so a rate
-    costs a handful of eigen solves.  Induced reports carry the number of
-    unit-eigenvalue evaluations and the total power iterations in their
-    JSON diagnostics.
+    Build the open induced system for a Markov hole, collocate its operator
+    family N_t = sum_n e^(n t) L_n on Chebyshev-Lobatto nodes, and find the
+    smallest t at which the leading eigenvalue reaches one; that t is the
+    escape rate.  The node count is chosen, not set: the degree doubles from
+    16 until the rates at degrees d and d/2 agree to 1e-10 relative.  The
+    classical pressure-ratio value (induced rate divided by the mean return
+    time) is reported alongside as a diagnostic: it is an upper bound that
+    becomes exact only as the hole shrinks, with a relative excess of
+    roughly half the return time variance times the rate itself.  It is also
+    the first Newton iterate on the convex function log lambda(e^t), whose
+    derivative is the mean return time of the cylinder masses at t; the
+    iterates fall onto the root from above, so a rate costs a handful of
+    dense eigen solves.  Induced reports carry the node count, the gap to
+    the half-degree rate, and the solver counts in their JSON diagnostics.
+    The Markov-grid discretization of the same operator stays as the
+    private reference :func:`_grid_analysis`.
 
 ``ulam``
     Discretize the open operator of the original map directly on a
@@ -34,13 +35,14 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import collocation
 from . import montecarlo as mc
-from .exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError
+from .exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError, NormalizationError
 from .induced import InducedOpenSystem, build_induced
 from .maps import Hole, MapSpec, return_time
 from .operators import (
@@ -115,7 +117,10 @@ class InducedAnalysis:
     eigen_residual: float
     grid_size: int
     zsolve_evals: int  # evaluations of the unit-eigenvalue equation
-    eigen_iterations: int  # power iterations over every eigen solve, z = 1 included
+    eigen_iterations: int  # power iterations (grid) or dense solves (collocation), z = 1 included
+    collocation_nodes: Optional[int] = None
+    error_estimate: Optional[float] = None  # |gamma_n - gamma_(n/2)| of the collocation
+    converged: bool = True  # False when the collocation degrees never agreed
 
 
 _NEWTON_CAP = 50
@@ -126,8 +131,8 @@ def _bracket_and_solve(evaluate, lam1: float, t1: float, ftol: float) -> tuple:
 
     ``evaluate(t)`` returns (f(t), f'(t)); ``lam1`` is lambda(1), so
     f(0) = log lam1, and ``t1`` is the Newton iterate from t = 0, the
-    pressure-ratio rate.  f is convex (the entries of N_z are sums of
-    e^(n t) times constants, and a spectral radius of log-convex entries is
+    pressure-ratio rate.  f is convex (N_t is a sum of e^(n t) times
+    positive operators, and a spectral radius of log-convex entries is
     log-convex, Kingman 1961) and increasing, so every iterate from t1 on lies
     above the root and the iterates fall to it monotonically and
     quadratically.  The iteration stops when a step falls below 1e-15 t, when
@@ -161,8 +166,13 @@ def induced_analysis(
 
     Piecewise-linear maps short-circuit to their closed forms (rank-one
     operator; polynomial unit-eigenvalue condition) unless ``exact_pwl`` is
-    disabled, in which case the generic grid pipeline runs.  The exact rate
-    comes from :func:`_bracket_and_solve` either way.
+    disabled.  Every other case runs the Chebyshev collocation of
+    :mod:`.collocation`: the degree starts at 16 and doubles up to 64 until
+    the rates at degrees d and d/2 agree to 1e-10 relative; their gap is
+    reported as ``error_estimate``, and ``converged`` is False when degree 64
+    is reached without agreement.  ``grid_size`` is not used by either
+    route; it stays in the signature for the callers that pass it to every
+    method.  The exact rate comes from :func:`_bracket_and_solve` either way.
     """
     if m.family == "pwl" and exact_pwl:
         w = m.weights
@@ -187,6 +197,75 @@ def induced_analysis(
             sys, None, None, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, 0.0, N, evals, 0
         )
 
+    sys = build_induced(m, N)
+    values = collocation.branch_values(sys, collocation.DEGREES[-1])
+    coarse = collocation.branch_stack(values, collocation.DEGREES[0])
+    evals = solves = 0
+    for degree in collocation.DEGREES[1:]:
+        stack = collocation.branch_stack(values, degree)
+        ia = _collocation_analysis(sys, stack, eigen_tol)
+        # the coarse rate is one Newton step from the fine one, which is
+        # exact to second order in their gap
+        f, df = _unit_equation(coarse, ia.gamma)
+        gap = abs(f / df)
+        evals += ia.zsolve_evals + 1
+        solves += ia.eigen_iterations + 1
+        if gap <= 1e-10 * ia.gamma:
+            break
+        coarse = stack
+    return replace(
+        ia, zsolve_evals=evals, eigen_iterations=solves, error_estimate=gap, converged=gap <= 1e-10 * ia.gamma
+    )
+
+
+def _leading_masses(stack: np.ndarray, t: float) -> tuple:
+    """Leading eigenvalue of N_t = sum_n e^(n t) L_n for the (N, n, n) stack
+    of collocation pieces, its branch masses and its eigen residual.
+
+    The weights are formed from t, never from z = e^t.  At the leading pair
+    (lambda, h, l) the masses are rho_n = e^(n t) l.L_n h / (lambda l.h); they
+    add up to one, and their mean is the derivative of log lambda in t.
+    """
+    weights = np.exp(np.arange(1, len(stack) + 1) * t)
+    A = np.tensordot(weights, stack, axes=1)
+    lam, h, ell = collocation.leading_pair(A)
+    rho = weights * (np.tensordot(stack, h, axes=(2, 0)) @ ell) / lam  # l.h = 1
+    total = rho.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise NormalizationError(f"cylinder masses sum to {total!r}, expected 1")
+    residual = max(
+        float(np.max(np.abs(A @ h - lam * h)) / np.max(np.abs(h))),
+        float(np.max(np.abs(ell @ A - lam * ell)) / np.max(np.abs(ell))),
+    )
+    return lam, rho / total, residual
+
+
+def _unit_equation(stack: np.ndarray, t: float) -> tuple:
+    """(f(t), f'(t)) for f(t) = log lambda(N_t)."""
+    lam, rho, _ = _leading_masses(stack, t)
+    return math.log(lam), mean_return_time(rho)
+
+
+def _collocation_analysis(sys: InducedOpenSystem, stack: np.ndarray, eigen_tol: float) -> InducedAnalysis:
+    """Both rates from one stack of collocation pieces."""
+    lam, masses, residual = _leading_masses(stack, 0.0)
+    gamma_induced = escape_rate_induced(lam)
+    mean_ret = mean_return_time(masses)
+    gamma_formula = gamma_induced / mean_ret
+    gamma, evals = _bracket_and_solve(lambda t: _unit_equation(stack, t), lam, gamma_formula, eigen_tol)
+    nodes = stack.shape[1]
+    return InducedAnalysis(
+        sys, None, None, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, residual, nodes, evals,
+        evals + 1, collocation_nodes=nodes,
+    )
+
+
+def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float = 1e-13) -> InducedAnalysis:
+    """The Markov-grid induced route, kept as a reference for tests and
+    ``verify``: N_z on an aligned log-graded grid of ``grid_size`` cells with
+    exact interval-overlap entries, power iteration on a support structure
+    computed once, and the same unit-eigenvalue solve.  First order in the
+    cell width, so it is the least accurate route."""
     sys = build_induced(m, N)
     grid = markov_grid(m, N, grid_size)
     pieces = induced_branch_matrices(sys, grid)
@@ -300,6 +379,19 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _induced_diagnostics(ia: InducedAnalysis) -> dict:
+    out = {
+        "gamma_pressure_ratio": ia.gamma_formula,
+        "zsolve_evals": ia.zsolve_evals,
+        "eigen_iterations": ia.eigen_iterations,
+        "collocation_nodes": ia.collocation_nodes,
+        "error_estimate": ia.error_estimate,
+    }
+    if not ia.converged:
+        out["converged"] = False
+    return out
+
+
 def compute_escape(
     m: MapSpec,
     hole: Hole,
@@ -336,11 +428,7 @@ def compute_escape(
             ia.grid_size,
             ia.eigen_residual,
             runtime,
-            {
-                "gamma_pressure_ratio": ia.gamma_formula,
-                "zsolve_evals": ia.zsolve_evals,
-                "eigen_iterations": ia.eigen_iterations,
-            },
+            _induced_diagnostics(ia),
         )
 
     if method == "ulam":

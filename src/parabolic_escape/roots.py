@@ -20,27 +20,37 @@ FTOL_HARD = 1e-13
 MAXITER = 200
 
 
-def solve_monotone(f, df, lo, hi, *, ftol=FTOL, maxiter=MAXITER):
-    """Solve f(x) = 0 for increasing f on the bracket [lo, hi], elementwise.
+def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
+    """Solve f(x) = y for increasing f on the bracket [lo, hi], elementwise.
 
-    ``lo``, ``hi`` are scalars or arrays (broadcast together); ``f`` and ``df``
-    must accept arrays.  Requires f(lo) <= 0 <= f(hi).  Returns an array of the
-    broadcast shape (or a scalar if both ends were scalars).
+    ``lo``, ``hi`` and ``y`` are scalars or arrays (broadcast together);
+    ``f`` and ``df`` must act elementwise on arrays, because once fewer than a
+    quarter of the points are still open only those are iterated (the
+    arithmetic per point is the same either way).  Requires
+    f(lo) <= y <= f(hi).  Returns an array of the broadcast shape (or a
+    scalar if all three were scalars).
     """
-    lo_a, hi_a = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
-    scalar = lo_a.ndim == 0
-    lo_a = np.atleast_1d(lo_a).copy()
-    hi_a = np.atleast_1d(hi_a).copy()
+    lo_b, hi_b, y_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float), np.asarray(y, float))
+    shape = lo_b.shape
+    lo_a = lo_b.flatten()
+    hi_a = hi_b.flatten()
+    y_a = y_b.ravel()
     if np.any(hi_a < lo_a):
         raise ConvergenceError("invalid bracket: hi < lo")
 
     x = 0.5 * (lo_a + hi_a)
-    fx = np.asarray(f(x), float)
+    fx = np.asarray(f(x), float) - y_a
     done = np.abs(fx) <= ftol
+    at = None  # positions of the open points, once they are iterated alone
 
     for _ in range(maxiter):
         if done.all():
             break
+        if at is None and 4 * np.count_nonzero(~done) < done.size:
+            # the points still open are iterated alone from here on
+            at = np.nonzero(~done)[0]
+            x_all, fx_all = x, fx
+            x, fx, lo_a, hi_a, y_a, done = x[at], fx[at], lo_a[at], hi_a[at], y_a[at], done[at]
         # keep the sign change inside [lo, hi]
         neg = (fx < 0.0) & ~done
         pos = (fx > 0.0) & ~done
@@ -56,19 +66,21 @@ def solve_monotone(f, df, lo, hi, *, ftol=FTOL, maxiter=MAXITER):
         cand = np.where(bad, mid, cand)
 
         x = np.where(done, x, cand)
-        fx = np.where(done, fx, np.asarray(f(x), float))
+        fx = np.where(done, fx, np.asarray(f(x), float) - y_a)
         width = hi_a - lo_a
         done = (np.abs(fx) <= ftol) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x)))
 
+    if at is not None:
+        x_all[at], fx_all[at] = x, fx
+        x, fx = x_all, fx_all
     worst = float(np.max(np.abs(fx)))
     if worst > FTOL_HARD:
         raise ConvergenceError(
             f"branch inversion did not converge: max residual {worst:.3e} after {maxiter} iterations"
         )
-    return float(x[0]) if scalar and x.size == 1 else x
+    return float(x[0]) if shape == () else x.reshape(shape)
 
 
 def invert_increasing(g, dg, y, lo, hi, *, ftol=FTOL, maxiter=MAXITER):
     """Return x in [lo, hi] with g(x) = y for increasing g (vectorized in y)."""
-    y_a = np.asarray(y, float)
-    return solve_monotone(lambda x: g(x) - y_a, dg, lo, hi, ftol=ftol, maxiter=maxiter)
+    return solve_monotone(g, dg, lo, hi, y=y, ftol=ftol, maxiter=maxiter)

@@ -180,16 +180,24 @@ def test_both_hole_specs_rejected(capsys):
     assert "ConfigError" in err
 
 
-def test_coarse_grid_rejected(capsys):
+def test_coarse_grid_rejected():
     # a grid with no more cells than branches must fail loudly rather than
     # fall back to the natural partition (1.7% low for lsv s=0.5, N=30, grid 16)
     with pytest.raises(DomainError):
         markov_grid(MapSpec.lsv(0.5), 30, 16)
-    code, out, err = run_cli(
-        ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "30", "--grid", "16"], capsys
-    )
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_induced_route_ignores_grid(capsys):
+    # the induced route collocates on Chebyshev nodes, so --grid cannot coarsen it
+    args = ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "30"]
+    code, out, _ = run_cli(args + ["--grid", "16"], capsys)
+    assert code == 0
+    coarse = json.loads(out)["results"][0]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    default = json.loads(out)["results"][0]
+    assert coarse["gamma_mu"] == default["gamma_mu"]
+    assert coarse["grid_M"] == default["grid_M"] == coarse["diagnostics"]["collocation_nodes"]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

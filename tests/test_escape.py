@@ -1,11 +1,14 @@
 import gc
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parabolic_escape import collocation
 from parabolic_escape import escape as esc
 from parabolic_escape.escape import (
     CSV_COLUMNS,
@@ -25,6 +28,7 @@ from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, preimage_sequence
 from parabolic_escape.operators import Grid, pwl_exact_matrix
 from parabolic_escape.spectral import cylinder_masses, leading_eigen
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 FAREY = MapSpec.farey()
 LSV_HALF = MapSpec.lsv(0.5)
 PWL_ONE = MapSpec.pwl(1.0)
@@ -287,14 +291,28 @@ def test_induced_analysis_leaves_no_reference_cycle():
     assert pinned == []
 
 
-def test_diagnostics_carry_solver_counts_in_json_only():
+def test_diagnostics_carry_solver_counts_in_json_only(monkeypatch):
     rep = compute_escape(LSV_HALF, Hole.markov(4), method="induced", grid_size=512)
     assert rep.diagnostics["zsolve_evals"] >= 1
     # the z = 1 solve plus one per Newton evaluation, each at least one iteration
     assert rep.diagnostics["eigen_iterations"] >= rep.diagnostics["zsolve_evals"] + 1
+    # collocation: the node count, the gap to half the degree, no flag when converged
+    assert rep.diagnostics["collocation_nodes"] == rep.grid_size == 33
+    assert 0.0 <= rep.diagnostics["error_estimate"] <= 1e-10 * rep.gamma
+    assert "converged" not in rep.diagnostics
     d = rep.to_dict()
     assert d["diagnostics"]["zsolve_evals"] == rep.diagnostics["zsolve_evals"]
     assert d["diagnostics"]["eigen_iterations"] == rep.diagnostics["eigen_iterations"]
+    assert d["diagnostics"]["collocation_nodes"] == 33
+    assert d["diagnostics"]["error_estimate"] == rep.diagnostics["error_estimate"]
+    # degrees too low to agree end at the last one with a flag, not a silent value
+    monkeypatch.setattr(collocation, "DEGREES", (2, 4))
+    coarse = compute_escape(LSV_HALF, Hole.markov(4), method="induced")
+    assert coarse.diagnostics["converged"] is False
+    assert coarse.diagnostics["collocation_nodes"] == coarse.grid_size == 5
+    assert coarse.diagnostics["error_estimate"] > 1e-10 * coarse.gamma
+    assert coarse.to_dict()["diagnostics"]["converged"] is False
+    assert tuple(coarse.to_row()) == CSV_COLUMNS
     fixed = ("family", "s", "N", "a_N", "m_H", "lambda", "gamma_rho", "sum_k_rho", "gamma_mu",
              "method", "grid_M", "eigen_residual", "runtime_ms")
     assert CSV_COLUMNS == fixed
@@ -305,7 +323,10 @@ def test_diagnostics_carry_solver_counts_in_json_only():
 
 def test_import_leaves_scipy_optimize_out():
     code = "import sys, parabolic_escape; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the subprocess does not inherit pytest's pythonpath, so hand it the checkout's src
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
 
 
@@ -313,7 +334,8 @@ def test_import_leaves_scipy_optimize_out():
 # the unit-eigenvalue solve
 # ---------------------------------------------------------------------------
 
-# gamma at lsv s = 0.5, M = 4096, as the bracketing solver gave it
+# gamma of the Markov-grid reference at lsv s = 0.5, M = 4096, as the
+# bracketing solver gave it
 LSV_HALF_PINNED_GAMMA = {
     25: 0.0017255719857377,
     50: 0.00039262132560999573,
@@ -324,8 +346,25 @@ LSV_HALF_PINNED_GAMMA = {
 
 @pytest.mark.parametrize("N", sorted(LSV_HALF_PINNED_GAMMA))
 def test_induced_gamma_pinned(N):
-    gamma = compute_escape(LSV_HALF, Hole.markov(N), method="induced", grid_size=4096).gamma
+    gamma = esc._grid_analysis(LSV_HALF, N, grid_size=4096).gamma
     assert abs(gamma - LSV_HALF_PINNED_GAMMA[N]) <= 1e-10 * LSV_HALF_PINNED_GAMMA[N]
+
+
+# gamma of the collocation route at lsv s = 0.5 (33 nodes at every N here)
+LSV_HALF_COLLOCATION_GAMMA = {
+    25: 0.0017255875267352492,
+    50: 0.00039264446372470354,
+    100: 9.17338844788288e-05,
+    200: 2.1944884902087802e-05,
+}
+
+
+@pytest.mark.parametrize("N", sorted(LSV_HALF_COLLOCATION_GAMMA))
+def test_collocation_gamma_pinned(N):
+    rep = compute_escape(LSV_HALF, Hole.markov(N), method="induced", grid_size=4096)
+    assert abs(rep.gamma - LSV_HALF_COLLOCATION_GAMMA[N]) <= 1e-10 * LSV_HALF_COLLOCATION_GAMMA[N]
+    # the grid reference is first order in the cell width and sits below
+    assert LSV_HALF_PINNED_GAMMA[N] < rep.gamma
 
 
 NEWTON_CASES = [(MapSpec.lsv(0.5), 25), (FAREY, 13), (MapSpec("pm", 1.0), 3)]
@@ -333,6 +372,23 @@ NEWTON_CASES = [(MapSpec.lsv(0.5), 25), (FAREY, 13), (MapSpec("pm", 1.0), 3)]
 
 @pytest.mark.parametrize("m,N", NEWTON_CASES, ids=["lsv-25", "farey-13", "pm-3"])
 def test_unit_eigenvalue_solve_takes_few_eigen_solves(monkeypatch, m, N):
+    sizes = []
+    original = collocation.leading_pair
+
+    def counting(A):
+        sizes.append(len(A))
+        return original(A)
+
+    monkeypatch.setattr(collocation, "leading_pair", counting)
+    ia = esc.induced_analysis(m, N, grid_size=4096)
+    per_node_count = {n: sizes.count(n) for n in set(sizes)}
+    assert all(count <= 6 for count in per_node_count.values()), per_node_count
+    assert ia.eigen_iterations == len(sizes)  # a dense solve counts as one
+    assert ia.zsolve_evals == len(sizes) - 1  # all but the z = 1 solve
+
+
+@pytest.mark.parametrize("m,N", NEWTON_CASES, ids=["lsv-25", "farey-13", "pm-3"])
+def test_grid_unit_eigenvalue_solve_takes_few_eigen_solves(monkeypatch, m, N):
     calls = []
     original = esc.leading_eigen
 
@@ -341,7 +397,7 @@ def test_unit_eigenvalue_solve_takes_few_eigen_solves(monkeypatch, m, N):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(esc, "leading_eigen", counting)
-    ia = esc.induced_analysis(m, N, grid_size=4096)
+    ia = esc._grid_analysis(m, N, grid_size=4096)
     assert len(calls) <= 6
     assert ia.zsolve_evals == len(calls) - 1  # all but the z = 1 solve
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from parabolic_escape import maps, roots
 from parabolic_escape.exceptions import ConvergenceError
+from parabolic_escape.maps import MapSpec
+from parabolic_escape.operators import markov_grid
 from parabolic_escape.roots import invert_increasing, solve_monotone
 
 
@@ -32,3 +35,25 @@ def test_unsolvable_raises():
     with pytest.raises(ConvergenceError):
         # no sign change: f > 0 on the whole bracket
         solve_monotone(lambda t: t + 1.0, lambda t: np.ones_like(t), 0.0, 1.0, maxiter=30)
+
+
+def test_left_inverse_iterates_only_open_points(monkeypatch):
+    # the grid's last node y = 1 has its root at the bracket end and bisects
+    # to rounding width; the points that converged early must not be
+    # evaluated again while it does
+    m = MapSpec.lsv(0.5)
+    nodes = markov_grid(m, 25, 4096).nodes
+    evaluated = []
+
+    def counting(g, dg, y, lo, hi, **kwargs):
+        def g_counted(x):
+            evaluated.append(np.size(x))
+            return g(x)
+
+        return roots.invert_increasing(g_counted, dg, y, lo, hi, **kwargs)
+
+    monkeypatch.setattr(maps, "invert_increasing", counting)
+    x = maps.left_inverse(m, nodes)
+    assert len(evaluated) > 20  # the slow point still takes its iterations
+    assert sum(evaluated) <= 8 * len(nodes)
+    assert np.max(np.abs(x + np.sqrt(2.0) * x**1.5 - nodes)) <= 1e-13
