@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError("--grid must be at least 8")
         if self.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("--seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

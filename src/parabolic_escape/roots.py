@@ -74,7 +74,7 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
         x_all[at], fx_all[at] = x, fx
         x, fx = x_all, fx_all
     worst = float(np.max(np.abs(fx)))
-    if worst > FTOL_HARD:
+    if not worst <= FTOL_HARD:  # a NaN residual fails too
         raise ConvergenceError(
             f"branch inversion did not converge: max residual {worst:.3e} after {maxiter} iterations"
         )

@@ -50,6 +50,18 @@ def test_config_validation():
     RunConfig("escape", hole_index="2").validate()
 
 
+def test_seed_and_threads_validated(capsys):
+    with pytest.raises(ConfigError):
+        RunConfig("mc", hole_index="2", seed=-1).validate()
+    with pytest.raises(ConfigError):
+        RunConfig("mc", hole_index="2", threads=0).validate()
+    argv = ["mc", "--map", "pwl", "--s", "1", "--hole-index", "2", "--samples", "10000", "--tmax", "12"]
+    for flag in (["--seed", "-1"], ["--threads", "0"]):
+        code, _, err = run_cli(argv + flag, capsys)
+        assert code == 2
+        assert "ConfigError" in err
+
+
 def test_build_map_variants(tmp_path):
     assert build_map(RunConfig("escape", map="farey", hole_index="2")).family == "farey"
     pwl = build_map(RunConfig("escape", map="pwl", s=1.0, hole_index="2"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parabolic_escape import maps
 from parabolic_escape.exceptions import DomainError, ReturnTimeOverflowError
 from parabolic_escape.maps import (
     ExplicitWeights,
@@ -48,6 +49,61 @@ def test_eval_map_domain_error():
         eval_map(FAREY, 1.5)
     with pytest.raises(DomainError):
         eval_map(FAREY, -0.1)
+
+
+def _mixed_points(m):
+    a = m.branch_cut
+    points = [0.0, np.nextafter(a, 0.0), a, np.nextafter(a, 1.0), 1.0, 0.3 * a, 0.5 * (1.0 + a)]
+    return np.array(points + list(np.linspace(0.0, 1.0, 41)[1:-1]))
+
+
+FOUR_FAMILIES = [LSV_HALF, MapSpec.pomeau_manneville(0.5), FAREY, PWL_ONE]
+
+
+@pytest.mark.parametrize("m", FOUR_FAMILIES, ids=lambda m: m.family)
+def test_array_evaluation_matches_scalar_bitwise(m):
+    x = _mixed_points(m)
+    assert eval_map(m, x).tolist() == [eval_map(m, float(v)) for v in x]
+    xd = x[x != m.branch_cut]
+    assert eval_derivative(m, xd).tolist() == [eval_derivative(m, float(v)) for v in xd]
+    # a 2-d array keeps its shape and its values
+    grid = xd[:40].reshape(5, 8)
+    assert eval_map(m, grid).tolist() == eval_map(m, xd[:40]).reshape(5, 8).tolist()
+    assert eval_derivative(m, grid).tolist() == eval_derivative(m, xd[:40]).reshape(5, 8).tolist()
+
+
+@pytest.mark.parametrize("m", FOUR_FAMILIES, ids=lambda m: m.family)
+def test_each_branch_formula_sees_only_its_points(m, monkeypatch):
+    seen = {}
+
+    def recording(name):
+        original = getattr(maps, name)
+
+        def formula(m, x):
+            seen[name] = np.copy(x)
+            return original(m, x)
+
+        return formula
+
+    for name in ("_left_branch", "_right_branch"):
+        monkeypatch.setattr(maps, name, recording(name))
+    x = _mixed_points(m)
+    left = x <= m.branch_cut
+    eval_map(m, x)
+    assert seen["_left_branch"].tolist() == x[left].tolist()
+    # the right formula sees the left points as 1.0, never as the slow 0.0
+    assert seen["_right_branch"].tolist() == np.where(left, 1.0, x).tolist()
+
+
+def test_nan_rejected_by_every_domain_check():
+    with pytest.raises(DomainError):
+        eval_map(LSV_HALF, float("nan"))
+    with pytest.raises(DomainError):
+        eval_derivative(LSV_HALF, np.array([np.nan]))
+    with pytest.raises(DomainError):
+        inverse_branch(LSV_HALF, 0, np.array([0.3, np.nan]))
+    with pytest.raises(DomainError):
+        eval_map(FAREY, np.array([0.2, np.inf]))
 
 
 def test_derivative_values():

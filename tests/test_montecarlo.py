@@ -15,6 +15,43 @@ from parabolic_escape.montecarlo import (
 PWL_ONE = MapSpec.pwl(1.0)
 LSV_HALF = MapSpec.lsv(0.5)
 
+# exact survivor counts at n_max=25, 300,000 samples, seed 5, hole markov(3):
+# a change in any per-point expression of the map changes them
+PINNED_SURVIVORS = {
+    "lsv": (
+        MapSpec.lsv(0.5),
+        [
+            246673, 220004, 194222, 169238, 148756, 130290, 114132, 100120, 87645,
+            76724, 67197, 58913, 51702, 45329, 39792, 34800, 30489, 26713, 23409, 20459,
+            17834, 15607, 13712, 11987, 10528
+        ],
+    ),
+    "pm": (
+        MapSpec.pomeau_manneville(0.5),
+        [
+            228296, 195379, 164493, 135135, 112427, 93397, 77423, 64287, 53493, 44414,
+            36872, 30586, 25300, 20943, 17397, 14446, 11895, 9877, 8141, 6758, 5587,
+            4635, 3812, 3165, 2575
+        ],
+    ),
+    "farey": (
+        MapSpec.farey(),
+        [
+            225234, 165121, 131816, 102006, 79327, 61760, 47869, 37200, 28870, 22459,
+            17398, 13530, 10479, 8203, 6361, 4953, 3788, 2950, 2304, 1787, 1398, 1056,
+            815, 626, 505
+        ],
+    ),
+    "pwl": (
+        MapSpec.pwl(1.0),
+        [
+            225234, 187824, 156433, 128194, 105785, 87229, 71958, 59409, 48907, 40237,
+            33210, 27375, 22611, 18611, 15274, 12537, 10266, 8425, 7009, 5786, 4797,
+            3996, 3329, 2788, 2328
+        ],
+    ),
+}
+
 
 def test_determinism_across_thread_counts():
     kwargs = dict(n_max=20, samples=200_000, seed=42)
@@ -120,3 +157,21 @@ def test_curve_csv():
     n, k, est, se = lines[1].split(",")
     assert int(n) == 1 and int(k) == curve.survivors[0]
     assert float(est) == pytest.approx(curve.estimates[0])
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SURVIVORS))
+def test_survivor_counts_pinned_bitwise(family):
+    m, expected = PINNED_SURVIVORS[family]
+    curve = survival_curve(m, Hole.markov(3), n_max=25, samples=300_000, seed=5)
+    assert curve.survivors.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": -1}, {"seed": 2**64}, {"threads": 0}, {"samples": 2000.5}, {"n_max": 20.0}, {"seed": 1.5}],
+)
+def test_survival_curve_rejects_bad_arguments(kwargs):
+    args = dict(n_max=12, samples=10_000, seed=1, threads=1)
+    args.update(kwargs)
+    with pytest.raises(DomainError):
+        survival_curve(PWL_ONE, Hole.markov(2), **args)

@@ -37,6 +37,12 @@ def test_unsolvable_raises():
         solve_monotone(lambda t: t + 1.0, lambda t: np.ones_like(t), 0.0, 1.0, maxiter=30)
 
 
+def test_nan_residual_raises():
+    # NaN fails every comparison, so the final residual check must not pass it
+    with pytest.raises(ConvergenceError):
+        solve_monotone(lambda t: np.full_like(t, np.nan), lambda t: np.ones_like(t), 0.0, 1.0, maxiter=30)
+
+
 def test_left_inverse_iterates_only_open_points(monkeypatch):
     # the grid's last node y = 1 has its root at the bracket end and bisects
     # to rounding width; the points that converged early must not be
