@@ -40,7 +40,6 @@ from .operators import (
     apply_open_induced,
     apply_Q0,
     apply_Q1,
-    assemble_induced_matrix,
     assemble_ulam_open,
     hole_grid,
     identity_residual,
@@ -96,7 +95,6 @@ __all__ = [
     "apply_Q0",
     "apply_Q1",
     "apply_open_induced",
-    "assemble_induced_matrix",
     "assemble_ulam_open",
     "build_induced",
     "compute_escape",

@@ -48,12 +48,12 @@ from .maps import Hole, MapSpec, return_time
 from .operators import (
     Grid,
     assemble_ulam_open,
+    combine_branch_matrices,
     hole_grid,
     induced_branch_matrices,
     markov_grid,
-    stack_branch_matrices,
 )
-from .spectral import SpectralTriple, cylinder_masses, leading_eigen, mean_return_time, support_structure
+from .spectral import SpectralTriple, cylinder_masses, leading_eigen, mean_return_time
 
 CSV_COLUMNS = (
     "family",
@@ -261,30 +261,27 @@ def _collocation_analysis(sys: InducedOpenSystem, stack: np.ndarray, eigen_tol: 
 
 
 def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float = 1e-13) -> InducedAnalysis:
-    """The Markov-grid induced route, kept as a reference for tests and
+    """The Markov-grid induced route, kept as a plain reference for tests and
     ``verify``: N_z on an aligned log-graded grid of ``grid_size`` cells with
-    exact interval-overlap entries, power iteration on a support structure
-    computed once, and the same unit-eigenvalue solve.  First order in the
-    cell width, so it is the least accurate route."""
+    exact interval-overlap entries, and the same unit-eigenvalue solve, each
+    evaluation a branch-order sum and a cold solve.  First order in the cell
+    width, so it is the least accurate route."""
     sys = build_induced(m, N)
     grid = markov_grid(m, N, grid_size)
     pieces = induced_branch_matrices(sys, grid)
-    stack = stack_branch_matrices(grid, pieces)
-    at_one = stack.at(1.0)
-    support = support_structure(at_one.matrix)
-    triple = leading_eigen(at_one, tol=eigen_tol, support=support)
-    del at_one  # one full-size N_z alive at a time during the z-solve
+    triple = leading_eigen(combine_branch_matrices(sys, grid, pieces), tol=eigen_tol)
     masses = cylinder_masses(sys, triple, pieces=pieces)
     gamma_induced = escape_rate_induced(triple)
     mean_ret = mean_return_time(masses)
     gamma_formula = gamma_induced / mean_ret
-    solves = [triple]  # each warm-starts the next
+    iterations = [triple.stats["iterations"]]
 
     def evaluate(t: float) -> tuple:
         z = math.exp(t)
-        solves.append(leading_eigen(stack.at(z), tol=eigen_tol, support=support, start=solves[-1]))
-        rho = cylinder_masses(sys, solves[-1], pieces=pieces, z=z)
-        return math.log(solves[-1].eigenvalue), mean_return_time(rho)
+        solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, z), tol=eigen_tol)
+        iterations.append(solve.stats["iterations"])
+        rho = cylinder_masses(sys, solve, pieces=pieces, z=z)
+        return math.log(solve.eigenvalue), mean_return_time(rho)
 
     gamma, evals = _bracket_and_solve(evaluate, triple.eigenvalue, gamma_formula, eigen_tol)
     return InducedAnalysis(
@@ -300,7 +297,7 @@ def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float =
         triple.residual,
         grid.n_cells,
         evals,
-        sum(tr.stats["iterations"] for tr in solves),
+        sum(iterations),
     )
 
 

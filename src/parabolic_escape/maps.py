@@ -28,6 +28,9 @@ from .roots import invert_increasing, solve_monotone
 FAMILIES = ("pm", "lsv", "farey", "pwl")
 
 DEFAULT_RETURN_TIME_CAP = 1_000_000
+#: cap on the cell lookups of the pwl branches, which are defined at every
+#: x > 0: far past any return time, at the last integer a float holds exactly
+_CELL_LIMIT = 2 ** 53
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +73,9 @@ class HarmonicWeights(Weights):
     def cell_index(self, x, cap=DEFAULT_RETURN_TIME_CAP):
         x = np.asarray(x, float)
         # a_n < x <= a_{n-1}  <=>  n <= 1/x < n+1, up to boundary rounding
-        n = np.floor(1.0 / x).astype(np.int64)
-        n = np.maximum(n, 1)
+        # clipped before the cast, which would wrap; the check below still
+        # sees every n beyond the cap
+        n = np.clip(np.floor(1.0 / x), 1, cap + 1).astype(np.int64)
         # fix up boundary rounding: x == a_{n-1} must give n, x <= a_n gives n+1
         n = np.where(x > self.tail(n - 1), n - 1, n)
         n = np.where(x <= self.tail(n), n + 1, n)
@@ -288,7 +292,7 @@ def _left_branch(m: MapSpec, x):
     out = np.zeros_like(x1)
     pos = x1 > 0.0
     if np.any(pos):
-        k = np.atleast_1d(w.cell_index(x1[pos]))
+        k = np.atleast_1d(w.cell_index(x1[pos], cap=_CELL_LIMIT))
         ak = np.asarray(w.tail(k), float)
         slope = np.asarray(w.mass(np.maximum(k - 1, 1)), float) / np.asarray(w.mass(k), float)
         out[pos] = np.asarray(w.tail(k - 1), float) + (x1[pos] - ak) * slope
@@ -320,7 +324,7 @@ def _left_derivative(m: MapSpec, x):
     out = np.ones_like(x1)
     pos = x1 > 0.0
     if np.any(pos):
-        k = np.atleast_1d(w.cell_index(x1[pos]))
+        k = np.atleast_1d(w.cell_index(x1[pos], cap=_CELL_LIMIT))
         out[pos] = np.asarray(w.mass(np.maximum(k - 1, 1)), float) / np.asarray(w.mass(k), float)
     return out.reshape(x_in.shape)
 

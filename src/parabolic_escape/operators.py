@@ -16,8 +16,8 @@ operators call the test function ``f`` on whole arrays of points, so ``f``
 must be vectorized.
 
 Discretization is by the Ulam method on aligned grids: piecewise-constant
-densities, Gauss-Legendre quadrature of the branch weights for the induced
-operator, and exact preimage-overlap entries for the direct operator.
+densities, with every entry an exact interval overlap (branch images of the
+cells for the induced operator, preimages of the cells for the direct one).
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from . import maps
 from .exceptions import DomainError
 from .induced import InducedOpenSystem, branch_walk
 from .maps import MapSpec, preimage_sequence
-
-#: fixed quadrature rule per cell; order 5 Gauss-Legendre
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GL_AVG_WEIGHTS = _GL_WEIGHTS / 2.0  # averages instead of integrals
 
 KIND_INDUCED = "induced-open"
 KIND_ULAM = "ulam-open"
@@ -81,14 +77,6 @@ class Grid:
         """Cell index of each point (interior convention, clipped at the ends)."""
         idx = np.searchsorted(self.nodes, np.asarray(y, float), side="right") - 1
         return np.clip(idx, 0, self.n_cells - 1)
-
-    def quadrature(self):
-        """Per-cell Gauss-Legendre points, shape (n_cells, 5), and averaging
-        weights that sum to one."""
-        mid = 0.5 * (self.lo + self.hi)
-        half = 0.5 * self.widths
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        return pts, _GL_AVG_WEIGHTS.copy()
 
     def node_index(self, value: float) -> int:
         i = int(np.argmin(np.abs(self.nodes - value)))
@@ -187,8 +175,8 @@ def hole_grid(m: MapSpec, epsilon: float, size: int = 4096) -> Grid:
 class TransferMatrix:
     """Nonnegative matrix acting on piecewise-constant grid functions.
 
-    Assembly is deterministic: fixed quadrature order and fixed per-row
-    summation order.
+    Assembly is deterministic: every entry is an exact interval overlap,
+    summed in a fixed order.
     """
 
     kind: str
@@ -318,7 +306,7 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     |zeta_n'(x)| [zeta_n(x) in cell_j] dx.  Because the weight is exactly the
     branch derivative, the integral is the length of zeta_n(cell_i)
     intersected with cell_j, so every entry is computed in closed form from
-    branch values at the grid nodes; no quadrature error enters.  The node
+    branch values at the grid nodes; no integration rule enters.  The node
     values come from one walk down the inverse-branch chain
     (:func:`branch_walk`), so N pieces cost N - 1 left-inverse solves.  The
     full open operator at parameter z is sum_n z**n piece_n.
@@ -337,75 +325,13 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     return pieces
 
 
-@dataclass(frozen=True, eq=False)
-class BranchStack:
-    """The branch pieces laid once over their union sparsity pattern.
-
-    ``slot`` gives, for the entries of all pieces taken in branch order, the
-    entry of the union CSR pattern (``indptr``, ``indices``) each one adds
-    to.  None of this depends on z, so N_z costs one weighted
-    ``np.bincount`` into the fixed pattern.  bincount adds each slot's terms
-    in branch order, starting from zero, which is exactly the sum that adding
-    the scaled pieces one after another produces, so the result is bitwise
-    the same.
-    """
-
-    grid: Grid
-    pieces: tuple
-    slot: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def at(self, z: float) -> TransferMatrix:
-        """N_z = sum_n z**n piece_n on the grid."""
-        weights = np.empty(len(self.slot))
-        end = 0
-        for n, piece in enumerate(self.pieces, start=1):
-            # Python's z ** n: numpy's z ** array differs in the last bit
-            np.multiply(piece.data, z ** n, out=weights[end:end + piece.nnz])
-            end += piece.nnz
-        vals = np.bincount(self.slot, weights=weights, minlength=len(self.indices))
-        M = self.grid.n_cells
-        matrix = sp.csr_matrix((vals, self.indices, self.indptr), shape=(M, M))
-        if not vals.all():
-            # a sparse sum drops entries that add up to exactly zero
-            matrix = matrix.copy()
-            matrix.eliminate_zeros()
-        return TransferMatrix(KIND_INDUCED, self.grid, matrix)
-
-
-def stack_branch_matrices(grid: Grid, pieces) -> BranchStack:
-    """Lay the pieces over their union pattern once (see :class:`BranchStack`)."""
-    M = grid.n_cells
-
-    def positions(piece):  # row-major position M * row + column of each entry
-        return np.repeat(np.arange(M) * M, np.diff(piece.indptr)) + piece.indices
-
-    ends = np.cumsum([piece.nnz for piece in pieces])
-    spans = [slice(end - piece.nnz, end) for piece, end in zip(pieces, ends)]
-    keys = np.empty(ends[-1], np.int64)
-    for piece, span in zip(pieces, spans):
-        keys[span] = positions(piece)
-    keys.sort()
-    union = keys[np.append(True, keys[1:] != keys[:-1])]
-    del keys  # sorted in place and dropped early: the keys set the peak memory
-    slot = np.empty(ends[-1], np.int32)
-    for piece, span in zip(pieces, spans):
-        slot[span] = np.searchsorted(union, positions(piece))
-    indptr = np.searchsorted(union, np.arange(M + 1) * M).astype(np.int32)
-    return BranchStack(grid, tuple(pieces), slot, indptr, (union % M).astype(np.int32))
-
-
-def assemble_induced_matrix(sys: InducedOpenSystem, grid: Grid, z: float = 1.0) -> TransferMatrix:
-    """Discretized open induced operator N_z on the given grid."""
-    pieces = induced_branch_matrices(sys, grid)
-    return combine_branch_matrices(sys, grid, pieces, z)
-
-
 def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces, z: float = 1.0) -> TransferMatrix:
-    """N_z from the pieces: stack them, then evaluate the stack at z.  Each
-    entry is summed in branch order."""
-    return stack_branch_matrices(grid, pieces).at(z)
+    """N_z = sum_n z**n piece_n on the grid, as a branch-order sum: the
+    scaled pieces are added one after another, each entry in branch order."""
+    total = pieces[0] * z
+    for n, piece in enumerate(pieces[1:], start=2):
+        total = total + piece * (z ** n)
+    return TransferMatrix(KIND_INDUCED, grid, total.tocsr())
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:

@@ -12,11 +12,7 @@ branch maps).  ``leading_eigen`` therefore prunes empty rows/columns, splits
 the support graph into strongly connected components, solves on the dominant
 component, and extends both eigenvectors to the transient cells by damped
 application of the operator; the returned vectors are exact eigenvectors of
-the full matrix and the dominant class must be unique.  The pruning and the
-class split depend only on the sparsity pattern, so a
-:class:`SupportStructure` computed once serves every matrix of that pattern;
-the class radii and the dominance check are still evaluated per matrix, and
-a previous eigenpair of a nearby matrix can start the iteration.
+the full matrix and the dominant class must be unique.
 
 The leading pair feeds three derived quantities: per-branch cylinder masses
 of the normalized product h * nu, the accumulated hole-avoiding pullback
@@ -95,73 +91,13 @@ def _prune_support(A: sp.csr_matrix) -> np.ndarray:
         alive = still
 
 
-class _Block(NamedTuple):
-    """One strongly connected class as a CSR block of the full matrix."""
-
-    cells: np.ndarray  # the class's indices in the full matrix
-    gather: np.ndarray  # position in the full matrix's data of each block entry
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def of(self, data: np.ndarray) -> sp.csr_matrix:
-        n = len(self.cells)
-        return sp.csr_matrix((data[self.gather], self.indices, self.indptr), shape=(n, n))
-
-
-@dataclass(frozen=True, eq=False)
-class SupportStructure:
-    """The pruned support and the strongly connected classes of a pattern.
-
-    Neither depends on the values of the entries, only on where the positive
-    ones sit, so one structure serves every matrix with the same CSR pattern:
-    every N_z, z > 0, of a branch stack.  ``blocks`` maps each class of more
-    than one cell (or the single class) to its block's index arrays.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    keep: np.ndarray  # indices that survive the pruning
-    labels: np.ndarray  # class of each kept index
-    n_classes: int
-    blocks: dict
-
-    def fits(self, A: sp.csr_matrix) -> bool:
-        return np.array_equal(A.indptr, self.indptr) and np.array_equal(A.indices, self.indices)
-
-
-def support_structure(A: sp.csr_matrix) -> SupportStructure:
-    """Prune and split the pattern of ``A``, whose stored entries are positive.
-
-    The pruning and the class split run on a copy of the pattern that holds
-    each entry's position in ``A.data``, so slicing it yields the gather
-    index of every block.
-    """
-    n = A.shape[0]
-    position = sp.csr_matrix((np.arange(1.0, A.nnz + 1.0), A.indices, A.indptr), shape=(n, n))
-    keep = _prune_support(position)
-    B = position if len(keep) == n else position[np.ix_(keep, keep)].tocsr()
-    ncomp, labels = connected_components(B, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=ncomp)
-    blocks = {}
-    for c in np.nonzero((sizes > 1) | (ncomp == 1))[0]:
-        idx = np.nonzero(labels == c)[0]
-        block = B if ncomp == 1 else B[np.ix_(idx, idx)].tocsr()
-        gather = block.data.astype(np.int64) - 1
-        blocks[int(c)] = _Block(keep[idx], gather, block.indptr, block.indices)
-    return SupportStructure(A.indptr, A.indices, keep, labels, int(ncomp), blocks)
-
-
-def _power_pair(B: sp.csr_matrix, tol: float, maxiter: int, start=None):
+def _power_pair(B: sp.csr_matrix, tol: float, maxiter: int):
     """Two-sided power iteration on an irreducible nonnegative block, from
-    the uniform vectors or from a positive (right, left) ``start`` pair."""
+    the uniform vectors."""
     BT = B.T.tocsr()
     m = B.shape[0]
-    if start is None:
-        v = np.full(m, 1.0 / m)
-        u = np.full(m, 1.0 / m)
-    else:
-        v = start[0] / start[0].sum()
-        u = start[1] / start[1].sum()
+    v = np.full(m, 1.0 / m)
+    u = np.full(m, 1.0 / m)
     lam = 0.0
     gap = np.inf
     for iterations in range(1, maxiter + 1):
@@ -197,21 +133,16 @@ def _component_radius(block: sp.csr_matrix) -> float:
     return lam
 
 
-def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, start=None, maxiter=2000):
+def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, maxiter=2000):
     """Fill non-core entries so (h, nu) solve the full eigen equations.
 
     Off the dominant class the equations h = (A h)/lam and nu = (A^T nu)/lam
     are contractions (every other class has spectral radius strictly below
-    lam), so fixed-point iteration with the core pinned converges
-    geometrically, from zero or from the vectors of the ``start`` triple
-    scaled to the core pair.
+    lam), so fixed-point iteration from zero with the core pinned converges
+    geometrically.
     """
-    if start is None:
-        h = np.zeros(A.shape[0])
-        nu = np.zeros(A.shape[0])
-    else:
-        h = start.eigenfunction * (h_core.sum() / start.eigenfunction[core_idx].sum())
-        nu = start.eigenmeasure * (nu_core.sum() / start.eigenmeasure[core_idx].sum())
+    h = np.zeros(A.shape[0])
+    nu = np.zeros(A.shape[0])
     h[core_idx] = h_core
     nu[core_idx] = nu_core
     for _ in range(maxiter):
@@ -229,26 +160,15 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, start=None, maxiter=2
     raise ConvergenceError("eigenvector extension to transient cells did not settle")
 
 
-def leading_eigen(
-    tm: TransferMatrix,
-    tol: float = 1e-13,
-    maxiter: int = 100_000,
-    support: Optional[SupportStructure] = None,
-    start: Optional[SpectralTriple] = None,
-) -> SpectralTriple:
-    """Perron root and both eigenvectors by two-sided power iteration.
+def leading_eigen(tm: TransferMatrix, tol: float = 1e-13, maxiter: int = 100_000) -> SpectralTriple:
+    """Perron root and both eigenvectors by a cold solve: two-sided power
+    iteration from the uniform vectors on the dominant class.
 
     The matrix must be nonnegative with a unique dominant strongly connected
     class on its support (ReducibleMatrixError otherwise).  Raises
     ConvergenceError when the ratio gap fails to reach ``tol`` within
-    ``maxiter`` iterations.
-
-    ``support`` is the :func:`support_structure` of the matrix's pattern,
-    computed here when not given; a structure of another pattern raises
-    DomainError.  ``start`` is a previous triple on the same grid (the pair
-    of a nearby matrix); its vectors start the iteration where they are
-    positive on the dominant class.  Every class radius is recomputed from
-    the entries on each call, so neither input weakens the dominance check.
+    ``maxiter`` iterations.  Every call prunes the support and splits it into
+    classes; stored zeros are dropped first, so they change nothing.
     """
     A = tm.matrix.tocsr()
     if A.nnz == 0:
@@ -259,43 +179,36 @@ def leading_eigen(
     if smallest == 0:
         A = A.copy()
         A.eliminate_zeros()
-    if support is None:
-        support = support_structure(A)
-    elif not support.fits(A):
-        raise DomainError("matrix pattern differs from the stored support structure")
-    if start is not None and len(start.eigenfunction) != A.shape[0]:
-        raise DomainError("start triple lives on a grid of another size")
 
-    keep, labels, ncomp, blocks = support.keep, support.labels, support.n_classes, support.blocks
-    matrices = {c: b.of(A.data) for c, b in blocks.items()}
+    keep = _prune_support(A)
+    B = A if len(keep) == A.shape[0] else A[np.ix_(keep, keep)].tocsr()
+    ncomp, labels = connected_components(B, directed=True, connection="strong")
     if ncomp == 1:
-        best = 0
+        core, core_block = np.arange(len(keep)), B
     else:
         # one-cell classes take their radius straight from the diagonal
+        sizes = np.bincount(labels, minlength=ncomp)
         radii = np.empty(ncomp)
-        single = np.bincount(labels, minlength=ncomp)[labels] == 1
-        radii[labels[single]] = A.diagonal()[keep[single]]
-        for c, block in matrices.items():
-            radii[c] = _component_radius(block)
+        single = sizes[labels] == 1
+        radii[labels[single]] = B.diagonal()[single]
+        blocks = {}
+        for c in np.nonzero(sizes > 1)[0]:
+            idx = np.nonzero(labels == c)[0]
+            blocks[c] = B[np.ix_(idx, idx)].tocsr()
+            radii[c] = _component_radius(blocks[c])
         order = np.argsort(radii)
         best, second = order[-1], radii[order[-2]]
         if second >= radii[best] * (1.0 - 1e-9):
             raise ReducibleMatrixError(
                 f"no unique dominant class: top spectral radii {radii[best]:.6e} and {second:.6e}"
             )
-    if best in blocks:
-        core_idx, core_block = blocks[best].cells, matrices[best]
-    else:  # a one-cell dominant class
-        core_idx, core_block = keep[labels == best], sp.csr_matrix([[radii[best]]])
+        core = np.nonzero(labels == best)[0]
+        core_block = blocks.get(best, sp.csr_matrix([[radii[best]]]))
+    core_idx = keep[core]
     n_transient = len(keep) - len(core_idx)
 
-    pair = None
-    if start is not None:
-        pair = (start.eigenfunction[core_idx], start.eigenmeasure[core_idx])
-        if not (np.all(pair[0] > 0) and np.all(pair[1] > 0)):
-            start = pair = None  # only a positive pair can start the iteration
-    lam, v, u, iterations = _power_pair(core_block, tol, maxiter, pair)
-    h, nu = _extend_to_full(A, A.T.tocsr(), lam, core_idx, v, u, start)
+    lam, v, u, iterations = _power_pair(core_block, tol, maxiter)
+    h, nu = _extend_to_full(A, A.T.tocsr(), lam, core_idx, v, u)
 
     nu_total = nu.sum()
     if nu_total <= 0:
@@ -323,11 +236,7 @@ def leading_eigen(
 # ---------------------------------------------------------------------------
 
 def cylinder_masses(
-    sys: InducedOpenSystem,
-    triple: SpectralTriple,
-    grid: Optional[Grid] = None,
-    pieces: Optional[list] = None,
-    z: float = 1.0,
+    sys: InducedOpenSystem, triple: SpectralTriple, pieces: Optional[list] = None, z: float = 1.0
 ) -> np.ndarray:
     """Branch masses of the normalized eigen-pair product.
 
@@ -338,9 +247,8 @@ def cylinder_masses(
     rather than by cell-indicator sums so cylinder boundaries cannot straddle
     cells.  Their mean k is the derivative of log lambda(e^t) at z = e^t.
     """
-    grid = grid or triple.grid
     if pieces is None:
-        pieces = induced_branch_matrices(sys, grid)
+        pieces = induced_branch_matrices(sys, triple.grid)
     lam = triple.eigenvalue
     nu = triple.eigenmeasure
     h = triple.eigenfunction
@@ -351,7 +259,7 @@ def cylinder_masses(
     return masses / total
 
 
-def invariant_function(sys: InducedOpenSystem, triple: SpectralTriple, grid: Optional[Grid] = None) -> np.ndarray:
+def invariant_function(sys: InducedOpenSystem, triple: SpectralTriple) -> np.ndarray:
     """Accumulated hole-avoiding pullbacks of the eigenfunction.
 
     Returns the grid function sum_{k=0}^{N-1} (Q0^k h) where Q0 is the
@@ -361,7 +269,7 @@ def invariant_function(sys: InducedOpenSystem, triple: SpectralTriple, grid: Opt
     interval overlaps of the k-fold node images, with the survivor indicator
     realized by restricting source cells to (a_{N-k}, 1].
     """
-    grid = grid or triple.grid
+    grid = triple.grid
     m = sys.map
     N = sys.branch_count
     seq = sys.preimages
@@ -391,20 +299,14 @@ class MassCheck(NamedTuple):
     discrepancy: float
 
 
-def invariant_mass(
-    sys: InducedOpenSystem,
-    triple: SpectralTriple,
-    grid: Optional[Grid] = None,
-    pieces: Optional[list] = None,
-) -> MassCheck:
+def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple, pieces: Optional[list] = None) -> MassCheck:
     """Total mass of the accumulated invariant function versus the mean
     return time of the cylinder masses; their gap is a pure discretization
     diagnostic (the two agree in exact arithmetic).  ``pieces`` are passed on
     to :func:`cylinder_masses`, which otherwise builds them again."""
-    grid = grid or triple.grid
-    e = invariant_function(sys, triple, grid)
+    e = invariant_function(sys, triple)
     mass_a = float(triple.eigenmeasure @ e)
-    mass_b = mean_return_time(cylinder_masses(sys, triple, grid, pieces))
+    mass_b = mean_return_time(cylinder_masses(sys, triple, pieces))
     return MassCheck(mass_a, mass_b, abs(mass_a - mass_b))
 
 

@@ -54,6 +54,13 @@ def renewal_decay_rate(weights, N: int) -> float:
     return math.log(z)
 
 
+def test_every_exported_name_resolves():
+    import parabolic_escape
+
+    missing = [name for name in parabolic_escape.__all__ if not hasattr(parabolic_escape, name)]
+    assert missing == []
+
+
 # ---------------------------------------------------------------------------
 # rate formulas
 # ---------------------------------------------------------------------------

@@ -106,6 +106,18 @@ def test_nan_rejected_by_every_domain_check():
         eval_map(FAREY, np.array([0.2, np.inf]))
 
 
+@pytest.mark.parametrize("m,x", [(PWL_ONE, 2e-7), (MapSpec.pwl(0.5), 1e-13)], ids=["harmonic", "zipf"])
+def test_pwl_deep_cells_need_no_return_time_cap(m, x):
+    # both points lie in cells beyond the default return-time cap of 10**6
+    w = m.weights
+    k = int(w.cell_index(x, cap=10**9))
+    assert k > maps.DEFAULT_RETURN_TIME_CAP
+    assert w.tail(k) < x <= w.tail(k - 1)
+    slope = float(w.mass(k - 1) / w.mass(k))
+    assert eval_map(m, x) == pytest.approx(float(w.tail(k - 1)) + (x - float(w.tail(k))) * slope, rel=1e-12)
+    assert eval_derivative(m, x) == pytest.approx(slope, rel=1e-12)
+
+
 def test_derivative_values():
     # indifferent fixed point: F'(0+) -> 1
     assert eval_derivative(FAREY, 1e-9) == pytest.approx(1.0, abs=1e-8)
@@ -239,6 +251,11 @@ def test_preimage_chain_shared_across_threads():
 def test_return_time_cap():
     with pytest.raises(ReturnTimeOverflowError):
         return_time(FAREY, 1e-7, cap=1000)
+    # 1/x beyond the int64 range must not wrap into a small cell index
+    with pytest.raises(ReturnTimeOverflowError):
+        return_time(PWL_ONE, 1e-20)
+    with pytest.raises(ReturnTimeOverflowError):
+        eval_map(PWL_ONE, 1e-20)
     with pytest.raises(DomainError):
         return_time(FAREY, 0.0)
 

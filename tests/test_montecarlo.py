@@ -175,3 +175,10 @@ def test_survival_curve_rejects_bad_arguments(kwargs):
     args.update(kwargs)
     with pytest.raises(DomainError):
         survival_curve(PWL_ONE, Hole.markov(2), **args)
+
+
+def test_tiny_hole_on_pwl_reaches_deep_cells():
+    # orbits land in cells beyond the default return-time cap, where the map
+    # is still defined
+    curve = survival_curve(PWL_ONE, Hole.interval(1e-8), n_max=10, samples=2_000_000, seed=0)
+    assert len(curve.survivors) == 10

@@ -11,7 +11,6 @@ from parabolic_escape.operators import (
     apply_open_induced,
     apply_Q0,
     apply_Q1,
-    assemble_induced_matrix,
     assemble_ulam_open,
     combine_branch_matrices,
     hole_grid,
@@ -123,7 +122,8 @@ def test_identity_residual(m, z, N):
 
 def test_pwl_natural_grid_reproduces_exact_matrix():
     sys = build_induced(PWL_ONE, 4)
-    tm_gen = assemble_induced_matrix(sys, natural_partition_grid(PWL_ONE, 4))
+    grid = natural_partition_grid(PWL_ONE, 4)
+    tm_gen = combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid))
     tm_ex = pwl_exact_matrix(PWL_ONE, 4)
     assert tm_ex.kind == "pwl-exact"
     assert np.max(np.abs(tm_gen.to_dense() - tm_ex.to_dense())) <= 1e-14
@@ -141,7 +141,7 @@ def test_single_cell_grid_collapses_to_total_weight():
     sys = build_induced(m, 2)
     a2 = preimage_sequence(m, 2)[2]
     grid = Grid(np.array([0.0, a2, 1.0]))
-    tm = assemble_induced_matrix(sys, grid)
+    tm = combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid))
     dense = tm.to_dense()
     # integral of sum_n |zeta_n'| over the cell equals the measure of the
     # branch images of the cell: |zeta_1((1/3, 1])| + |zeta_2((1/3, 1])|

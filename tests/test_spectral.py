@@ -11,13 +11,11 @@ from parabolic_escape.maps import ExplicitWeights, MapSpec
 from parabolic_escape.operators import (
     Grid,
     TransferMatrix,
-    assemble_induced_matrix,
     combine_branch_matrices,
     induced_branch_matrices,
     markov_grid,
     natural_partition_grid,
     pwl_exact_matrix,
-    stack_branch_matrices,
 )
 from parabolic_escape.spectral import (
     cylinder_masses,
@@ -25,7 +23,6 @@ from parabolic_escape.spectral import (
     invariant_mass,
     leading_eigen,
     mean_return_time,
-    support_structure,
 )
 
 FAREY = MapSpec.farey()
@@ -83,10 +80,12 @@ def test_reducible_matrix_rejected():
     grid = Grid(np.array([0.0, 0.5, 1.0]))
     from parabolic_escape.operators import TransferMatrix
 
-    # two decoupled unit blocks: no unique dominant class
-    tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.0], [0.0, 0.7]])))
-    with pytest.raises(ReducibleMatrixError):
-        leading_eigen(tm)
+    # two decoupled unit blocks, then two one-cell classes of equal radius
+    # joined by a transient edge: no unique dominant class either way
+    for dense in ([[0.7, 0.0], [0.0, 0.7]], [[0.7, 0.1], [0.0, 0.7]]):
+        tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array(dense)))
+        with pytest.raises(ReducibleMatrixError):
+            leading_eigen(tm)
 
 
 def test_periodic_core_fails_to_converge():
@@ -116,57 +115,28 @@ def test_transient_cells_extended_exactly():
     assert triple.stats["pruned_cells"] > 0
 
 
-# ---------------------------------------------------------------------------
-# a stored support structure and a warm start
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("m,N,pruned,classes", [(FAREY, 13, 0, 898), (MapSpec("pm", 1.0), 13, 884, 1)],
+@pytest.mark.parametrize("m,N,pruned,transient", [(FAREY, 13, 0, 898), (MapSpec("pm", 1.0), 13, 884, 0)],
                          ids=["farey-13", "pm-13"])
-def test_stored_structure_and_warm_start_match_a_cold_solve(m, N, pruned, classes):
+def test_cold_solve_prunes_and_splits(m, N, pruned, transient):
+    # farey splits into hundreds of transient classes, pm prunes hundreds of cells
     sys = build_induced(m, N)
     grid = markov_grid(m, N, 4096)
-    stack = stack_branch_matrices(grid, induced_branch_matrices(sys, grid))
-    at_one = stack.at(1.0)
-    support = support_structure(at_one.matrix)
-    assert support.n_classes == classes
-    start = leading_eigen(at_one, support=support)
-    assert start.stats["pruned_cells"] == pruned
-    tol = 1e-13
-    warm = leading_eigen(stack.at(1.0001), tol=tol, support=support, start=start)
-    cold = leading_eigen(stack.at(1.0001), tol=tol)
-    assert warm.stats["iterations"] < cold.stats["iterations"]
-    assert abs(warm.eigenvalue - cold.eigenvalue) <= tol * cold.eigenvalue
-    for key in ("pruned_cells", "transient_cells"):
-        assert warm.stats[key] == cold.stats[key]
-    assert warm.residual <= 1e-12 and cold.residual <= 1e-12
-    for a, b in ((warm.eigenfunction, cold.eigenfunction), (warm.eigenmeasure, cold.eigenmeasure)):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    triple = leading_eigen(combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid), 1.0001))
+    assert triple.stats["pruned_cells"] == pruned
+    assert triple.stats["transient_cells"] == transient
+    assert triple.residual <= 1e-12
 
 
-def test_stored_structure_keeps_the_dominance_check():
+def test_stored_zero_changes_nothing():
     grid = Grid(np.array([0.0, 0.5, 1.0]))
-    untied = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.5]])))
-    support = support_structure(untied.matrix)
-    assert support.n_classes == 2
-    start = leading_eigen(untied, support=support)
-    tied = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.7]])))
-    with pytest.raises(ReducibleMatrixError):
-        leading_eigen(tied, support=support, start=start)
-
-
-def test_stored_structure_of_another_pattern_is_rejected():
-    grid = Grid(np.array([0.0, 0.5, 1.0]))
-    full = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.5, 0.2], [0.1, 0.4]])))
-    support = support_structure(full.matrix)
-    other = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 0.4]])))
-    with pytest.raises(DomainError):
-        leading_eigen(other, support=support)
-    # a stored zero leaves the pattern of the positive entries, which no
-    # longer matches either
-    zero = sp.csr_matrix(np.array([[0.5, 0.2], [0.1, 0.4]]))
-    zero.data[2] = 0.0
-    with pytest.raises(DomainError):
-        leading_eigen(TransferMatrix("ulam-open", grid, zero), support=support)
+    stored = sp.csr_matrix(np.array([[0.5, 0.2], [0.1, 0.4]]))
+    stored.data[2] = 0.0
+    plain = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 0.4]]))
+    a = leading_eigen(TransferMatrix("ulam-open", grid, stored))
+    b = leading_eigen(TransferMatrix("ulam-open", grid, plain))
+    assert a.eigenvalue == b.eigenvalue and a.stats == b.stats
+    assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
+    assert a.eigenmeasure.tobytes() == b.eigenmeasure.tobytes()
 
 
 # ---------------------------------------------------------------------------
