@@ -80,12 +80,10 @@ def test_reducible_matrix_rejected():
     grid = Grid(np.array([0.0, 0.5, 1.0]))
     from parabolic_escape.operators import TransferMatrix
 
-    # two decoupled unit blocks, then two one-cell classes of equal radius
-    # joined by a transient edge: no unique dominant class either way
-    for dense in ([[0.7, 0.0], [0.0, 0.7]], [[0.7, 0.1], [0.0, 0.7]]):
-        tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array(dense)))
-        with pytest.raises(ReducibleMatrixError):
-            leading_eigen(tm)
+    # two decoupled unit blocks: no unique dominant class
+    tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.0], [0.0, 0.7]])))
+    with pytest.raises(ReducibleMatrixError):
+        leading_eigen(tm)
 
 
 def test_periodic_core_fails_to_converge():
@@ -125,6 +123,19 @@ def test_cold_solve_prunes_and_splits(m, N, pruned, transient):
     assert triple.stats["pruned_cells"] == pruned
     assert triple.stats["transient_cells"] == transient
     assert triple.residual <= 1e-12
+
+
+def test_stored_structure_keeps_the_dominance_check():
+    # two one-cell classes joined by a transient edge: a strictly larger
+    # radius on the first dominates, an equal one is a tie and is rejected
+    grid = Grid(np.array([0.0, 0.5, 1.0]))
+    untied = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.5]])))
+    triple = leading_eigen(untied)
+    assert triple.eigenvalue == pytest.approx(0.7, abs=1e-14)
+    assert triple.stats["transient_cells"] == 1
+    tied = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.7]])))
+    with pytest.raises(ReducibleMatrixError):
+        leading_eigen(tied)
 
 
 def test_stored_zero_changes_nothing():
