@@ -84,15 +84,9 @@ class RunConfig:
 
 
 def build_map(cfg: RunConfig) -> MapSpec:
-    if cfg.map == "pm":
-        return MapSpec.pomeau_manneville(cfg.s)
-    if cfg.map == "lsv":
-        return MapSpec.lsv(cfg.s)
-    if cfg.map == "farey":
-        return MapSpec.farey()
     spec_name = cfg.pwl_weights
     if spec_name is None:
-        weights = default_pwl_weights(cfg.s)
+        weights = None  # the family default
     elif spec_name == "zipf":
         weights = ZipfWeights(cfg.s)
     elif spec_name == "harmonic":
@@ -101,7 +95,7 @@ def build_map(cfg: RunConfig) -> MapSpec:
         with open(spec_name) as fh:
             values = json.load(fh)
         weights = ExplicitWeights(tuple(values))
-    return MapSpec.pwl(cfg.s, weights)
+    return MapSpec(cfg.map, cfg.s, weights)
 
 
 def parse_index_range(text: str) -> list:

@@ -46,7 +46,6 @@ from .exceptions import ConvergenceError, DomainError, InsufficientRangeError, M
 from .induced import InducedOpenSystem, build_induced
 from .maps import Hole, MapSpec, return_time
 from .operators import (
-    Grid,
     assemble_ulam_open,
     combine_branch_matrices,
     hole_grid,
@@ -106,8 +105,6 @@ class InducedAnalysis:
     """Everything the induced route produces for one Markov hole."""
 
     system: InducedOpenSystem
-    grid: Optional[Grid]
-    triple: Optional[SpectralTriple]
     eigenvalue: float
     masses: np.ndarray
     gamma_induced: float
@@ -194,7 +191,7 @@ def induced_analysis(
         gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, eigen_tol)
         sys = build_induced(m, N)
         return InducedAnalysis(
-            sys, None, None, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, 0.0, N, evals, 0
+            sys, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, 0.0, N, evals, 0
         )
 
     sys = build_induced(m, N)
@@ -255,7 +252,7 @@ def _collocation_analysis(sys: InducedOpenSystem, stack: np.ndarray, eigen_tol: 
     gamma, evals = _bracket_and_solve(lambda t: _unit_equation(stack, t), lam, gamma_formula, eigen_tol)
     nodes = stack.shape[1]
     return InducedAnalysis(
-        sys, None, None, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, residual, nodes, evals,
+        sys, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, residual, nodes, evals,
         evals + 1, collocation_nodes=nodes,
     )
 
@@ -286,8 +283,6 @@ def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float =
     gamma, evals = _bracket_and_solve(evaluate, triple.eigenvalue, gamma_formula, eigen_tol)
     return InducedAnalysis(
         sys,
-        grid,
-        triple,
         triple.eigenvalue,
         masses,
         gamma_induced,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import maps
 from .exceptions import DomainError
 from .maps import MapSpec, preimage_sequence
 
@@ -55,34 +54,15 @@ def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
 def branch_walk(sys: InducedOpenSystem, x):
     """Yield (zeta_n(x), log|zeta_n'(x)|) for n = 1, ..., N in one walk.
 
-    For the Farey map the branches are the closed-form Gauss branches
-    1/(n + x); for piecewise-linear maps they are affine with slope p_n.  The
-    smooth families walk the chain once, zeta_1 = phi_1 and
-    zeta_n = phi_0(zeta_{n-1}), accumulating the log weight along the way: one
-    root solve per step, so N branches cost N - 1 left-inverse solves and the
-    error stays linear in n.
+    The map's family object walks its inverse branches: the closed-form Gauss
+    branches 1/(n + x) for the Farey map, affine branches of slope p_n for
+    piecewise-linear maps, and for the smooth families one left-inverse root
+    solve per step, accumulating the log weight along the way.
     """
-    m = sys.map
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):
         raise DomainError("branch evaluation needs x in [0, 1]")
-    N = sys.branch_count
-    if m.family == "farey":
-        for n in range(1, N + 1):
-            yield 1.0 / (n + x_a), -2.0 * np.log(n + x_a)
-    elif m.family == "pwl":
-        w = m.weights
-        for n in range(1, N + 1):
-            p_n = float(np.asarray(w.mass(n), float))
-            yield float(w.tail(n)) + p_n * x_a, np.full_like(x_a, np.log(p_n))
-    else:
-        y = maps.right_inverse(m, x_a)
-        logw = -np.log(maps._right_derivative_abs(m, np.asarray(y, float)))
-        yield y, logw
-        for _ in range(N - 1):
-            y = maps.left_inverse(m, y)
-            logw = logw - np.log(maps._left_derivative(m, np.asarray(y, float)))
-            yield y, logw
+    yield from sys.map.branches.walk(sys.map, x_a, sys.branch_count)
 
 
 def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
@@ -100,10 +80,11 @@ def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
 def forward_jump(sys: InducedOpenSystem, n: int, y):
     """G(y) for y in the n-th branch interval: n-1 left steps, then the right
     branch.  Used as the round-trip oracle |G(zeta_n(x)) - x|."""
+    f = sys.map.branches
     out = np.asarray(y, float)
     for _ in range(n - 1):
-        out = np.asarray(maps._left_branch(sys.map, out), float)
-    out = np.asarray(maps._right_branch(sys.map, out), float)
+        out = np.asarray(f.left(out), float)
+    out = np.asarray(f.right(out), float)
     return out if np.asarray(y).ndim else float(out)
 
 

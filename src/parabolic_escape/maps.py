@@ -1,12 +1,19 @@
 """Parabolic interval maps, their branches, local inverses and return times.
 
 Four built-in families are supported, all full-branch maps of [0, 1] with an
-indifferent fixed point at the origin:
+indifferent fixed point at the origin, each by one private class:
 
-* ``pm``     x + x**(1+s) (mod 1), branch cut at the root of a + a**(1+s) = 1
-* ``lsv``    x * (1 + 2**s * x**s) on [0, 1/2], 2x - 1 on (1/2, 1]
-* ``farey``  x/(1-x) on [0, 1/2], (1-x)/x on (1/2, 1]
-* ``pwl``    countably piecewise linear, cell k has length p_k
+* ``pm``     _PomeauManneville: x + x**(1+s) (mod 1), cut at the root of a + a**(1+s) = 1
+* ``lsv``    _Lsv: x * (1 + 2**s * x**s) on [0, 1/2], 2x - 1 on (1/2, 1]
+* ``farey``  _Farey: x/(1-x) on [0, 1/2], (1-x)/x on (1/2, 1], for s = 1 only
+* ``pwl``    _Pwl: the cell A_k, of length p_k, onto A_{k-1} (A_1 onto (a, 1]),
+             and (a, 1] onto [0, 1], all affine
+
+``MapSpec.branches`` holds the map's instance.  It provides ``cut``, the
+branches ``left``/``right``, their absolute derivatives ``dleft``/``dright``,
+the local inverses ``inv_left``/``inv_right``, and ``walk(m, x, N)``, which
+yields (zeta_n(x), log|zeta_n'(x)|) for n = 1..N down the inverse-branch chain
+of m.  pm and lsv share ``_Smooth``: each step of its walk is a root solve.
 
 Conventions: the left branch domain is the closed interval [0, a], so the map
 value at the branch cut is the left-branch value 1.  The level sets of the
@@ -23,9 +30,7 @@ import numpy as np
 from scipy.special import zeta as _zeta
 
 from .exceptions import DomainError, ReturnTimeOverflowError
-from .roots import invert_increasing, solve_monotone
-
-FAMILIES = ("pm", "lsv", "farey", "pwl")
+from .roots import solve_monotone
 
 DEFAULT_RETURN_TIME_CAP = 1_000_000
 #: cap on the cell lookups of the pwl branches, which are defined at every
@@ -194,6 +199,162 @@ def default_pwl_weights(s: float) -> Weights:
 
 
 # ---------------------------------------------------------------------------
+# map families (vectorized; no domain checks, the public functions validate)
+# ---------------------------------------------------------------------------
+
+class _Family:
+    """Branches of one family on [0, cut] and (cut, 1]; see the module docstring."""
+
+    weights = None
+
+    def __init__(self, s: float, weights: Optional[Weights]):
+        if weights is not None:
+            raise DomainError("weights are only meaningful for the pwl family")
+        self.s = s
+
+
+class _Smooth(_Family):
+    c = 1.0  # left branch x + c x**(1+s)
+
+    def left(self, x):
+        return x + self.c * x ** (1.0 + self.s)
+
+    def dleft(self, x):
+        return 1.0 + self.c * (1.0 + self.s) * x ** self.s
+
+    def inv_left(self, y):
+        return solve_monotone(self.left, self.dleft, np.zeros_like(y), np.minimum(y, self.cut), y=y)
+
+    def walk(self, m, x, N):
+        # zeta_n = phi_0(zeta_{n-1}) through the public inverses: N branches
+        # cost N - 1 root solves, and the error stays linear in n
+        y = right_inverse(m, x)
+        logw = -np.log(self.dright(np.asarray(y, float)))
+        yield y, logw
+        for _ in range(N - 1):
+            y = left_inverse(m, y)
+            logw = logw - np.log(self.dleft(np.asarray(y, float)))
+            yield y, logw
+
+
+class _PomeauManneville(_Smooth):
+    def __init__(self, s: float, weights: Optional[Weights]):
+        super().__init__(s, weights)
+        self.cut = float(solve_monotone(self.right, self.dright, 0.0, 1.0))
+
+    def right(self, x):
+        return x + x ** (1.0 + self.s) - 1.0
+
+    def dright(self, x):
+        return 1.0 + (1.0 + self.s) * np.asarray(x, float) ** self.s
+
+    def inv_right(self, y):
+        return solve_monotone(self.right, self.dright, np.full_like(y, self.cut), np.ones_like(y), y=y)
+
+
+class _Lsv(_Smooth):
+    cut = 0.5
+
+    def __init__(self, s: float, weights: Optional[Weights]):
+        super().__init__(s, weights)
+        self.c = 2.0 ** s
+
+    def right(self, x):
+        return 2.0 * x - 1.0
+
+    def dright(self, x):
+        return np.full_like(np.asarray(x, float), 2.0)
+
+    def inv_right(self, y):
+        return 0.5 * (y + 1.0)
+
+
+class _Farey(_Family):
+    cut = 0.5
+
+    def __init__(self, s: float, weights: Optional[Weights]):
+        if s != 1.0:
+            raise DomainError(f"the farey map has exponent s = 1, not {s!r}")
+        super().__init__(s, weights)
+
+    def left(self, x):
+        return x / (1.0 - x)
+
+    def right(self, x):
+        return (1.0 - x) / x
+
+    def dleft(self, x):
+        return 1.0 / (1.0 - x) ** 2
+
+    def dright(self, x):
+        return 1.0 / np.asarray(x, float) ** 2
+
+    def inv_left(self, y):
+        return y / (1.0 + y)
+
+    def inv_right(self, y):
+        return 1.0 / (1.0 + y)
+
+    def walk(self, m, x, N):
+        for n in range(1, N + 1):
+            yield 1.0 / (n + x), -2.0 * np.log(n + x)
+
+
+class _Pwl(_Family):
+    def __init__(self, s: float, weights: Optional[Weights]):
+        super().__init__(s, None)
+        self.weights = w = weights if weights is not None else default_pwl_weights(s)
+        self.cut = float(w.tail(1))
+
+    def _cellwise(self, x, fill: float, cap: int, formula):
+        """formula(k, x) on the points x > 0 of cell k (up to return time cap), fill at 0."""
+        x_in = np.asarray(x, float)
+        x1 = np.atleast_1d(x_in)
+        out = np.full_like(x1, fill)
+        pos = x1 > 0.0
+        if np.any(pos):
+            k = np.atleast_1d(self.weights.cell_index(x1[pos], cap=cap))
+            out[pos] = formula(k, x1[pos])
+        return out.reshape(x_in.shape)
+
+    def _slope(self, k, top):
+        return np.asarray(self.weights.mass(top), float) / np.asarray(self.weights.mass(k), float)
+
+    def _affine(self, k, x, j, top):
+        """Cell k onto cell j, with slope p_top / p_k."""
+        tail = self.weights.tail
+        return np.asarray(tail(j), float) + (x - np.asarray(tail(k), float)) * self._slope(k, top)
+
+    def left(self, x):
+        return self._cellwise(x, 0.0, _CELL_LIMIT, lambda k, x: self._affine(k, x, k - 1, np.maximum(k - 1, 1)))
+
+    def dleft(self, x):
+        return self._cellwise(x, 1.0, _CELL_LIMIT, lambda k, x: self._slope(k, np.maximum(k - 1, 1)))
+
+    def inv_left(self, y):
+        return self._cellwise(y, 0.0, DEFAULT_RETURN_TIME_CAP, lambda k, y: self._affine(k, y, k + 1, k + 1))
+
+    def right(self, x):
+        return (x - self.cut) / self.weights.mass(1)
+
+    def dright(self, x):
+        return np.full_like(np.asarray(x, float), 1.0 / self.weights.mass(1))
+
+    def inv_right(self, y):
+        return self.cut + y * self.weights.mass(1)
+
+    def walk(self, m, x, N):
+        w = self.weights
+        for n in range(1, N + 1):
+            p_n = float(np.asarray(w.mass(n), float))
+            yield float(w.tail(n)) + p_n * x, np.full_like(x, np.log(p_n))
+
+
+_FAMILY_TYPES = {"pm": _PomeauManneville, "lsv": _Lsv, "farey": _Farey, "pwl": _Pwl}
+FAMILIES = tuple(_FAMILY_TYPES)
+
+
+# ---------------------------------------------------------------------------
 # map specification
 # ---------------------------------------------------------------------------
 
@@ -201,7 +362,8 @@ def default_pwl_weights(s: float) -> Weights:
 class MapSpec:
     """Immutable description of one parabolic map.
 
-    All evaluation helpers accept scalars or numpy arrays and are pure.  The
+    ``branches`` is its family object, which holds no reference back.  All
+    evaluation helpers accept scalars or numpy arrays and are pure.  The
     cached preimage chain is a read-only array that only grows, under a lock,
     by publishing a longer copy, so a MapSpec may be shared across threads.
     """
@@ -209,7 +371,7 @@ class MapSpec:
     family: str
     s: float = 1.0
     weights: Optional[Weights] = None
-    _branch_cut: float = field(init=False, repr=False, compare=False)
+    branches: _Family = field(init=False, repr=False, compare=False)
     _chain: np.ndarray = field(init=False, repr=False, compare=False)
     _chain_lock: threading.Lock = field(init=False, repr=False, compare=False)
 
@@ -218,13 +380,10 @@ class MapSpec:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not self.s > 0:
             raise DomainError("intermittency exponent s must be positive")
-        if self.family == "pwl":
-            w = self.weights if self.weights is not None else default_pwl_weights(self.s)
-            object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
-            raise DomainError("weights are only meaningful for the pwl family")
-        object.__setattr__(self, "_branch_cut", self._compute_branch_cut())
-        chain = np.array([1.0, self._branch_cut])
+        branches = _FAMILY_TYPES[self.family](self.s, self.weights)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "weights", branches.weights)
+        chain = np.array([1.0, branches.cut])
         chain.setflags(write=False)
         object.__setattr__(self, "_chain", chain)
         object.__setattr__(self, "_chain_lock", threading.Lock())
@@ -245,129 +404,24 @@ class MapSpec:
 
     @staticmethod
     def pwl(s: float = 1.0, weights: Optional[Weights] = None) -> "MapSpec":
-        return MapSpec("pwl", s, weights if weights is not None else default_pwl_weights(s))
+        return MapSpec("pwl", s, weights)
 
     # -- basic geometry ------------------------------------------------------
-
-    def _compute_branch_cut(self) -> float:
-        if self.family in ("lsv", "farey"):
-            return 0.5
-        if self.family == "pwl":
-            return float(self.weights.tail(1))
-        # pm: the point where x + x**(1+s) crosses 1
-        s = self.s
-        return float(
-            solve_monotone(
-                lambda a: a + a ** (1.0 + s) - 1.0,
-                lambda a: 1.0 + (1.0 + s) * a ** s,
-                0.0,
-                1.0,
-            )
-        )
 
     @property
     def branch_cut(self) -> float:
         """Right endpoint a of the left branch domain [0, a]."""
-        return self._branch_cut
+        return self.branches.cut
 
     def __hash__(self):
         return hash((self.family, self.s, self.weights))
-
-
-# ---------------------------------------------------------------------------
-# branch primitives (vectorized; no domain checks, callers validate)
-# ---------------------------------------------------------------------------
-
-def _left_branch(m: MapSpec, x):
-    if m.family == "pm":
-        return x + x ** (1.0 + m.s)
-    if m.family == "lsv":
-        return x + (2.0 ** m.s) * x ** (1.0 + m.s)
-    if m.family == "farey":
-        return x / (1.0 - x)
-    # pwl: locate the cell and map it affinely one level up
-    w = m.weights
-    x_in = np.asarray(x, float)
-    x1 = np.atleast_1d(x_in)
-    out = np.zeros_like(x1)
-    pos = x1 > 0.0
-    if np.any(pos):
-        k = np.atleast_1d(w.cell_index(x1[pos], cap=_CELL_LIMIT))
-        ak = np.asarray(w.tail(k), float)
-        slope = np.asarray(w.mass(np.maximum(k - 1, 1)), float) / np.asarray(w.mass(k), float)
-        out[pos] = np.asarray(w.tail(k - 1), float) + (x1[pos] - ak) * slope
-    return out.reshape(x_in.shape)
-
-
-def _right_branch(m: MapSpec, x):
-    if m.family == "pm":
-        return x + x ** (1.0 + m.s) - 1.0
-    if m.family == "lsv":
-        return 2.0 * x - 1.0
-    if m.family == "farey":
-        return (1.0 - x) / x
-    w = m.weights
-    a1 = w.tail(1)
-    return (x - a1) / w.mass(1)
-
-
-def _left_derivative(m: MapSpec, x):
-    if m.family == "pm":
-        return 1.0 + (1.0 + m.s) * x ** m.s
-    if m.family == "lsv":
-        return 1.0 + (2.0 ** m.s) * (1.0 + m.s) * x ** m.s
-    if m.family == "farey":
-        return 1.0 / (1.0 - x) ** 2
-    w = m.weights
-    x_in = np.asarray(x, float)
-    x1 = np.atleast_1d(x_in)
-    out = np.ones_like(x1)
-    pos = x1 > 0.0
-    if np.any(pos):
-        k = np.atleast_1d(w.cell_index(x1[pos], cap=_CELL_LIMIT))
-        out[pos] = np.asarray(w.mass(np.maximum(k - 1, 1)), float) / np.asarray(w.mass(k), float)
-    return out.reshape(x_in.shape)
-
-
-def _right_derivative_abs(m: MapSpec, x):
-    if m.family == "pm":
-        return 1.0 + (1.0 + m.s) * np.asarray(x, float) ** m.s
-    if m.family == "lsv":
-        return np.full_like(np.asarray(x, float), 2.0)
-    if m.family == "farey":
-        return 1.0 / np.asarray(x, float) ** 2
-    w = m.weights
-    return np.full_like(np.asarray(x, float), 1.0 / w.mass(1))
 
 
 def left_inverse(m: MapSpec, y):
     """phi_0(y): the left-branch local inverse, mapping [0, 1] into [0, a]."""
     y_a = np.asarray(y, float)
     _check_unit_interval(y_a)
-    if m.family == "farey":
-        out = y_a / (1.0 + y_a)
-    elif m.family == "pwl":
-        w = m.weights
-        y1 = np.atleast_1d(y_a)
-        out = np.zeros_like(y1)
-        pos = y1 > 0.0
-        if np.any(pos):
-            k = np.atleast_1d(w.cell_index(y1[pos]))
-            ak = np.asarray(w.tail(k), float)
-            slope = np.asarray(w.mass(k + 1), float) / np.asarray(w.mass(k), float)
-            out[pos] = np.asarray(w.tail(k + 1), float) + (y1[pos] - ak) * slope
-        out = out.reshape(y_a.shape)
-    else:
-        c = 2.0 ** m.s if m.family == "lsv" else 1.0
-        s = m.s
-        hi = np.minimum(y_a, m.branch_cut)
-        out = invert_increasing(
-            lambda x: x + c * x ** (1.0 + s),
-            lambda x: 1.0 + c * (1.0 + s) * x ** s,
-            y_a,
-            np.zeros_like(y_a),
-            hi,
-        )
+    out = m.branches.inv_left(y_a)
     return out if np.asarray(y).ndim else float(out)
 
 
@@ -375,22 +429,7 @@ def right_inverse(m: MapSpec, y):
     """phi_1(y): the right-branch local inverse, mapping [0, 1] into [a, 1]."""
     y_a = np.asarray(y, float)
     _check_unit_interval(y_a)
-    if m.family == "farey":
-        out = 1.0 / (1.0 + y_a)
-    elif m.family == "lsv":
-        out = 0.5 * (y_a + 1.0)
-    elif m.family == "pwl":
-        w = m.weights
-        out = w.tail(1) + y_a * w.mass(1)
-    else:
-        s = m.s
-        out = invert_increasing(
-            lambda x: x + x ** (1.0 + s) - 1.0,
-            lambda x: 1.0 + (1.0 + s) * x ** s,
-            y_a,
-            np.full_like(y_a, m.branch_cut),
-            np.ones_like(y_a),
-        )
+    out = m.branches.inv_right(y_a)
     return out if np.asarray(y).ndim else float(out)
 
 
@@ -416,8 +455,8 @@ def _by_branch(m: MapSpec, x_a, left_formula, right_formula) -> np.ndarray:
     at = np.flatnonzero(x1 <= m.branch_cut)
     rx = x1.copy()
     rx[at] = 1.0
-    out = np.asarray(right_formula(m, rx), float)
-    out[at] = left_formula(m, x1[at])
+    out = np.asarray(right_formula(rx), float)
+    out[at] = left_formula(x1[at])
     return out.reshape(x_a.shape)
 
 
@@ -425,7 +464,7 @@ def eval_map(m: MapSpec, x):
     """F(x) for x in [0, 1]; the branch cut takes the left-branch value 1."""
     x_a = np.asarray(x, float)
     _check_unit_interval(x_a)
-    out = _by_branch(m, x_a, _left_branch, _right_branch)
+    out = _by_branch(m, x_a, m.branches.left, m.branches.right)
     np.clip(out, 0.0, 1.0, out=out)
     return out if np.asarray(x).ndim else float(out)
 
@@ -436,7 +475,7 @@ def eval_derivative(m: MapSpec, x):
     _check_unit_interval(x_a)
     if m.family != "pwl" and np.any(x_a == m.branch_cut):
         raise DomainError("derivative undefined at the branch cut")
-    out = _by_branch(m, x_a, _left_derivative, _right_derivative_abs)
+    out = _by_branch(m, x_a, m.branches.dleft, m.branches.dright)
     return out if np.asarray(x).ndim else float(out)
 
 
@@ -593,8 +632,8 @@ def validate_hypotheses(m: MapSpec) -> MapDiagnostics:
     fa = eval_map(m, a)
     checks.append(Check("fixed_point", abs(f0) <= 1e-12, f"F(0) = {f0:.3e}"))
     checks.append(Check("left_branch_onto", abs(fa - 1.0) <= 1e-9, f"F(a) = {fa:.12f}"))
-    lo_img = float(_right_branch(m, np.asarray(a + 1e-12)))
-    hi_img = float(_right_branch(m, np.asarray(1.0)))
+    lo_img = float(m.branches.right(np.asarray(a + 1e-12)))
+    hi_img = float(m.branches.right(np.asarray(1.0)))
     ends = sorted([lo_img, hi_img])
     closure_ok = abs(ends[0]) <= 1e-9 and abs(ends[1] - 1.0) <= 1e-9
     checks.append(Check("right_branch_onto", closure_ok, f"closure of image ends = {ends}"))
@@ -607,8 +646,8 @@ def validate_hypotheses(m: MapSpec) -> MapDiagnostics:
         lo_l = a * 1e-3
     xs_l = np.linspace(lo_l, a * (1 - 1e-9), 200)
     xs_r = np.linspace(a + (1 - a) * 1e-6, 1.0, 200)
-    dl = np.diff(_left_branch(m, xs_l))
-    dr = np.diff(_right_branch(m, xs_r))
+    dl = np.diff(m.branches.left(xs_l))
+    dr = np.diff(m.branches.right(xs_r))
     mono = bool(np.all(dl > 0) and (np.all(dr > 0) or np.all(dr < 0)))
     checks.append(Check("piecewise_monotone", mono, "sampled increments have constant sign"))
 
@@ -620,7 +659,7 @@ def validate_hypotheses(m: MapSpec) -> MapDiagnostics:
             xs = np.asarray(m.weights.tail(ks), float) * 0.999
         else:
             xs = np.geomspace(1e-6, 1e-2, 24)
-        excess = np.asarray(_left_derivative(m, xs), float) - 1.0
+        excess = np.asarray(m.branches.dleft(xs), float) - 1.0
         good = excess > 0
         slope = float(np.polyfit(np.log(xs[good]), np.log(excess[good]), 1)[0])
         exp_ok = abs(slope - m.s) <= 0.05 * m.s

@@ -33,10 +33,6 @@ from .exceptions import DomainError
 from .induced import InducedOpenSystem, branch_walk
 from .maps import MapSpec, preimage_sequence
 
-KIND_INDUCED = "induced-open"
-KIND_ULAM = "ulam-open"
-KIND_PWL_EXACT = "pwl-exact"
-
 
 # ---------------------------------------------------------------------------
 # grids
@@ -179,7 +175,6 @@ class TransferMatrix:
     summed in a fixed order.
     """
 
-    kind: str
     grid: Grid
     matrix: sp.csr_matrix = field(compare=False)
 
@@ -213,7 +208,7 @@ def apply_Q0(m: MapSpec, N: int, f: Callable, x):
     if np.any(alive1):
         xs = np.atleast_1d(x_a)[alive1]
         y = np.asarray(maps.left_inverse(m, xs), float)
-        w = 1.0 / np.asarray(maps._left_derivative(m, y), float)
+        w = 1.0 / np.asarray(m.branches.dleft(y), float)
         out[alive1] = w * np.asarray(f(y), float)
     out = out.reshape(x_a.shape)
     return out if np.asarray(x).ndim else float(out)
@@ -224,7 +219,7 @@ def apply_Q1(m: MapSpec, f: Callable, x):
     right branch image, so no indicator appears."""
     x_a = np.asarray(x, float)
     y = np.asarray(maps.right_inverse(m, x_a), float)
-    w = 1.0 / np.asarray(maps._right_derivative_abs(m, y), float)
+    w = 1.0 / np.asarray(m.branches.dright(y), float)
     out = w * np.asarray(f(y), float)
     return out if np.asarray(x).ndim else float(out)
 
@@ -331,7 +326,7 @@ def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces, z: float
     total = pieces[0] * z
     for n, piece in enumerate(pieces[1:], start=2):
         total = total + piece * (z ** n)
-    return TransferMatrix(KIND_INDUCED, grid, total.tocsr())
+    return TransferMatrix(grid, total.tocsr())
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:
@@ -352,7 +347,7 @@ def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:
         col_of_branch[n] = int(np.nonzero(inside)[0][0])
     for n in range(1, N + 1):
         dense[:, col_of_branch[n]] = p[n - 1]
-    return TransferMatrix(KIND_PWL_EXACT, grid, sp.csr_matrix(dense))
+    return TransferMatrix(grid, sp.csr_matrix(dense))
 
 
 def assemble_ulam_open(m: MapSpec, epsilon: float, grid: Grid) -> TransferMatrix:
@@ -381,4 +376,4 @@ def assemble_ulam_open(m: MapSpec, epsilon: float, grid: Grid) -> TransferMatrix
         data = overlap / widths[rows]
         blocks.append(sp.coo_matrix((data, (rows, tgt + i0)), shape=(M, M)))
     matrix = sum(blocks).tocsr() if blocks else sp.csr_matrix((M, M))
-    return TransferMatrix(KIND_ULAM, grid, matrix)
+    return TransferMatrix(grid, matrix)

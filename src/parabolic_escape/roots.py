@@ -80,7 +80,3 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
         )
     return float(x[0]) if shape == () else x.reshape(shape)
 
-
-def invert_increasing(g, dg, y, lo, hi, *, ftol=FTOL, maxiter=MAXITER):
-    """Return x in [lo, hi] with g(x) = y for increasing g (vectorized in y)."""
-    return solve_monotone(g, dg, lo, hi, y=y, ftol=ftol, maxiter=maxiter)

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from parabolic_escape.escape import (
@@ -20,7 +19,6 @@ from parabolic_escape.escape import (
     escape_rate_original,
     fit_scaling,
     induced_analysis,
-    sandwich_bounds,
     sweep,
 )
 from parabolic_escape.induced import build_induced
@@ -32,7 +30,7 @@ from parabolic_escape.operators import (
     induced_branch_matrices,
     markov_grid,
 )
-from parabolic_escape.spectral import cylinder_masses, invariant_mass, leading_eigen, mean_return_time
+from parabolic_escape.spectral import cylinder_masses, invariant_mass, leading_eigen
 
 
 def harmonic_number(n: int) -> float:

@@ -1,9 +1,8 @@
 import json
-import math
 
 import pytest
 
-from parabolic_escape.cli import RunConfig, build_map, config_from_args, build_parser, main, parse_index_range, parse_window, run
+from parabolic_escape.cli import RunConfig, build_map, main, parse_index_range, parse_window
 from parabolic_escape.exceptions import ConfigError, DomainError
 from parabolic_escape import escape, operators, spectral
 from parabolic_escape.maps import MapSpec
@@ -184,6 +183,20 @@ def test_json_round_trip(capsys):
     assert cfg.to_dict() == payload["config"]
 
 
+def test_farey_exponent_other_than_one_rejected(capsys):
+    with pytest.raises(DomainError):
+        build_map(RunConfig("fit", map="farey", s=0.5, hole_index="10:400:geom:1.5"))
+    code, out, err = run_cli(["fit", "--map", "farey", "--s", "0.5", "--hole-index", "10:400:geom:1.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "DomainError" in err
+
+
+def test_pwl_weights_rejected_for_other_families():
+    with pytest.raises(DomainError):
+        build_map(RunConfig("escape", map="lsv", s=0.5, pwl_weights="zipf", hole_index="2"))
+
+
 def test_both_hole_specs_rejected(capsys):
     code, _, err = run_cli(
         ["escape", "--map", "farey", "--hole-index", "2", "--epsilon", "0.1"], capsys
@@ -233,11 +246,12 @@ def test_verify_builds_each_set_of_pieces_once(monkeypatch, capsys):
     original = operators.induced_branch_matrices
 
     def counting(sys, grid):
-        builds.append((id(sys), id(grid)))
+        # the objects themselves are kept, so no id is reused by a later build
+        builds.append((sys, grid))
         return original(sys, grid)
 
     for module in (operators, spectral, escape):
         monkeypatch.setattr(module, "induced_branch_matrices", counting)
     code, _, _ = run_cli(["verify", "--grid", "2048"], capsys)
     assert code == 0
-    assert builds and len(builds) == len(set(builds))
+    assert builds and len(builds) == len({(id(sys), id(grid)) for sys, grid in builds})

@@ -1,4 +1,4 @@
-import math
+import hashlib
 import sys
 import threading
 
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parabolic_escape import maps
+from parabolic_escape.collocation import lobatto_nodes
 from parabolic_escape.exceptions import DomainError, ReturnTimeOverflowError
+from parabolic_escape.induced import branch_walk, build_induced
 from parabolic_escape.maps import (
     ExplicitWeights,
     HarmonicWeights,
@@ -77,22 +79,22 @@ def test_each_branch_formula_sees_only_its_points(m, monkeypatch):
     seen = {}
 
     def recording(name):
-        original = getattr(maps, name)
+        original = getattr(m.branches, name)
 
-        def formula(m, x):
+        def formula(x):
             seen[name] = np.copy(x)
-            return original(m, x)
+            return original(x)
 
         return formula
 
-    for name in ("_left_branch", "_right_branch"):
-        monkeypatch.setattr(maps, name, recording(name))
+    for name in ("left", "right"):
+        monkeypatch.setattr(m.branches, name, recording(name))
     x = _mixed_points(m)
     left = x <= m.branch_cut
     eval_map(m, x)
-    assert seen["_left_branch"].tolist() == x[left].tolist()
+    assert seen["left"].tolist() == x[left].tolist()
     # the right formula sees the left points as 1.0, never as the slow 0.0
-    assert seen["_right_branch"].tolist() == np.where(left, 1.0, x).tolist()
+    assert seen["right"].tolist() == np.where(left, 1.0, x).tolist()
 
 
 def test_nan_rejected_by_every_domain_check():
@@ -357,3 +359,53 @@ def test_mapspec_validation():
         MapSpec("lsv", -1.0)
     with pytest.raises(DomainError):
         MapSpec("farey", 1.0, HarmonicWeights())
+
+
+def test_farey_rejects_any_other_exponent():
+    # the Farey map has s = 1; any other declared exponent would be ignored
+    # by the branches while a scaling fit still read it
+    assert MapSpec("farey", 1.0) == MapSpec.farey()
+    for s in (0.5, 2.0, 1.0 + 1e-12):
+        with pytest.raises(DomainError):
+            MapSpec("farey", s)
+
+
+# ---------------------------------------------------------------------------
+# bitwise pins of the branch primitives
+# ---------------------------------------------------------------------------
+
+# sha256 of the primitives below: a change to any bit of them fails here, so
+# a change of the branch code that moves numbers must say so and re-record
+PRIMITIVE_DIGESTS = {
+    ("pm", 1.0): "45c9d705d9962b9f11a0b53923e7821dbb2a0b621927bfbed39d0886cd77ffa5",
+    ("pm", 2.0): "c1fab8b550fa49cf1c70e7f524b9bae73757dbbe75106afa3f89363b79078c20",
+    ("lsv", 0.5): "0a9ec1f886c30ca50a83d6fa4a71c4d8ae4dde947833d39b81d68033cdb5bbb7",
+    ("lsv", 2.0): "bc1e33948590f8fd3e2c451449b59c0f00a11895fec66741153a3b7953def71b",
+    ("farey", 1.0): "d039cc38c152e682b8af0f6e293ec90e6463e643bf04ce223fccf02db29e3d51",
+    ("pwl", 1.0): "05959820eca1d5c49a640f99dd72bf9ec0d24b6d1452a7c2bdfc7dcbbde4dead",
+    ("pwl", 0.5): "d0d43667148b810b2be9a6ed05e459eaa60caeffb88d89d2fd1d4d5922a96576",
+}
+
+
+def primitive_digest(m):
+    """Both inverses, F and |F'| on 1,001 points, the chain a_0..a_300 and
+    the branch walk at N = 40 on the 65 Chebyshev-Lobatto nodes."""
+    xs = np.linspace(0.0, 1.0, 1001)
+    arrays = [
+        maps.left_inverse(m, xs),
+        maps.right_inverse(m, xs),
+        eval_map(m, xs),
+        eval_derivative(m, xs[xs != m.branch_cut]),
+        preimage_sequence(m, 300).values,
+    ]
+    for pair in branch_walk(build_induced(m, 40), lobatto_nodes(64)):
+        arrays.extend(pair)
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family,s", sorted(PRIMITIVE_DIGESTS), ids=lambda v: str(v))
+def test_primitives_bitwise_pinned(family, s):
+    assert primitive_digest(MapSpec(family, s)) == PRIMITIVE_DIGESTS[family, s]

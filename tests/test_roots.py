@@ -5,7 +5,7 @@ from parabolic_escape import maps, roots
 from parabolic_escape.exceptions import ConvergenceError
 from parabolic_escape.maps import MapSpec
 from parabolic_escape.operators import markov_grid
-from parabolic_escape.roots import invert_increasing, solve_monotone
+from parabolic_escape.roots import solve_monotone
 
 
 def test_scalar_cubic():
@@ -15,7 +15,7 @@ def test_scalar_cubic():
 
 def test_vectorized_targets():
     y = np.linspace(0.0, 1.0, 101)
-    x = invert_increasing(lambda t: t + t**2, lambda t: 1 + 2 * t, y, np.zeros_like(y), np.ones_like(y))
+    x = solve_monotone(lambda t: t + t**2, lambda t: 1 + 2 * t, np.zeros_like(y), np.ones_like(y), y=y)
     assert np.max(np.abs(x + x**2 - y)) <= 1e-13
 
 
@@ -27,7 +27,7 @@ def test_endpoint_roots():
 def test_flat_region_near_zero():
     # nearly flat derivative at the left end exercises the bisection fallback
     y = np.array([1e-12, 1e-8, 1e-4])
-    x = invert_increasing(lambda t: t + t**3, lambda t: 1 + 3 * t**2, y, np.zeros(3), np.ones(3))
+    x = solve_monotone(lambda t: t + t**3, lambda t: 1 + 3 * t**2, np.zeros(3), np.ones(3), y=y)
     assert np.max(np.abs(x + x**3 - y)) <= 1e-13
 
 
@@ -51,14 +51,14 @@ def test_left_inverse_iterates_only_open_points(monkeypatch):
     nodes = markov_grid(m, 25, 4096).nodes
     evaluated = []
 
-    def counting(g, dg, y, lo, hi, **kwargs):
+    def counting(g, dg, lo, hi, **kwargs):
         def g_counted(x):
             evaluated.append(np.size(x))
             return g(x)
 
-        return roots.invert_increasing(g_counted, dg, y, lo, hi, **kwargs)
+        return roots.solve_monotone(g_counted, dg, lo, hi, **kwargs)
 
-    monkeypatch.setattr(maps, "invert_increasing", counting)
+    monkeypatch.setattr(maps, "solve_monotone", counting)
     x = maps.left_inverse(m, nodes)
     assert len(evaluated) > 20  # the slow point still takes its iterations
     assert sum(evaluated) <= 8 * len(nodes)

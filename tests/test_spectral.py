@@ -14,7 +14,6 @@ from parabolic_escape.operators import (
     combine_branch_matrices,
     induced_branch_matrices,
     markov_grid,
-    natural_partition_grid,
     pwl_exact_matrix,
 )
 from parabolic_escape.spectral import (
@@ -44,16 +43,14 @@ def _induced_triple(m, N, size):
 
 def test_one_by_one_matrix():
     grid = Grid(np.array([0.0, 1.0]))
-    tm_like = pwl_exact_matrix(PWL_ONE, 2)
     # literal 1x1 case through the same machinery
     from parabolic_escape.operators import TransferMatrix
 
-    tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.37]])))
+    tm = TransferMatrix(grid, sp.csr_matrix(np.array([[0.37]])))
     triple = leading_eigen(tm)
     assert triple.eigenvalue == pytest.approx(0.37, abs=1e-15)
     assert triple.eigenfunction[0] > 0
     assert triple.eigenmeasure[0] == 1.0
-    assert tm_like.kind == "pwl-exact"
 
 
 def test_pwl_exact_triple():
@@ -81,7 +78,7 @@ def test_reducible_matrix_rejected():
     from parabolic_escape.operators import TransferMatrix
 
     # two decoupled unit blocks: no unique dominant class
-    tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.0], [0.0, 0.7]])))
+    tm = TransferMatrix(grid, sp.csr_matrix(np.array([[0.7, 0.0], [0.0, 0.7]])))
     with pytest.raises(ReducibleMatrixError):
         leading_eigen(tm)
 
@@ -90,7 +87,7 @@ def test_periodic_core_fails_to_converge():
     grid = Grid(np.array([0.0, 0.5, 1.0]))
     from parabolic_escape.operators import TransferMatrix
 
-    tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.0, 2.0], [0.5, 0.0]])))
+    tm = TransferMatrix(grid, sp.csr_matrix(np.array([[0.0, 2.0], [0.5, 0.0]])))
     with pytest.raises(ConvergenceError):
         leading_eigen(tm, maxiter=300)
 
@@ -99,7 +96,7 @@ def test_negative_entries_rejected():
     grid = Grid(np.array([0.0, 0.5, 1.0]))
     from parabolic_escape.operators import TransferMatrix
 
-    tm = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.5, -0.1], [0.2, 0.4]])))
+    tm = TransferMatrix(grid, sp.csr_matrix(np.array([[0.5, -0.1], [0.2, 0.4]])))
     with pytest.raises(DomainError):
         leading_eigen(tm)
 
@@ -129,11 +126,11 @@ def test_stored_structure_keeps_the_dominance_check():
     # two one-cell classes joined by a transient edge: a strictly larger
     # radius on the first dominates, an equal one is a tie and is rejected
     grid = Grid(np.array([0.0, 0.5, 1.0]))
-    untied = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.5]])))
+    untied = TransferMatrix(grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.5]])))
     triple = leading_eigen(untied)
     assert triple.eigenvalue == pytest.approx(0.7, abs=1e-14)
     assert triple.stats["transient_cells"] == 1
-    tied = TransferMatrix("ulam-open", grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.7]])))
+    tied = TransferMatrix(grid, sp.csr_matrix(np.array([[0.7, 0.1], [0.0, 0.7]])))
     with pytest.raises(ReducibleMatrixError):
         leading_eigen(tied)
 
@@ -143,8 +140,8 @@ def test_stored_zero_changes_nothing():
     stored = sp.csr_matrix(np.array([[0.5, 0.2], [0.1, 0.4]]))
     stored.data[2] = 0.0
     plain = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 0.4]]))
-    a = leading_eigen(TransferMatrix("ulam-open", grid, stored))
-    b = leading_eigen(TransferMatrix("ulam-open", grid, plain))
+    a = leading_eigen(TransferMatrix(grid, stored))
+    b = leading_eigen(TransferMatrix(grid, plain))
     assert a.eigenvalue == b.eigenvalue and a.stats == b.stats
     assert a.eigenfunction.tobytes() == b.eigenfunction.tobytes()
     assert a.eigenmeasure.tobytes() == b.eigenmeasure.tobytes()
