@@ -299,7 +299,7 @@ def _verify_checks(grid_size: int):
     grid = ops.markov_grid(m, 4, max(grid_size, 4096))
     pieces = ops.induced_branch_matrices(sys_n, grid)
     triple = spectral.leading_eigen(ops.combine_branch_matrices(sys_n, grid, pieces))
-    check = spectral.invariant_mass(sys_n, triple, pieces=pieces)
+    check = spectral.invariant_mass(sys_n, triple)
     rows.append(("mass identity lsv N=4", check.discrepancy <= 1e-6, f"discrepancy {check.discrepancy:.2e}"))
     return rows
 

@@ -267,7 +267,7 @@ def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float =
     grid = markov_grid(m, N, grid_size)
     pieces = induced_branch_matrices(sys, grid)
     triple = leading_eigen(combine_branch_matrices(sys, grid, pieces), tol=eigen_tol)
-    masses = cylinder_masses(sys, triple, pieces=pieces)
+    masses = cylinder_masses(sys, triple)
     gamma_induced = escape_rate_induced(triple)
     mean_ret = mean_return_time(masses)
     gamma_formula = gamma_induced / mean_ret
@@ -277,7 +277,7 @@ def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float =
         z = math.exp(t)
         solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, z), tol=eigen_tol)
         iterations.append(solve.stats["iterations"])
-        rho = cylinder_masses(sys, solve, pieces=pieces, z=z)
+        rho = cylinder_masses(sys, solve)
         return math.log(solve.eigenvalue), mean_return_time(rho)
 
     gamma, evals = _bracket_and_solve(evaluate, triple.eigenvalue, gamma_formula, eigen_tol)

@@ -303,6 +303,9 @@ class _Farey(_Family):
 class _Pwl(_Family):
     def __init__(self, s: float, weights: Optional[Weights]):
         super().__init__(s, None)
+        harmonic_off = isinstance(weights, HarmonicWeights) and not abs(s - 1.0) < 1e-12
+        if harmonic_off or isinstance(weights, ZipfWeights) and weights.s != s:
+            raise DomainError(f"pwl weights {weights!r} have tails of another exponent than s = {s!r}")
         self.weights = w = weights if weights is not None else default_pwl_weights(s)
         self.cut = float(w.tail(1))
 

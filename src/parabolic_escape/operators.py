@@ -23,7 +23,7 @@ cells for the induced operator, preimages of the cells for the direct one).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,11 +172,14 @@ class TransferMatrix:
     """Nonnegative matrix acting on piecewise-constant grid functions.
 
     Assembly is deterministic: every entry is an exact interval overlap,
-    summed in a fixed order.
+    summed in a fixed order.  ``pieces`` (shared, not copied) and ``z`` are
+    those of a :func:`combine_branch_matrices` sum; other matrices have none.
     """
 
     grid: Grid
     matrix: sp.csr_matrix = field(compare=False)
+    pieces: Optional[tuple] = field(default=None, repr=False)
+    z: float = 1.0
 
     @property
     def shape(self):
@@ -322,11 +325,13 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
 
 def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces, z: float = 1.0) -> TransferMatrix:
     """N_z = sum_n z**n piece_n on the grid, as a branch-order sum: the
-    scaled pieces are added one after another, each entry in branch order."""
+    scaled pieces are added one after another, each entry in branch order;
+    the result records them and ``z``."""
+    pieces = tuple(pieces)
     total = pieces[0] * z
     for n, piece in enumerate(pieces[1:], start=2):
         total = total + piece * (z ** n)
-    return TransferMatrix(grid, total.tocsr())
+    return TransferMatrix(grid, total.tocsr(), pieces, z)
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:

@@ -24,59 +24,46 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
     """Solve f(x) = y for increasing f on the bracket [lo, hi], elementwise.
 
     ``lo``, ``hi`` and ``y`` are scalars or arrays (broadcast together);
-    ``f`` and ``df`` must act elementwise on arrays, because once fewer than a
-    quarter of the points are still open only those are iterated (the
-    arithmetic per point is the same either way).  Requires
-    f(lo) <= y <= f(hi).  Returns an array of the broadcast shape (or a
-    scalar if all three were scalars).
+    ``f`` and ``df`` must act elementwise on arrays, because after the first
+    evaluation only the points still open are iterated, and each point leaves
+    on the iteration in which it converges.  Requires f(lo) <= y <= f(hi).
+    Returns an array of the broadcast shape (or a scalar if all three were
+    scalars).
     """
     lo_b, hi_b, y_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float), np.asarray(y, float))
     shape = lo_b.shape
-    lo_a = lo_b.flatten()
-    hi_a = hi_b.flatten()
-    y_a = y_b.ravel()
-    if np.any(hi_a < lo_a):
+    if np.any(hi_b < lo_b):
         raise ConvergenceError("invalid bracket: hi < lo")
 
-    x = 0.5 * (lo_a + hi_a)
-    fx = np.asarray(f(x), float) - y_a
-    done = np.abs(fx) <= ftol
-    at = None  # positions of the open points, once they are iterated alone
+    x = 0.5 * (lo_b + hi_b).ravel()
+    fx = np.asarray(f(x), float) - y_b.ravel()
+    at = np.nonzero(~(np.abs(fx) <= ftol))[0]  # the open points; a NaN residual is open
+    lo_a, hi_a, y_a = lo_b.ravel()[at], hi_b.ravel()[at], y_b.ravel()[at]
+    x_a, fx_a = x[at], fx[at]
 
     for _ in range(maxiter):
-        if done.all():
+        if at.size == 0:
             break
-        if at is None and 4 * np.count_nonzero(~done) < done.size:
-            # the points still open are iterated alone from here on
-            at = np.nonzero(~done)[0]
-            x_all, fx_all = x, fx
-            x, fx, lo_a, hi_a, y_a, done = x[at], fx[at], lo_a[at], hi_a[at], y_a[at], done[at]
         # keep the sign change inside [lo, hi]
-        neg = (fx < 0.0) & ~done
-        pos = (fx > 0.0) & ~done
-        lo_a[neg] = x[neg]
-        hi_a[pos] = x[pos]
+        np.copyto(lo_a, x_a, where=fx_a < 0.0)
+        np.copyto(hi_a, x_a, where=fx_a > 0.0)
 
-        d = np.asarray(df(x), float)
+        d = np.asarray(df(x_a), float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / d
-        cand = x - step
-        bad = ~np.isfinite(cand) | (cand <= lo_a) | (cand >= hi_a)
-        mid = 0.5 * (lo_a + hi_a)
-        cand = np.where(bad, mid, cand)
-
-        x = np.where(done, x, cand)
-        fx = np.where(done, fx, np.asarray(f(x), float) - y_a)
+            cand = x_a - fx_a / d
+        # a Newton step outside the open bracket (NaN and inf included) bisects
+        x_a = np.where((lo_a < cand) & (cand < hi_a), cand, 0.5 * (lo_a + hi_a))
+        fx_a = np.asarray(f(x_a), float) - y_a
+        x[at], fx[at] = x_a, fx_a
         width = hi_a - lo_a
-        done = (np.abs(fx) <= ftol) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x)))
+        done = (np.abs(fx_a) <= ftol) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x_a)))
+        if done.any():
+            keep = ~done
+            at, lo_a, hi_a, y_a, x_a, fx_a = at[keep], lo_a[keep], hi_a[keep], y_a[keep], x_a[keep], fx_a[keep]
 
-    if at is not None:
-        x_all[at], fx_all[at] = x, fx
-        x, fx = x_all, fx_all
     worst = float(np.max(np.abs(fx)))
     if not worst <= FTOL_HARD:  # a NaN residual fails too
         raise ConvergenceError(
             f"branch inversion did not converge: max residual {worst:.3e} after {maxiter} iterations"
         )
     return float(x[0]) if shape == () else x.reshape(shape)
-

@@ -42,6 +42,8 @@ class SpectralTriple:
     ``eigenfunction`` holds per-cell values (the density-like right vector),
     ``eigenmeasure`` per-cell masses summing to one.  The joint normalization
     sum(eigenmeasure * eigenfunction) = 1 makes their product a probability.
+    ``pieces`` and ``z`` are those the solved matrix recorded (see
+    :class:`TransferMatrix`); the matrix itself is not kept.
     """
 
     eigenvalue: float
@@ -49,6 +51,8 @@ class SpectralTriple:
     eigenmeasure: np.ndarray
     grid: Grid
     stats: dict = field(default_factory=dict)
+    pieces: Optional[tuple] = field(default=None, repr=False)
+    z: float = 1.0
 
     def __post_init__(self):
         for name in ("eigenfunction", "eigenmeasure"):
@@ -228,16 +232,14 @@ def leading_eigen(tm: TransferMatrix, tol: float = 1e-13, maxiter: int = 100_000
         "pruned_cells": int(A.shape[0] - len(keep)),
         "transient_cells": int(n_transient),
     }
-    return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats)
+    return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats, pieces=tm.pieces, z=tm.z)
 
 
 # ---------------------------------------------------------------------------
 # cylinder masses and the mass identity
 # ---------------------------------------------------------------------------
 
-def cylinder_masses(
-    sys: InducedOpenSystem, triple: SpectralTriple, pieces: Optional[list] = None, z: float = 1.0
-) -> np.ndarray:
+def cylinder_masses(sys: InducedOpenSystem, triple: SpectralTriple) -> np.ndarray:
     """Branch masses of the normalized eigen-pair product.
 
     Branch k receives (z**k/lambda) * integral of |zeta_k'(x)| h(zeta_k(x))
@@ -246,9 +248,12 @@ def cylinder_masses(
     pairing sum(nu h) = 1 to rounding.  Computed through the eigen-pair
     rather than by cell-indicator sums so cylinder boundaries cannot straddle
     cells.  Their mean k is the derivative of log lambda(e^t) at z = e^t.
+    The pieces and z are the triple's; a triple without pieces (exact pwl,
+    Ulam or hand-built matrices) has them built from ``sys`` at z = 1.
     """
+    pieces, z = triple.pieces, triple.z
     if pieces is None:
-        pieces = induced_branch_matrices(sys, triple.grid)
+        pieces, z = induced_branch_matrices(sys, triple.grid), 1.0
     lam = triple.eigenvalue
     nu = triple.eigenmeasure
     h = triple.eigenfunction
@@ -299,14 +304,14 @@ class MassCheck(NamedTuple):
     discrepancy: float
 
 
-def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple, pieces: Optional[list] = None) -> MassCheck:
+def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple) -> MassCheck:
     """Total mass of the accumulated invariant function versus the mean
     return time of the cylinder masses; their gap is a pure discretization
-    diagnostic (the two agree in exact arithmetic).  ``pieces`` are passed on
-    to :func:`cylinder_masses`, which otherwise builds them again."""
+    diagnostic (the two agree in exact arithmetic).  The masses use the
+    triple's pieces (see :func:`cylinder_masses`) and build none again."""
     e = invariant_function(sys, triple)
     mass_a = float(triple.eigenmeasure @ e)
-    mass_b = mean_return_time(cylinder_masses(sys, triple, pieces))
+    mass_b = mean_return_time(cylinder_masses(sys, triple))
     return MassCheck(mass_a, mass_b, abs(mass_a - mass_b))
 
 

@@ -79,7 +79,7 @@ def test_acceptance_1_pwl_exact_oracle():
         grid = markov_grid(m, N, 64)
         pieces = induced_branch_matrices(sys, grid)
         triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
-        rho = cylinder_masses(sys, triple, pieces=pieces)
+        rho = cylinder_masses(sys, triple)
 
         lam_exact = N / (N + 1.0)
         ks = np.arange(1, N + 1)
@@ -215,7 +215,7 @@ def test_acceptance_6_gauss_limit_first_cylinder_mass():
         grid = markov_grid(m, N, 4096)
         pieces = induced_branch_matrices(sys, grid)
         triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
-        rho_1[N] = cylinder_masses(sys, triple, pieces=pieces)[0]
+        rho_1[N] = cylinder_masses(sys, triple)[0]
     oracle = gauss_density_mass(0.5, 1.0)
     gap = {N: rho_1[N] - oracle for N in rho_1}
     limit_gap = abs(2.0 * rho_1[200] - rho_1[100] - oracle)

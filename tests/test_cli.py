@@ -197,6 +197,14 @@ def test_pwl_weights_rejected_for_other_families():
         build_map(RunConfig("escape", map="lsv", s=0.5, pwl_weights="zipf", hole_index="2"))
 
 
+def test_harmonic_weights_rejected_for_another_exponent(capsys):
+    args = ["fit", "--map", "pwl", "--s", "2", "--pwl-weights", "harmonic", "--hole-index", "10:400:geom:1.5"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "DomainError" in err
+
+
 def test_both_hole_specs_rejected(capsys):
     code, _, err = run_cli(
         ["escape", "--map", "farey", "--hole-index", "2", "--epsilon", "0.1"], capsys
@@ -241,7 +249,7 @@ def test_verify_command(capsys):
 
 
 def test_verify_builds_each_set_of_pieces_once(monkeypatch, capsys):
-    # the mass identity check hands its pieces on to invariant_mass
+    # the mass identity check reads its pieces from the solved triple
     builds = []
     original = operators.induced_branch_matrices
 

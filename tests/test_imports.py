@@ -8,6 +8,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "parabolic_escape").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+FILES += sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

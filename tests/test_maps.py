@@ -370,6 +370,20 @@ def test_farey_rejects_any_other_exponent():
             MapSpec("farey", s)
 
 
+def test_pwl_weights_must_have_the_declared_exponent():
+    # harmonic tails have exponent 1 and zipf tails their own s; a pwl map
+    # declaring another s would fit its scaling against the wrong exponent
+    assert MapSpec("pwl", 1.0 + 1e-13, HarmonicWeights()).weights == HarmonicWeights()
+    assert MapSpec("pwl", 2.0, ZipfWeights(2.0)).weights == ZipfWeights(2.0)
+    for s, weights in ((2.0, HarmonicWeights()), (1.0 + 1e-12, HarmonicWeights()), (2.0, ZipfWeights(1.5))):
+        with pytest.raises(DomainError):
+            MapSpec("pwl", s, weights)
+    # explicit weights declare no exponent
+    explicit = ExplicitWeights((0.5, 0.25, 0.25))
+    for s in (0.5, 1.0, 2.0):
+        assert MapSpec("pwl", s, explicit).weights == explicit
+
+
 # ---------------------------------------------------------------------------
 # bitwise pins of the branch primitives
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
+from parabolic_escape import operators, spectral
 from parabolic_escape.exceptions import ConvergenceError, DomainError, ReducibleMatrixError
 from parabolic_escape.induced import build_induced
 from parabolic_escape.maps import ExplicitWeights, MapSpec
@@ -174,7 +175,7 @@ def test_farey_first_mass_tends_to_gauss_value():
     gaps = []
     for N in (25, 50, 100):
         sys, grid, pieces, triple = _induced_triple(FAREY, N, 2048)
-        rho = cylinder_masses(sys, triple, pieces=pieces)
+        rho = cylinder_masses(sys, triple)
         gaps.append(abs(rho[0] - oracle))
         assert rho.sum() == pytest.approx(1.0, abs=1e-10)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -184,7 +185,7 @@ def test_farey_first_mass_tends_to_gauss_value():
 
 def test_masses_match_indicator_sums_on_aligned_grid():
     sys, grid, pieces, triple = _induced_triple(LSV_HALF, 4, 2048)
-    rho = cylinder_masses(sys, triple, pieces=pieces)
+    rho = cylinder_masses(sys, triple)
     seq = sys.preimages
     centers = 0.5 * (grid.lo + grid.hi)
     for k in range(1, 5):
@@ -239,6 +240,37 @@ def test_lsv_mass_identity_converges():
     assert check.mass_from_cylinders >= 1.0  # mean return time is at least one
 
 
+def test_mass_check_builds_the_pieces_once(monkeypatch):
+    # the sequence of acceptance 8: the solved triple hands the pieces and z
+    # of its matrix on to the masses, so nothing builds them a second time
+    builds = []
+
+    def counting(sys, grid):
+        builds.append(grid)
+        return induced_branch_matrices(sys, grid)
+
+    monkeypatch.setattr(operators, "induced_branch_matrices", counting)
+    monkeypatch.setattr(spectral, "induced_branch_matrices", counting)
+    sys = build_induced(LSV_HALF, 3)
+    grid = markov_grid(LSV_HALF, 3, 4096)
+    pieces = operators.induced_branch_matrices(sys, grid)
+    check = invariant_mass(sys, leading_eigen(combine_branch_matrices(sys, grid, pieces)))
+    # the values a second build of the pieces gave, bit for bit
+    assert tuple(check) == (1.5283892675874908, 1.52838942049829, 1.5291079913382077e-07)
+    solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, 0.97))
+    assert solve.z == 0.97 and all(a is b for a, b in zip(solve.pieces, pieces, strict=True))
+    assert cylinder_masses(sys, solve).tolist() == [0.6136324108638745, 0.2606863558863826, 0.1256812332497428]
+    assert builds == [grid]
+
+    # a triple whose matrix carries no pieces builds them at z = 1
+    exact = leading_eigen(pwl_exact_matrix(PWL_ONE, 4))
+    assert exact.pieces is None
+    ks = np.arange(1, 5)
+    rho = cylinder_masses(build_induced(PWL_ONE, 4), exact)
+    assert np.max(np.abs(rho - (1.0 / (ks * (ks + 1.0))) / (4 / 5))) <= 1e-14
+    assert len(builds) == 2
+
+
 def test_mean_return_growth_regimes():
     # partial sums of k * rho_k stabilize for s < 1 and grow like log N at s = 1
     values = {}
@@ -247,7 +279,7 @@ def test_mean_return_growth_regimes():
         grid = markov_grid(FAREY, N, 1024)
         pieces = induced_branch_matrices(sys, grid)
         triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
-        values[N] = mean_return_time(cylinder_masses(sys, triple, pieces=pieces))
+        values[N] = mean_return_time(cylinder_masses(sys, triple))
     growth_100 = values[100] - values[50]
     growth_200 = values[200] - values[100]
     assert growth_100 > 0.3  # log-growth regime: roughly log(2)/log(2) per doubling
