@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -76,10 +76,15 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
+        hints = get_type_hints(RunConfig)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            allowed = get_args(hints[key]) or (hints[key],)
+            if not isinstance(value, allowed + ((int,) if float in allowed else ())):
+                names = " or ".join(t.__name__ for t in allowed)
+                raise ConfigError(f"config key {key!r} must be {names}, got {value!r}")
         return RunConfig(**data)
 
 
@@ -92,25 +97,39 @@ def build_map(cfg: RunConfig) -> MapSpec:
     elif spec_name == "harmonic":
         weights = default_pwl_weights(1.0)
     else:
-        with open(spec_name) as fh:
-            values = json.load(fh)
-        weights = ExplicitWeights(tuple(values))
+        weights = ExplicitWeights(tuple(_read_json(spec_name, "pwl weights file")))
     return MapSpec(cfg.map, cfg.s, weights)
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _number(kind, part: str, text: str):
+    """``kind(part)`` for one field of the option value ``text``."""
+    try:
+        return kind(part)
+    except ValueError:
+        raise ConfigError(f"cannot read {part!r} of {text!r} as {kind.__name__}") from None
 
 
 def parse_index_range(text: str) -> list:
     """Parse "N", "start:stop:step" or "start:stop:geom[:ratio]"."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [int(parts[0])]
+        return [_number(int, parts[0], text)]
     if len(parts) not in (3, 4):
         raise ConfigError(f"bad hole-index range {text!r}")
-    start, stop = int(parts[0]), int(parts[1])
+    start, stop = _number(int, parts[0], text), _number(int, parts[1], text)
     if start < 1 or stop < start:
         raise ConfigError(f"bad hole-index range {text!r}")
     if parts[2] == "geom":
-        ratio = float(parts[3]) if len(parts) == 4 else 2.0
-        if ratio <= 1.0:
+        ratio = _number(float, parts[3], text) if len(parts) == 4 else 2.0
+        if not ratio > 1.0:
             raise ConfigError("geometric ratio must exceed 1")
         out = []
         value = float(start)
@@ -124,7 +143,7 @@ def parse_index_range(text: str) -> list:
         return out
     if len(parts) != 3:
         raise ConfigError(f"bad hole-index range {text!r}")
-    step = int(parts[2])
+    step = _number(int, parts[2], text)
     if step < 1:
         raise ConfigError("step must be >= 1")
     return list(range(start, stop + 1, step))
@@ -134,7 +153,7 @@ def parse_window(text: Optional[str], tmax: int):
     if text is None:
         return None
     lo, _, hi = text.partition(":")
-    window = (int(lo), int(hi))
+    window = (_number(int, lo, text), _number(int, hi, text))
     if not 1 <= window[0] < window[1] <= tmax:
         raise ConfigError(f"window {text!r} outside 1..{tmax}")
     return window
@@ -152,9 +171,7 @@ def _emit(cfg: RunConfig, payload: dict, csv_text: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _hole(cfg: RunConfig, index: Optional[int] = None) -> Hole:
-    if index is not None:
-        return Hole.markov(index)
+def _hole(cfg: RunConfig) -> Hole:
     if cfg.epsilon is not None:
         return Hole.interval(cfg.epsilon)
     return Hole.markov(int(parse_index_range(cfg.hole_index)[0]))
@@ -165,19 +182,18 @@ def run(cfg: RunConfig) -> int:
     cfg.validate()
     m = build_map(cfg)
     window = parse_window(cfg.window, cfg.tmax)
+    options = dict(
+        method=cfg.method,
+        grid_size=cfg.grid,
+        samples=cfg.samples,
+        n_max=cfg.tmax,
+        window=window,
+        seed=cfg.seed,
+        threads=cfg.threads,
+    )
 
     if cfg.command == "escape":
-        report = esc.compute_escape(
-            m,
-            _hole(cfg),
-            method=cfg.method,
-            grid_size=cfg.grid,
-            samples=cfg.samples,
-            n_max=cfg.tmax,
-            window=window,
-            seed=cfg.seed,
-            threads=cfg.threads,
-        )
+        report = esc.compute_escape(m, _hole(cfg), **options)
         payload = {"config": cfg.to_dict(), "results": [report.to_dict()]}
         _emit(cfg, payload, esc.reports_csv_text([report]))
         return 0
@@ -185,32 +201,14 @@ def run(cfg: RunConfig) -> int:
     if cfg.command in ("sweep", "fit"):
         if cfg.hole_index is None:
             raise ConfigError(f"{cfg.command} needs --hole-index (a value or range)")
-        indices = parse_index_range(cfg.hole_index)
-        result = esc.sweep(
-            m,
-            indices,
-            method=cfg.method,
-            grid_size=cfg.grid,
-            samples=cfg.samples,
-            n_max=cfg.tmax,
-            window=window,
-            seed=cfg.seed,
-            threads=cfg.threads,
-        )
+        result = esc.sweep(m, parse_index_range(cfg.hole_index), **options)
         payload = {
             "config": cfg.to_dict(),
             "results": [r.to_dict() for r in result.reports],
             "failures": [{"N": n, "error": msg} for n, msg in result.failures],
         }
         if cfg.command == "fit":
-            fit = esc.fit_scaling(result.reports, cfg.s)
-            payload["fit"] = {
-                "regime": fit.regime,
-                "value": fit.value,
-                "variation": fit.variation,
-                "r_squared": fit.r_squared,
-                "n_points": fit.n_points,
-            }
+            payload["fit"] = asdict(esc.fit_scaling(result.reports, cfg.s))
         _emit(cfg, payload, esc.reports_csv_text(result.reports))
         return 0
 
@@ -355,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     data = {"command": args.command}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_data = json.load(fh)
+        file_data = _read_json(args.config, "config file")
+        if not isinstance(file_data, dict):
+            raise ConfigError(f"config file {args.config!r} must hold a JSON object")
         file_data.pop("command", None)
         data.update(file_data)
     for f in fields(RunConfig):

@@ -64,11 +64,16 @@ def leading_pair(A: np.ndarray) -> tuple:
     """Leading eigenvalue with its right and left eigenvectors, dense.
 
     The leading eigenvalue must be real and positive (ConvergenceError
-    otherwise) and strictly larger in modulus than every other one
-    (ReducibleMatrixError otherwise).  The right vector is scaled to its
-    largest entry being one, the left vector to pair with it to one.
+    otherwise, as when the eigen solve itself fails) and strictly larger in
+    modulus than every other one (ReducibleMatrixError otherwise).  The
+    right vector is scaled to its largest entry being one, the left vector
+    to pair with it to one.
     """
-    vals, right = np.linalg.eig(A)
+    try:
+        vals, right = np.linalg.eig(A)
+        vals_t, left = np.linalg.eig(A.T)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigen solve failed: {exc}") from exc
     order = np.argsort(-np.abs(vals))
     lam = vals[order[0]]
     if lam.imag != 0.0 or not lam.real > 0.0:
@@ -78,7 +83,6 @@ def leading_pair(A: np.ndarray) -> tuple:
             f"no strictly dominant eigenvalue: top moduli {abs(lam):.6e} and {abs(vals[order[1]]):.6e}"
         )
     lam = lam.real
-    vals_t, left = np.linalg.eig(A.T)
     h = right[:, order[0]].real
     h = h / h[np.argmax(np.abs(h))]
     ell = left[:, np.argmin(np.abs(vals_t - lam))].real

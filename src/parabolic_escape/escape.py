@@ -17,8 +17,10 @@ Three methods produce escape rates of the original map:
     iterates fall onto the root from above, so a rate costs a handful of
     dense eigen solves.  Induced reports carry the node count, the gap to
     the half-degree rate, and the solver counts in their JSON diagnostics.
-    The Markov-grid discretization of the same operator stays as the
-    private reference :func:`_grid_analysis`.
+    Piecewise-linear maps take their closed form instead, and the Markov-grid
+    discretization stays as the private reference :func:`_grid_analysis`.
+    Each of the three routes supplies only its z = 1 leading data and its
+    unit-eigenvalue equation; :func:`_solve_rates` forms both rates from them.
 
 ``ulam``
     Discretize the open operator of the original map directly on a
@@ -42,8 +44,10 @@ import numpy as np
 
 from . import collocation
 from . import montecarlo as mc
-from .exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError, NormalizationError
-from .induced import InducedOpenSystem, build_induced
+from .exceptions import (
+    ConvergenceError, DomainError, EscapeError, InsufficientRangeError, MonotonicityError, NormalizationError,
+)
+from .induced import build_induced
 from .maps import Hole, MapSpec, return_time
 from .operators import (
     assemble_ulam_open,
@@ -104,7 +108,6 @@ def escape_rate_original(triple: SpectralTriple, masses: np.ndarray) -> float:
 class InducedAnalysis:
     """Everything the induced route produces for one Markov hole."""
 
-    system: InducedOpenSystem
     eigenvalue: float
     masses: np.ndarray
     gamma_induced: float
@@ -152,6 +155,22 @@ def _bracket_and_solve(evaluate, lam1: float, t1: float, ftol: float) -> tuple:
     raise ConvergenceError(f"unit-eigenvalue Newton iteration did not settle in {_NEWTON_CAP} steps")
 
 
+def _solve_rates(
+    lam: float, masses: np.ndarray, mean_return: float, residual: float, evaluate, eigen_tol: float,
+    grid_size: int, solves, collocation_nodes: Optional[int] = None,
+) -> InducedAnalysis:
+    """Both rates from a route's z = 1 leading data and its ``evaluate(t)``
+    for :func:`_bracket_and_solve`; ``solves(evals)`` is the route's eigen
+    work once the solve has taken ``evals`` evaluations."""
+    gamma_induced = escape_rate_induced(lam)
+    gamma_formula = gamma_induced / mean_return
+    gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, eigen_tol)
+    return InducedAnalysis(
+        lam, masses, gamma_induced, mean_return, gamma_formula, gamma, residual, grid_size, evals,
+        solves(evals), collocation_nodes,
+    )
+
+
 def induced_analysis(
     m: MapSpec,
     N: int,
@@ -161,25 +180,23 @@ def induced_analysis(
 ) -> InducedAnalysis:
     """Leading data plus both escape rates for the Markov hole [0, a_N].
 
-    Piecewise-linear maps short-circuit to their closed forms (rank-one
-    operator; polynomial unit-eigenvalue condition) unless ``exact_pwl`` is
-    disabled.  Every other case runs the Chebyshev collocation of
-    :mod:`.collocation`: the degree starts at 16 and doubles up to 64 until
-    the rates at degrees d and d/2 agree to 1e-10 relative; their gap is
-    reported as ``error_estimate``, and ``converged`` is False when degree 64
-    is reached without agreement.  ``grid_size`` is not used by either
-    route; it stays in the signature for the callers that pass it to every
-    method.  The exact rate comes from :func:`_bracket_and_solve` either way.
+    Every route builds the open induced system first, so N < 2 is a
+    DomainError, and supplies only its leading data at z = 1 and its
+    unit-eigenvalue equation; :func:`_solve_rates` forms both rates from
+    them.  Piecewise-linear maps take their closed forms (rank-one operator;
+    polynomial unit-eigenvalue condition) unless ``exact_pwl`` is disabled.
+    Every other case runs the Chebyshev collocation of :mod:`.collocation`:
+    the degree starts at 16 and doubles up to 64 until the rates at degrees
+    d and d/2 agree to 1e-10 relative; their gap is reported as
+    ``error_estimate``, and ``converged`` is False when degree 64 is reached
+    without agreement.  ``grid_size`` is not used by either route; it stays
+    in the signature for the callers that pass it to every method.
     """
+    sys = build_induced(m, N)
     if m.family == "pwl" and exact_pwl:
-        w = m.weights
         ks = np.arange(1, N + 1)
-        p = np.asarray(w.mass(ks), float)
-        lam = 1.0 - float(w.tail(N))
-        masses = p / lam
-        gamma_induced = -math.log(lam)
-        mean_ret = float(ks @ p) / lam
-        gamma_formula = gamma_induced / mean_ret
+        p = np.asarray(m.weights.mass(ks), float)
+        lam = 1.0 - float(m.weights.tail(N))
         coeffs = np.concatenate([[0.0], p])  # polynomial P(z) = sum p_k z^k
         dcoeffs = coeffs * np.arange(N + 1)  # z P'(z)
 
@@ -188,19 +205,14 @@ def induced_analysis(
             value = float(np.polynomial.polynomial.polyval(z, coeffs))
             return math.log(value), float(np.polynomial.polynomial.polyval(z, dcoeffs)) / value
 
-        gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, eigen_tol)
-        sys = build_induced(m, N)
-        return InducedAnalysis(
-            sys, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, 0.0, N, evals, 0
-        )
+        return _solve_rates(lam, p / lam, float(ks @ p) / lam, 0.0, evaluate, eigen_tol, N, lambda evals: 0)
 
-    sys = build_induced(m, N)
     values = collocation.branch_values(sys, collocation.DEGREES[-1])
     coarse = collocation.branch_stack(values, collocation.DEGREES[0])
     evals = solves = 0
     for degree in collocation.DEGREES[1:]:
         stack = collocation.branch_stack(values, degree)
-        ia = _collocation_analysis(sys, stack, eigen_tol)
+        ia = _collocation_analysis(stack, eigen_tol)
         # the coarse rate is one Newton step from the fine one, which is
         # exact to second order in their gap
         f, df = _unit_equation(coarse, ia.gamma)
@@ -243,17 +255,13 @@ def _unit_equation(stack: np.ndarray, t: float) -> tuple:
     return math.log(lam), mean_return_time(rho)
 
 
-def _collocation_analysis(sys: InducedOpenSystem, stack: np.ndarray, eigen_tol: float) -> InducedAnalysis:
+def _collocation_analysis(stack: np.ndarray, eigen_tol: float) -> InducedAnalysis:
     """Both rates from one stack of collocation pieces."""
     lam, masses, residual = _leading_masses(stack, 0.0)
-    gamma_induced = escape_rate_induced(lam)
-    mean_ret = mean_return_time(masses)
-    gamma_formula = gamma_induced / mean_ret
-    gamma, evals = _bracket_and_solve(lambda t: _unit_equation(stack, t), lam, gamma_formula, eigen_tol)
     nodes = stack.shape[1]
-    return InducedAnalysis(
-        sys, lam, masses, gamma_induced, mean_ret, gamma_formula, gamma, residual, nodes, evals,
-        evals + 1, collocation_nodes=nodes,
+    return _solve_rates(
+        lam, masses, mean_return_time(masses), residual, lambda t: _unit_equation(stack, t), eigen_tol, nodes,
+        lambda evals: evals + 1, collocation_nodes=nodes,
     )
 
 
@@ -268,31 +276,16 @@ def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float =
     pieces = induced_branch_matrices(sys, grid)
     triple = leading_eigen(combine_branch_matrices(sys, grid, pieces), tol=eigen_tol)
     masses = cylinder_masses(sys, triple)
-    gamma_induced = escape_rate_induced(triple)
-    mean_ret = mean_return_time(masses)
-    gamma_formula = gamma_induced / mean_ret
     iterations = [triple.stats["iterations"]]
 
     def evaluate(t: float) -> tuple:
-        z = math.exp(t)
-        solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, z), tol=eigen_tol)
+        solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, math.exp(t)), tol=eigen_tol)
         iterations.append(solve.stats["iterations"])
-        rho = cylinder_masses(sys, solve)
-        return math.log(solve.eigenvalue), mean_return_time(rho)
+        return math.log(solve.eigenvalue), mean_return_time(cylinder_masses(sys, solve))
 
-    gamma, evals = _bracket_and_solve(evaluate, triple.eigenvalue, gamma_formula, eigen_tol)
-    return InducedAnalysis(
-        sys,
-        triple.eigenvalue,
-        masses,
-        gamma_induced,
-        mean_ret,
-        gamma_formula,
-        gamma,
-        triple.residual,
-        grid.n_cells,
-        evals,
-        sum(iterations),
+    return _solve_rates(
+        triple.eigenvalue, masses, mean_return_time(masses), triple.residual, evaluate, eigen_tol, grid.n_cells,
+        lambda evals: sum(iterations),
     )
 
 
@@ -328,24 +321,11 @@ class EscapeReport:
 
     def to_row(self) -> dict:
         """Row for the fixed CSV schema."""
-        return {
-            "family": self.family,
-            "s": _fmt(self.s),
-            "N": "" if self.hole_index is None else str(self.hole_index),
-            "a_N": "" if self.hole_index is None else _fmt(self.hole_edge),
-            "m_H": _fmt(self.hole_measure),
-            "lambda": _fmt(self.eigenvalue),
-            "gamma_rho": _fmt(self.gamma_induced),
-            "sum_k_rho": _fmt(self.mean_return),
-            "gamma_mu": _fmt(self.gamma),
-            "method": self.method,
-            "grid_M": "" if self.grid_size is None else str(self.grid_size),
-            "eigen_residual": _fmt(self.eigen_residual),
-            "runtime_ms": _fmt(self.runtime_ms),
-        }
+        out = self.to_dict()
+        return {c: _fmt(out[c]) for c in CSV_COLUMNS}
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "s": self.s,
             "N": self.hole_index,
@@ -362,26 +342,15 @@ class EscapeReport:
             "runtime_ms": self.runtime_ms,
             "diagnostics": dict(self.diagnostics),
         }
-        return out
 
 
 def _fmt(value) -> str:
+    """CSV cell: empty for None, strings and ints as they are, floats at 17 digits."""
     if value is None:
         return ""
+    if isinstance(value, (str, int)):
+        return str(value)
     return format(float(value), ".17g")
-
-
-def _induced_diagnostics(ia: InducedAnalysis) -> dict:
-    out = {
-        "gamma_pressure_ratio": ia.gamma_formula,
-        "zsolve_evals": ia.zsolve_evals,
-        "eigen_iterations": ia.eigen_iterations,
-        "collocation_nodes": ia.collocation_nodes,
-        "error_estimate": ia.error_estimate,
-    }
-    if not ia.converged:
-        out["converged"] = False
-    return out
 
 
 def compute_escape(
@@ -404,72 +373,37 @@ def compute_escape(
         if hole.index is None:
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
         ia = induced_analysis(m, hole.index, grid_size=grid_size, eigen_tol=eigen_tol)
-        runtime = (time.perf_counter() - t0) * 1e3
-        return EscapeReport(
-            m.family,
-            m.s,
-            hole.index,
-            None,
-            edge,
-            edge,
-            ia.eigenvalue,
-            ia.gamma_induced,
-            ia.mean_return,
-            ia.gamma,
-            "induced",
-            ia.grid_size,
-            ia.eigen_residual,
-            runtime,
-            _induced_diagnostics(ia),
+        lam, gamma_rho, mean_ret, gamma, cells, residual = (
+            ia.eigenvalue, ia.gamma_induced, ia.mean_return, ia.gamma, ia.grid_size, ia.eigen_residual
         )
-
-    if method == "ulam":
+        diagnostics = {
+            "gamma_pressure_ratio": ia.gamma_formula,
+            "zsolve_evals": ia.zsolve_evals,
+            "eigen_iterations": ia.eigen_iterations,
+            "collocation_nodes": ia.collocation_nodes,
+            "error_estimate": ia.error_estimate,
+        }
+        if not ia.converged:
+            diagnostics["converged"] = False
+    elif method == "ulam":
         grid = hole_grid(m, edge, grid_size)
-        tm = assemble_ulam_open(m, edge, grid)
-        triple = leading_eigen(tm, tol=eigen_tol)
-        gamma = escape_rate_induced(triple)
-        runtime = (time.perf_counter() - t0) * 1e3
-        return EscapeReport(
-            m.family,
-            m.s,
-            hole.index,
-            hole.epsilon,
-            edge,
-            edge,
-            triple.eigenvalue,
-            None,
-            None,
-            gamma,
-            "ulam",
-            grid.n_cells,
-            triple.residual,
-            runtime,
-            {"eigen_iterations": triple.stats.get("iterations")},
+        triple = leading_eigen(assemble_ulam_open(m, edge, grid), tol=eigen_tol)
+        lam, gamma_rho, mean_ret, gamma, cells, residual = (
+            triple.eigenvalue, None, None, escape_rate_induced(triple), grid.n_cells, triple.residual
         )
-
-    if method == "montecarlo":
+        diagnostics = {"eigen_iterations": triple.stats.get("iterations")}
+    elif method == "montecarlo":
         curve = mc.survival_curve(m, hole, n_max=n_max, samples=samples, seed=seed, threads=threads)
         est = mc.mc_escape_rate(curve, window)
-        runtime = (time.perf_counter() - t0) * 1e3
-        return EscapeReport(
-            m.family,
-            m.s,
-            hole.index,
-            hole.epsilon,
-            edge,
-            edge,
-            None,
-            None,
-            None,
-            est.gamma,
-            "montecarlo",
-            None,
-            None,
-            runtime,
-            {"stderr": est.stderr, "window": list(est.window), "samples": samples, "seed": seed},
-        )
-
-    raise DomainError(f"unknown method {method!r}")
+        lam, gamma_rho, mean_ret, gamma, cells, residual = None, None, None, est.gamma, None, None
+        diagnostics = {"stderr": est.stderr, "window": list(est.window), "samples": samples, "seed": seed}
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    runtime = (time.perf_counter() - t0) * 1e3
+    return EscapeReport(
+        m.family, m.s, hole.index, hole.epsilon, edge, edge, lam, gamma_rho, mean_ret, gamma, method, cells, residual,
+        runtime, diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +422,8 @@ def sweep(
     monotone_slack: float = 1e-10,
     **kwargs,
 ) -> SweepResult:
-    """One report per Markov hole index; failures are collected, not raised.
+    """One report per Markov hole index; library failures (EscapeError)
+    are collected, not raised, and any other exception propagates.
 
     For the deterministic methods the escape rate must not increase along
     shrinking holes; violations beyond ``monotone_slack`` raise
@@ -500,7 +435,7 @@ def sweep(
     for n in indices:
         try:
             reports.append(compute_escape(m, Hole.markov(n), method=method, **kwargs))
-        except Exception as exc:  # noqa: BLE001 - aggregated per contract
+        except EscapeError as exc:
             failures.append((n, f"{type(exc).__name__}: {exc}"))
     if method != "montecarlo":
         for a, b in zip(reports, reports[1:]):

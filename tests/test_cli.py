@@ -233,6 +233,30 @@ def test_induced_route_ignores_grid(capsys):
     assert coarse["grid_M"] == default["grid_M"] == coarse["diagnostics"]["collocation_nodes"]
 
 
+MALFORMED_INPUTS = {
+    "window": ["escape", "--hole-index", "2", "--window", "5"],
+    "hole-index": ["escape", "--hole-index", "abc"],
+    "geom-ratio": ["sweep", "--hole-index", "2:10:geom:x"],
+    "nan-ratio": ["sweep", "--hole-index", "2:10:geom:nan"],
+    "missing-config": ["escape", "--hole-index", "2", "--config", "{tmp}/missing.json"],
+    "invalid-json-config": ["escape", "--hole-index", "2", "--config", "{tmp}/broken.json"],
+    "non-object-config": ["escape", "--hole-index", "2", "--config", "{tmp}/list.json"],
+    "wrong-type-config": ["escape", "--hole-index", "2", "--config", "{tmp}/typed.json"],
+    "missing-weights": ["escape", "--map", "pwl", "--hole-index", "2", "--pwl-weights", "{tmp}/missing.json"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
+    (tmp_path / "broken.json").write_text('{"grid": ')
+    (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "typed.json").write_text('{"grid": "big"}')
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"holes": 2}))

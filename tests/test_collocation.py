@@ -41,6 +41,13 @@ def test_tied_leading_pair_raises():
         collocation.leading_pair(np.diag([0.7, 0.7, 0.2]))
 
 
+def test_failed_eigen_solve_raises_convergence_error():
+    # numpy's LinAlgError would escape the library's error hierarchy, and
+    # with it a sweep's collection of failures
+    with pytest.raises(ConvergenceError):
+        collocation.leading_pair(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+
 def test_leading_pair_is_normalized():
     A = np.array([[0.5, 0.2, 0.1], [0.1, 0.6, 0.2], [0.3, 0.1, 0.4]])
     lam, h, ell = collocation.leading_pair(A)
@@ -94,7 +101,7 @@ def test_node_counts_agree(m, N):
     degree = ia.collocation_nodes - 1
     system = build_induced(m, N)
     fine = collocation.branch_stack(collocation.branch_values(system, 2 * degree), 2 * degree)
-    assert abs(_collocation_analysis(system, fine, 1e-13).gamma - ia.gamma) <= 1e-10 * ia.gamma
+    assert abs(_collocation_analysis(fine, 1e-13).gamma - ia.gamma) <= 1e-10 * ia.gamma
 
 
 def test_collocation_route_builds_no_grid(monkeypatch):

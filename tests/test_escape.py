@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -161,6 +163,16 @@ def test_sweep_aggregates_failures():
     result = sweep(PWL_ONE, [1, 2, 3], method="induced")
     assert len(result.reports) == 2
     assert len(result.failures) == 1 and result.failures[0][0] == 1
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only the library's own failures become failure rows; a bug surfaces
+    def broken(m, hole, method="induced", **kwargs):
+        raise TypeError("not a library failure")
+
+    monkeypatch.setattr(esc, "compute_escape", broken)
+    with pytest.raises(TypeError):
+        esc.sweep(PWL_ONE, [2, 3], method="induced")
 
 
 def test_sweep_detects_monotonicity_violation(monkeypatch):
@@ -439,3 +451,56 @@ def test_newton_solver_stops_and_fails_loudly():
         esc._bracket_and_solve(lambda t: (t, 1.0), 1.0, 0.1, 1e-15)
     with pytest.raises(ConvergenceError):  # steps that never shrink hit the cap
         esc._bracket_and_solve(lambda t: (1.0, 1e-3), 0.5, 1.0, 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# bitwise pin of the reports
+# ---------------------------------------------------------------------------
+
+# sha256 of report_digest(): a change to any bit of a report, of its CSV row
+# or of an InducedAnalysis fails here, so a change that moves numbers must say
+# so and re-record
+REPORTS_DIGEST = "28ad516b3dc1b65ab755513b110c9b38edd672cc05be5cd12548bf5c320aa967"
+
+PINNED_MAPS = (
+    MapSpec("pm", 1.0),
+    LSV_HALF,
+    MapSpec.lsv(2.0),
+    FAREY,
+    PWL_ONE,
+    MapSpec.pwl(0.5, ZipfWeights(0.5)),
+)
+ANALYSIS_FIELDS = (
+    "eigenvalue", "masses", "gamma_induced", "mean_return", "gamma_formula", "gamma", "eigen_residual",
+    "grid_size", "zsolve_evals", "eigen_iterations", "collocation_nodes", "error_estimate", "converged",
+)
+
+
+def report_digest(monkeypatch):
+    """Rows and dicts (less runtime_ms) of the induced reports of PINNED_MAPS
+    at N = 10 and 100, their Ulam reports at N = 10, an Ulam report of an
+    epsilon hole, a Monte Carlo report and an induced report whose degrees
+    never agree; then every InducedAnalysis field of the grid reference and
+    of the generic pipeline on a pwl map."""
+    reports = [compute_escape(m, Hole.markov(N), method=method, grid_size=256)
+               for m in PINNED_MAPS for N, method in ((10, "induced"), (100, "induced"), (10, "ulam"))]
+    reports.append(compute_escape(LSV_HALF, Hole.interval(0.22), method="ulam", grid_size=512))
+    reports.append(compute_escape(PWL_ONE, Hole.markov(2), method="montecarlo", samples=20_000, n_max=20,
+                                  window=(4, 12), seed=3))
+    with monkeypatch.context() as patch:
+        patch.setattr(collocation, "DEGREES", (2, 4))
+        reports.append(compute_escape(LSV_HALF, Hole.markov(4), method="induced"))
+    h = hashlib.sha256()
+    for rep in reports:
+        for out in (rep.to_row(), rep.to_dict()):
+            del out["runtime_ms"]
+            h.update(json.dumps(out).encode())
+    for ia in (esc._grid_analysis(LSV_HALF, 10, grid_size=512), induced_analysis(PWL_ONE, 10, exact_pwl=False)):
+        for name in ANALYSIS_FIELDS:
+            h.update(np.asarray(getattr(ia, name), float).tobytes() if name == "masses" else
+                     repr(getattr(ia, name)).encode())
+    return h.hexdigest()
+
+
+def test_reports_bitwise_pinned(monkeypatch):
+    assert report_digest(monkeypatch) == REPORTS_DIGEST
