@@ -367,8 +367,6 @@ def compute_escape(
 ) -> EscapeReport:
     """One escape-rate computation, returned as a schema-stable report."""
     t0 = time.perf_counter()
-    edge = hole.edge(m)
-
     if method == "induced":
         if hole.index is None:
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
@@ -386,8 +384,8 @@ def compute_escape(
         if not ia.converged:
             diagnostics["converged"] = False
     elif method == "ulam":
-        grid = hole_grid(m, edge, grid_size)
-        triple = leading_eigen(assemble_ulam_open(m, edge, grid), tol=eigen_tol)
+        grid = hole_grid(m, hole.edge(m), grid_size)
+        triple = leading_eigen(assemble_ulam_open(m, hole.edge(m), grid), tol=eigen_tol)
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             triple.eigenvalue, None, None, escape_rate_induced(triple), grid.n_cells, triple.residual
         )
@@ -399,6 +397,7 @@ def compute_escape(
         diagnostics = {"stderr": est.stderr, "window": list(est.window), "samples": samples, "seed": seed}
     else:
         raise DomainError(f"unknown method {method!r}")
+    edge = hole.edge(m)  # after the induced walk, which grows the chain on its way
     runtime = (time.perf_counter() - t0) * 1e3
     return EscapeReport(
         m.family, m.s, hole.index, hole.epsilon, edge, edge, lam, gamma_rho, mean_ret, gamma, method, cells, residual,

@@ -28,27 +28,34 @@ class InducedOpenSystem:
     """The first N branches of the jump map with their log weights.
 
     Immutable; evaluations are pure functions, safe under concurrent use.
+    ``preimages`` reads a_0 .. a_N from the map's cached chain on demand.
     """
 
     map: MapSpec
     branch_count: int
-    preimages: np.ndarray  # a_0 .. a_N
 
-    def __post_init__(self):
-        vals = np.asarray(self.preimages, float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "preimages", vals)
+    @property
+    def preimages(self) -> np.ndarray:
+        return preimage_sequence(self.map, self.branch_count).values
+
+    def _check_branch(self, n: int):
+        if not 1 <= n <= self.branch_count:
+            raise DomainError(f"branch index {n} outside 1..{self.branch_count}")
 
     def branch_interval(self, n: int) -> tuple:
         """Closure of the image of branch n, [a_n, a_{n-1}]."""
+        self._check_branch(n)
         return float(self.preimages[n]), float(self.preimages[n - 1])
 
 
 def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
-    """Open induced system with surviving symbols 1..N (requires N >= 2)."""
+    """Open induced system with surviving symbols 1..N (requires N >= 2); only
+    the closed-form pwl chain is grown now, so a short weight list fails here."""
     if N < 2:
         raise DomainError("Markov hole index must be >= 2")
-    return InducedOpenSystem(m, N, preimage_sequence(m, N).values)
+    if m.family == "pwl":
+        preimage_sequence(m, N)
+    return InducedOpenSystem(m, N)
 
 
 def branch_walk(sys: InducedOpenSystem, x):
@@ -57,7 +64,8 @@ def branch_walk(sys: InducedOpenSystem, x):
     The map's family object walks its inverse branches: the closed-form Gauss
     branches 1/(n + x) for the Farey map, affine branches of slope p_n for
     piecewise-linear maps, and for the smooth families one left-inverse root
-    solve per step, accumulating the log weight along the way.
+    solve per step, accumulating the log weight along the way.  A smooth walk
+    on a map whose chain stops short of a_N also solves and publishes it.
     """
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):
@@ -67,8 +75,7 @@ def branch_walk(sys: InducedOpenSystem, x):
 
 def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
     """Branch n and log|zeta_n'| together: the n-th step of :func:`branch_walk`."""
-    if not 1 <= n <= sys.branch_count:
-        raise DomainError(f"branch index {n} outside 1..{sys.branch_count}")
+    sys._check_branch(n)
     y, logw = next(itertools.islice(branch_walk(sys, x), n - 1, None))
     y = np.asarray(y, float)
     logw = np.asarray(logw, float)
@@ -80,6 +87,7 @@ def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
 def forward_jump(sys: InducedOpenSystem, n: int, y):
     """G(y) for y in the n-th branch interval: n-1 left steps, then the right
     branch.  Used as the round-trip oracle |G(zeta_n(x)) - x|."""
+    sys._check_branch(n)
     f = sys.map.branches
     out = np.asarray(y, float)
     for _ in range(n - 1):

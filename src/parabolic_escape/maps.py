@@ -227,12 +227,22 @@ class _Smooth(_Family):
 
     def walk(self, m, x, N):
         # zeta_n = phi_0(zeta_{n-1}) through the public inverses: N branches
-        # cost N - 1 root solves, and the error stays linear in n
+        # cost N - 1 root solves, and the error stays linear in n.  A chain
+        # short of a_N rides along as one more point from the exact a_1 = cut
+        # (pm's phi_1(0) is some ulps off) and is published before branch N
         y = right_inverse(m, x)
         logw = -np.log(self.dright(np.asarray(y, float)))
         yield y, logw
+        chain = [1.0, self.cut] if len(m._chain) <= N else None
         for _ in range(N - 1):
-            y = left_inverse(m, y)
+            if chain is None:
+                y = left_inverse(m, y)
+            else:
+                lane = left_inverse(m, np.append(y, chain[-1]))
+                y = lane[:-1].reshape(np.shape(x))
+                chain.append(float(lane[-1]))
+                if len(chain) > N:
+                    _publish_chain(m, chain)
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
 
@@ -376,7 +386,7 @@ class MapSpec:
     weights: Optional[Weights] = None
     branches: _Family = field(init=False, repr=False, compare=False)
     _chain: np.ndarray = field(init=False, repr=False, compare=False)
-    _chain_lock: threading.Lock = field(init=False, repr=False, compare=False)
+    _chain_lock: threading.RLock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -386,10 +396,9 @@ class MapSpec:
         branches = _FAMILY_TYPES[self.family](self.s, self.weights)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "weights", branches.weights)
-        chain = np.array([1.0, branches.cut])
-        chain.setflags(write=False)
-        object.__setattr__(self, "_chain", chain)
-        object.__setattr__(self, "_chain_lock", threading.Lock())
+        object.__setattr__(self, "_chain", np.empty(0))
+        object.__setattr__(self, "_chain_lock", threading.RLock())
+        _publish_chain(self, [1.0, branches.cut])
 
     # -- constructors ------------------------------------------------------
 
@@ -504,28 +513,34 @@ class PreimageSeq:
         return float(self.values[i])
 
 
+def _publish_chain(m: MapSpec, values) -> np.ndarray:
+    """Publish ``values`` (a_0, a_1, ...) as the map's new read-only chain if
+    they reach further than the one it holds; return the chain held then."""
+    with m._chain_lock:
+        if len(values) > len(m._chain):
+            chain = np.array(values)
+            chain.setflags(write=False)
+            object.__setattr__(m, "_chain", chain)
+        return m._chain
+
+
 def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
     """The map's read-only chain a_0, a_1, ..., at least up to a_n.
 
-    Growth happens under the map's lock and publishes a new array, so readers
-    never see a partly written chain and each entry is computed once.
+    Growth runs under the map's (reentrant) lock and publishes a longer copy
+    by :func:`_publish_chain`, as a pm or lsv branch walk does, bit for bit.
     """
     chain = m._chain
     if len(chain) > n:
         return chain
     with m._chain_lock:
-        chain = m._chain
-        if len(chain) <= n:
-            values = chain.tolist()
-            while len(values) <= n:
-                if m.family == "pwl":
-                    values.append(float(m.weights.tail(len(values))))
-                else:
-                    values.append(float(left_inverse(m, values[-1])))
-            chain = np.array(values)
-            chain.setflags(write=False)
-            object.__setattr__(m, "_chain", chain)
-    return chain
+        values = m._chain.tolist()
+        while len(values) <= n:
+            if m.family == "pwl":
+                values.append(float(m.weights.tail(len(values))))
+            else:
+                values.append(float(left_inverse(m, values[-1])))
+        return _publish_chain(m, values)
 
 
 def preimage_sequence(m: MapSpec, N: int) -> PreimageSeq:

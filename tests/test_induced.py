@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from parabolic_escape import maps
+from parabolic_escape.collocation import lobatto_nodes
+from parabolic_escape.escape import compute_escape
 from parabolic_escape.exceptions import DomainError
 from parabolic_escape.induced import (
+    branch_walk,
     branch_weight_sums,
     build_induced,
     forward_jump,
     zeta_and_log_weight,
 )
-from parabolic_escape.maps import MapSpec, inverse_branch
+from parabolic_escape.maps import ExplicitWeights, Hole, MapSpec, inverse_branch, preimage_sequence
 
 FAREY = MapSpec.farey()
 LSV_HALF = MapSpec.lsv(0.5)
@@ -22,6 +26,24 @@ def test_build_requires_two_branches():
     with pytest.raises(DomainError):
         build_induced(FAREY, 1)
     assert build_induced(FAREY, 2).branch_count == 2
+
+
+def test_short_explicit_weight_list_fails_at_build():
+    m = MapSpec.pwl(1.0, ExplicitWeights((0.5, 0.25, 0.25)))
+    with pytest.raises(DomainError, match="^tail index outside the explicit weight list$"):
+        build_induced(m, 5)
+
+
+@pytest.mark.parametrize("n", [0, -1, 6, 9])
+def test_branch_index_outside_range_rejected(n):
+    sys = build_induced(MapSpec.lsv(0.5), 5)
+    with pytest.raises(DomainError, match="outside 1..5"):
+        sys.branch_interval(n)
+    with pytest.raises(DomainError, match="outside 1..5"):
+        forward_jump(sys, n, 0.3)
+    with pytest.raises(DomainError, match="outside 1..5"):
+        zeta_and_log_weight(sys, n, 0.3)
+    assert sys.branch_interval(5) == (sys.preimages[5], sys.preimages[4])
 
 
 def test_farey_branches_are_gauss():
@@ -110,3 +132,52 @@ def test_branch_index_validation():
         zeta_and_log_weight(sys, 4, 0.5)
     with pytest.raises(DomainError):
         zeta_and_log_weight(sys, 2, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# the preimage chain rides along the smooth branch walk
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,s", [("lsv", 0.5), ("pm", 1.0)])
+def test_markov_rate_on_a_fresh_map_walks_the_chain_once(monkeypatch, family, s):
+    calls = []
+    original = maps.left_inverse
+
+    def counting(m, y):
+        calls.append(1)
+        return original(m, y)
+
+    monkeypatch.setattr(maps, "left_inverse", counting)
+    report = compute_escape(MapSpec(family, s), Hole.markov(100), method="induced")
+    assert len(calls) == 99  # a scalar chain before the walk would take 99 more
+    assert report.hole_edge == preimage_sequence(MapSpec(family, s), 100)[100]
+
+
+@pytest.mark.parametrize("family,s", [("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0), ("pm", 2.0)])
+def test_walk_publishes_the_serial_chain(family, s):
+    N = 500
+    walked = MapSpec(family, s)
+    for _ in branch_walk(build_induced(walked, N), lobatto_nodes(16)):
+        pass
+    assert len(walked._chain) == N + 1
+    serial = preimage_sequence(MapSpec(family, s), N).values
+    assert walked._chain.tobytes() == serial.tobytes()
+
+
+def test_walk_leaves_a_longer_chain_in_place():
+    m = MapSpec.lsv(0.5)
+    preimage_sequence(m, 60)
+    chain = m._chain
+    for _ in branch_walk(build_induced(m, 40), lobatto_nodes(16)):
+        pass
+    assert m._chain is chain
+
+
+@pytest.mark.parametrize("x", [lobatto_nodes(64), np.array(0.3), 1.0])
+def test_walk_values_do_not_depend_on_the_chain_lane(x):
+    # a fresh map carries its chain along the walk, a grown one does not
+    fresh, grown = MapSpec.pomeau_manneville(1.0), MapSpec.pomeau_manneville(1.0)
+    preimage_sequence(grown, 30)
+    for a, b in zip(branch_walk(build_induced(fresh, 30), x), branch_walk(build_induced(grown, 30), x), strict=True):
+        assert np.shape(a[0]) == np.shape(b[0]) == np.shape(x)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -250,6 +250,42 @@ def test_preimage_chain_shared_across_threads():
         sys.setswitchinterval(interval)
 
 
+def test_walks_and_chain_growth_share_one_chain_across_threads():
+    # on one fresh map, two threads walk 200 branches on many nodes, which
+    # publishes the chain they carry, while two grow it by scalar steps to
+    # a_100 and to a_400; every thread must see the serial chain, and the
+    # a_0..a_200 a slow walk publishes last must not replace a longer chain
+    serial = preimage_sequence(MapSpec.lsv(0.5), 400).values
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            m = MapSpec.lsv(0.5)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(i, m=m, start=start, results=results):
+                start.wait(timeout=30)
+                if i % 2:
+                    for _ in branch_walk(build_induced(m, 200), lobatto_nodes(1024)):
+                        pass
+                    results[i] = m._chain
+                else:
+                    results[i] = preimage_sequence(m, 400 if i else 100).values
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for values in results:
+                assert values is not None and np.array_equal(values, serial[: len(values)])
+            assert np.array_equal(m._chain, serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_return_time_cap():
     with pytest.raises(ReturnTimeOverflowError):
         return_time(FAREY, 1e-7, cap=1000)
