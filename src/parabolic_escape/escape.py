@@ -367,10 +367,12 @@ def compute_escape(
 ) -> EscapeReport:
     """One escape-rate computation, returned as a schema-stable report."""
     t0 = time.perf_counter()
+    edge = None if method == "induced" else hole.edge(m)
     if method == "induced":
         if hole.index is None:
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
         ia = induced_analysis(m, hole.index, grid_size=grid_size, eigen_tol=eigen_tol)
+        edge = hole.edge(m)  # read after the walk, which grows the chain on its way
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             ia.eigenvalue, ia.gamma_induced, ia.mean_return, ia.gamma, ia.grid_size, ia.eigen_residual
         )
@@ -384,8 +386,8 @@ def compute_escape(
         if not ia.converged:
             diagnostics["converged"] = False
     elif method == "ulam":
-        grid = hole_grid(m, hole.edge(m), grid_size)
-        triple = leading_eigen(assemble_ulam_open(m, hole.edge(m), grid), tol=eigen_tol)
+        grid = hole_grid(m, edge, grid_size)
+        triple = leading_eigen(assemble_ulam_open(m, edge, grid), tol=eigen_tol)
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             triple.eigenvalue, None, None, escape_rate_induced(triple), grid.n_cells, triple.residual
         )
@@ -397,7 +399,6 @@ def compute_escape(
         diagnostics = {"stderr": est.stderr, "window": list(est.window), "samples": samples, "seed": seed}
     else:
         raise DomainError(f"unknown method {method!r}")
-    edge = hole.edge(m)  # after the induced walk, which grows the chain on its way
     runtime = (time.perf_counter() - t0) * 1e3
     return EscapeReport(
         m.family, m.s, hole.index, hole.epsilon, edge, edge, lam, gamma_rho, mean_ret, gamma, method, cells, residual,

@@ -65,7 +65,7 @@ def branch_walk(sys: InducedOpenSystem, x):
     branches 1/(n + x) for the Farey map, affine branches of slope p_n for
     piecewise-linear maps, and for the smooth families one left-inverse root
     solve per step, accumulating the log weight along the way.  A smooth walk
-    on a map whose chain stops short of a_N also solves and publishes it.
+    also carries the chain a_1..a_N as one more point and publishes it.
     """
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):

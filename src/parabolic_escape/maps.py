@@ -227,22 +227,19 @@ class _Smooth(_Family):
 
     def walk(self, m, x, N):
         # zeta_n = phi_0(zeta_{n-1}) through the public inverses: N branches
-        # cost N - 1 root solves, and the error stays linear in n.  A chain
-        # short of a_N rides along as one more point from the exact a_1 = cut
-        # (pm's phi_1(0) is some ulps off) and is published before branch N
+        # cost N - 1 root solves, and the error stays linear in n.  The chain
+        # rides along as one more point from the exact a_1 = cut (pm's
+        # phi_1(0) is some ulps off) and is published before branch N
         y = right_inverse(m, x)
         logw = -np.log(self.dright(np.asarray(y, float)))
         yield y, logw
-        chain = [1.0, self.cut] if len(m._chain) <= N else None
+        chain = [1.0, self.cut]
         for _ in range(N - 1):
-            if chain is None:
-                y = left_inverse(m, y)
-            else:
-                lane = left_inverse(m, np.append(y, chain[-1]))
-                y = lane[:-1].reshape(np.shape(x))
-                chain.append(float(lane[-1]))
-                if len(chain) > N:
-                    _publish_chain(m, chain)
+            lane = left_inverse(m, np.append(y, chain[-1]))
+            y = lane[:-1].reshape(np.shape(x)) if np.ndim(x) else float(lane[0])
+            chain.append(float(lane[-1]))
+            if len(chain) > N:
+                _publish_chain(m, chain)  # a no-op on a map holding a longer chain
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
 

@@ -175,9 +175,10 @@ def test_walk_leaves_a_longer_chain_in_place():
 
 @pytest.mark.parametrize("x", [lobatto_nodes(64), np.array(0.3), 1.0])
 def test_walk_values_do_not_depend_on_the_chain_lane(x):
-    # a fresh map carries its chain along the walk, a grown one does not
+    # a fresh map publishes the chain its walk carries, a grown one keeps its own
     fresh, grown = MapSpec.pomeau_manneville(1.0), MapSpec.pomeau_manneville(1.0)
     preimage_sequence(grown, 30)
     for a, b in zip(branch_walk(build_induced(fresh, 30), x), branch_walk(build_induced(grown, 30), x), strict=True):
         assert np.shape(a[0]) == np.shape(b[0]) == np.shape(x)
+        assert type(a[0]) is type(b[0])
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
