@@ -22,7 +22,7 @@ from . import escape as esc
 from . import montecarlo as mc
 from . import operators as ops
 from . import spectral
-from .exceptions import ConfigError, EscapeError
+from .exceptions import ConfigError, DomainError, EscapeError
 from .induced import build_induced
 from .maps import FAMILIES, ExplicitWeights, Hole, MapSpec, ZipfWeights, default_pwl_weights
 
@@ -97,7 +97,15 @@ def build_map(cfg: RunConfig) -> MapSpec:
     elif spec_name == "harmonic":
         weights = default_pwl_weights(1.0)
     else:
-        weights = ExplicitWeights(tuple(_read_json(spec_name, "pwl weights file")))
+        values = _read_json(spec_name, "pwl weights file")
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise ConfigError(f"pwl weights file {spec_name!r} must hold a JSON list of numbers")
+        try:
+            weights = ExplicitWeights(tuple(values))
+        except DomainError as exc:
+            raise ConfigError(f"pwl weights file {spec_name!r}: {exc}") from None
+        if abs(weights.tail(0) - 1.0) > 1e-9:  # the tolerance of the weights_normalized check
+            raise ConfigError(f"pwl weights in {spec_name!r} sum to {weights.tail(0)!r}, not 1")
     return MapSpec(cfg.map, cfg.s, weights)
 
 

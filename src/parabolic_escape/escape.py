@@ -56,7 +56,7 @@ from .operators import (
     induced_branch_matrices,
     markov_grid,
 )
-from .spectral import SpectralTriple, cylinder_masses, leading_eigen, mean_return_time
+from .spectral import EIGEN_TOL, SpectralTriple, cylinder_masses, leading_eigen, mean_return_time
 
 CSV_COLUMNS = (
     "family",
@@ -156,28 +156,23 @@ def _bracket_and_solve(evaluate, lam1: float, t1: float, ftol: float) -> tuple:
 
 
 def _solve_rates(
-    lam: float, masses: np.ndarray, mean_return: float, residual: float, evaluate, eigen_tol: float,
-    grid_size: int, solves, collocation_nodes: Optional[int] = None,
+    lam: float, masses: np.ndarray, mean_return: float, residual: float, evaluate, grid_size: int, solves,
+    collocation_nodes: Optional[int] = None,
 ) -> InducedAnalysis:
     """Both rates from a route's z = 1 leading data and its ``evaluate(t)``
-    for :func:`_bracket_and_solve`; ``solves(evals)`` is the route's eigen
-    work once the solve has taken ``evals`` evaluations."""
+    for :func:`_bracket_and_solve`, which stops at |f| <= ``EIGEN_TOL``;
+    ``solves(evals)`` is the route's eigen work once the solve has taken
+    ``evals`` evaluations."""
     gamma_induced = escape_rate_induced(lam)
     gamma_formula = gamma_induced / mean_return
-    gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, eigen_tol)
+    gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, EIGEN_TOL)
     return InducedAnalysis(
         lam, masses, gamma_induced, mean_return, gamma_formula, gamma, residual, grid_size, evals,
         solves(evals), collocation_nodes,
     )
 
 
-def induced_analysis(
-    m: MapSpec,
-    N: int,
-    grid_size: int = 4096,
-    eigen_tol: float = 1e-13,
-    exact_pwl: bool = True,
-) -> InducedAnalysis:
+def induced_analysis(m: MapSpec, N: int, grid_size: int = 4096, exact_pwl: bool = True) -> InducedAnalysis:
     """Leading data plus both escape rates for the Markov hole [0, a_N].
 
     Every route builds the open induced system first, so N < 2 is a
@@ -189,8 +184,9 @@ def induced_analysis(
     the degree starts at 16 and doubles up to 64 until the rates at degrees
     d and d/2 agree to 1e-10 relative; their gap is reported as
     ``error_estimate``, and ``converged`` is False when degree 64 is reached
-    without agreement.  ``grid_size`` is not used by either route; it stays
-    in the signature for the callers that pass it to every method.
+    without agreement.  Every unit-eigenvalue solve stops at the fixed
+    ``spectral.EIGEN_TOL``.  ``grid_size`` is not used by either route; it
+    stays in the signature for the callers that pass it to every method.
     """
     sys = build_induced(m, N)
     if m.family == "pwl" and exact_pwl:
@@ -205,14 +201,14 @@ def induced_analysis(
             value = float(np.polynomial.polynomial.polyval(z, coeffs))
             return math.log(value), float(np.polynomial.polynomial.polyval(z, dcoeffs)) / value
 
-        return _solve_rates(lam, p / lam, float(ks @ p) / lam, 0.0, evaluate, eigen_tol, N, lambda evals: 0)
+        return _solve_rates(lam, p / lam, float(ks @ p) / lam, 0.0, evaluate, N, lambda evals: 0)
 
     values = collocation.branch_values(sys, collocation.DEGREES[-1])
     coarse = collocation.branch_stack(values, collocation.DEGREES[0])
     evals = solves = 0
     for degree in collocation.DEGREES[1:]:
         stack = collocation.branch_stack(values, degree)
-        ia = _collocation_analysis(stack, eigen_tol)
+        ia = _collocation_analysis(stack)
         # the coarse rate is one Newton step from the fine one, which is
         # exact to second order in their gap
         f, df = _unit_equation(coarse, ia.gamma)
@@ -255,17 +251,17 @@ def _unit_equation(stack: np.ndarray, t: float) -> tuple:
     return math.log(lam), mean_return_time(rho)
 
 
-def _collocation_analysis(stack: np.ndarray, eigen_tol: float) -> InducedAnalysis:
+def _collocation_analysis(stack: np.ndarray) -> InducedAnalysis:
     """Both rates from one stack of collocation pieces."""
     lam, masses, residual = _leading_masses(stack, 0.0)
     nodes = stack.shape[1]
     return _solve_rates(
-        lam, masses, mean_return_time(masses), residual, lambda t: _unit_equation(stack, t), eigen_tol, nodes,
+        lam, masses, mean_return_time(masses), residual, lambda t: _unit_equation(stack, t), nodes,
         lambda evals: evals + 1, collocation_nodes=nodes,
     )
 
 
-def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float = 1e-13) -> InducedAnalysis:
+def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096) -> InducedAnalysis:
     """The Markov-grid induced route, kept as a plain reference for tests and
     ``verify``: N_z on an aligned log-graded grid of ``grid_size`` cells with
     exact interval-overlap entries, and the same unit-eigenvalue solve, each
@@ -274,17 +270,17 @@ def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096, eigen_tol: float =
     sys = build_induced(m, N)
     grid = markov_grid(m, N, grid_size)
     pieces = induced_branch_matrices(sys, grid)
-    triple = leading_eigen(combine_branch_matrices(sys, grid, pieces), tol=eigen_tol)
+    triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
     masses = cylinder_masses(sys, triple)
     iterations = [triple.stats["iterations"]]
 
     def evaluate(t: float) -> tuple:
-        solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, math.exp(t)), tol=eigen_tol)
+        solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, math.exp(t)))
         iterations.append(solve.stats["iterations"])
         return math.log(solve.eigenvalue), mean_return_time(cylinder_masses(sys, solve))
 
     return _solve_rates(
-        triple.eigenvalue, masses, mean_return_time(masses), triple.residual, evaluate, eigen_tol, grid.n_cells,
+        triple.eigenvalue, masses, mean_return_time(masses), triple.residual, evaluate, grid.n_cells,
         lambda evals: sum(iterations),
     )
 
@@ -363,7 +359,6 @@ def compute_escape(
     window: Optional[tuple] = None,
     seed: int = 0,
     threads: int = 1,
-    eigen_tol: float = 1e-13,
 ) -> EscapeReport:
     """One escape-rate computation, returned as a schema-stable report."""
     t0 = time.perf_counter()
@@ -371,7 +366,7 @@ def compute_escape(
     if method == "induced":
         if hole.index is None:
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
-        ia = induced_analysis(m, hole.index, grid_size=grid_size, eigen_tol=eigen_tol)
+        ia = induced_analysis(m, hole.index, grid_size=grid_size)
         edge = hole.edge(m)  # read after the walk, which grows the chain on its way
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             ia.eigenvalue, ia.gamma_induced, ia.mean_return, ia.gamma, ia.grid_size, ia.eigen_residual
@@ -387,7 +382,7 @@ def compute_escape(
             diagnostics["converged"] = False
     elif method == "ulam":
         grid = hole_grid(m, edge, grid_size)
-        triple = leading_eigen(assemble_ulam_open(m, edge, grid), tol=eigen_tol)
+        triple = leading_eigen(assemble_ulam_open(m, edge, grid))
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             triple.eigenvalue, None, None, escape_rate_induced(triple), grid.n_cells, triple.residual
         )
@@ -415,19 +410,13 @@ class SweepResult(NamedTuple):
     failures: list  # (hole index, error message)
 
 
-def sweep(
-    m: MapSpec,
-    indices: Sequence[int],
-    method: str = "induced",
-    monotone_slack: float = 1e-10,
-    **kwargs,
-) -> SweepResult:
+def sweep(m: MapSpec, indices: Sequence[int], method: str = "induced", **kwargs) -> SweepResult:
     """One report per Markov hole index; library failures (EscapeError)
     are collected, not raised, and any other exception propagates.
 
     For the deterministic methods the escape rate must not increase along
-    shrinking holes; violations beyond ``monotone_slack`` raise
-    MonotonicityError.  Monte Carlo sweeps are exempt (sampling noise).
+    shrinking holes; an increase beyond 1e-10 raises MonotonicityError.
+    Monte Carlo sweeps are exempt (sampling noise).
     """
     indices = sorted(int(n) for n in indices)
     reports = []
@@ -439,7 +428,7 @@ def sweep(
             failures.append((n, f"{type(exc).__name__}: {exc}"))
     if method != "montecarlo":
         for a, b in zip(reports, reports[1:]):
-            if b.gamma > a.gamma + monotone_slack:
+            if b.gamma > a.gamma + 1e-10:
                 raise MonotonicityError(
                     f"escape rate increased from N={a.hole_index} ({a.gamma!r}) to "
                     f"N={b.hole_index} ({b.gamma!r})"

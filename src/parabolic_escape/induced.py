@@ -96,11 +96,11 @@ def forward_jump(sys: InducedOpenSystem, n: int, y):
     return out if np.asarray(y).ndim else float(out)
 
 
-def branch_weight_sums(sys: InducedOpenSystem, samples: int = 129) -> np.ndarray:
-    """Cumulative sums over n of sup_x |zeta_n'(x)| on a sample grid.
+def branch_weight_sums(sys: InducedOpenSystem) -> np.ndarray:
+    """Cumulative sums over n of sup_x |zeta_n'(x)| on 129 equispaced points.
 
     A finite-truncation proxy for the summability of the induced potential:
     the sequence is increasing in N by construction and must stay bounded.
     """
-    xs = np.linspace(0.0, 1.0, samples)
+    xs = np.linspace(0.0, 1.0, 129)
     return np.cumsum([float(np.exp(lw).max()) for _, lw in branch_walk(sys, xs)])

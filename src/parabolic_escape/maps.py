@@ -150,7 +150,9 @@ class ZipfWeights(Weights):
 
 @dataclass(frozen=True)
 class ExplicitWeights(Weights):
-    """Finite explicit weight list; tails are exact suffix sums."""
+    """Finite explicit weight list of positive entries; tails are exact
+    suffix sums.  The entries need not sum to one (``validate_hypotheses``
+    flags such lists)."""
 
     values: tuple
 
@@ -158,6 +160,8 @@ class ExplicitWeights(Weights):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         arr = np.asarray(vals, float)
+        if not (arr.size and np.all(np.isfinite(arr) & (arr > 0))):
+            raise DomainError(f"explicit weights must be a nonempty list of finite positive numbers, got {vals!r}")
         tails = np.concatenate([[arr.sum()], arr.sum() - np.cumsum(arr)])
         object.__setattr__(self, "_tails", tails)
 

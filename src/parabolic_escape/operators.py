@@ -132,9 +132,8 @@ def _with_hole_block(live_nodes: np.ndarray) -> Grid:
 
 
 def markov_grid(m: MapSpec, N: int, size: int = 4096) -> Grid:
-    """Grid for the Markov hole [0, a_N]: nodes include the preimage chain
-    a_N .. a_0 and right-branch preimages, log-graded between anchors; the
-    hole interior gets a handful of coarse cells (no mass flows into them).
+    """Grid for the Markov hole [0, a_N]: the nodes of ``hole_grid`` at
+    epsilon = a_N, so they include the preimage chain a_N .. a_0.
     Piecewise-linear maps use the natural partition, which is already exact;
     for the other families ``size`` must exceed N (DomainError otherwise).
     """
@@ -142,10 +141,8 @@ def markov_grid(m: MapSpec, N: int, size: int = 4096) -> Grid:
         return natural_partition_grid(m, N)
     if size <= N:
         raise DomainError(f"grid size {size} must exceed the hole index {N}")
-    seq = preimage_sequence(m, N).values
-    edge = float(seq[N])
-    anchors = np.unique(np.concatenate([seq[::-1], _anchor_chain(m, edge, limit=size)]))
-    return _with_hole_block(_graded_nodes(anchors, size))
+    edge = preimage_sequence(m, N)[N]
+    return _with_hole_block(_graded_nodes(_anchor_chain(m, edge, limit=size), size))
 
 
 def natural_partition_grid(m: MapSpec, N: int) -> Grid:
@@ -342,16 +339,8 @@ def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:
     grid = natural_partition_grid(m, N)
     p = np.asarray(m.weights.mass(np.arange(1, N + 1)), float)
     # natural grid cells run left to right: hole block, A_N, ..., A_1
-    M = grid.n_cells
-    dense = np.zeros((M, M))
-    seq = preimage_sequence(m, N).values
-    centers = 0.5 * (grid.lo + grid.hi)
-    col_of_branch = {}
-    for n in range(1, N + 1):
-        inside = (centers > seq[n]) & (centers <= seq[n - 1])
-        col_of_branch[n] = int(np.nonzero(inside)[0][0])
-    for n in range(1, N + 1):
-        dense[:, col_of_branch[n]] = p[n - 1]
+    dense = np.zeros((grid.n_cells, grid.n_cells))
+    dense[:, -N:] = p[::-1]
     return TransferMatrix(grid, sp.csr_matrix(dense))
 
 

@@ -20,15 +20,15 @@ FTOL_HARD = 1e-13
 MAXITER = 200
 
 
-def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
+def solve_monotone(f, df, lo, hi, *, y=0.0, maxiter=MAXITER):
     """Solve f(x) = y for increasing f on the bracket [lo, hi], elementwise.
 
     ``lo``, ``hi`` and ``y`` are scalars or arrays (broadcast together);
     ``f`` and ``df`` must act elementwise on arrays, because after the first
-    evaluation only the points still open are iterated, and each point leaves
-    on the iteration in which it converges.  Requires f(lo) <= y <= f(hi).
-    Returns an array of the broadcast shape (or a scalar if all three were
-    scalars).
+    evaluation only the points still open are iterated.  A point leaves once
+    |f(x) - y| <= ``FTOL`` or its bracket is a few ulps wide.  Requires
+    f(lo) <= y <= f(hi).  Returns an array of the broadcast shape (or a
+    scalar if all three were scalars).
     """
     lo_b, hi_b, y_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float), np.asarray(y, float))
     shape = lo_b.shape
@@ -37,7 +37,7 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
 
     x = 0.5 * (lo_b + hi_b).ravel()
     fx = np.asarray(f(x), float) - y_b.ravel()
-    at = np.nonzero(~(np.abs(fx) <= ftol))[0]  # the open points; a NaN residual is open
+    at = np.nonzero(~(np.abs(fx) <= FTOL))[0]  # the open points; a NaN residual is open
     lo_a, hi_a, y_a = lo_b.ravel()[at], hi_b.ravel()[at], y_b.ravel()[at]
     x_a, fx_a = x[at], fx[at]
 
@@ -56,7 +56,7 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, ftol=FTOL, maxiter=MAXITER):
         fx_a = np.asarray(f(x_a), float) - y_a
         x[at], fx[at] = x_a, fx_a
         width = hi_a - lo_a
-        done = (np.abs(fx_a) <= ftol) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x_a)))
+        done = (np.abs(fx_a) <= FTOL) | (width <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x_a)))
         if done.any():
             keep = ~done
             at, lo_a, hi_a, y_a, x_a, fx_a = at[keep], lo_a[keep], hi_a[keep], y_a[keep], x_a[keep], fx_a[keep]

@@ -3,7 +3,7 @@
 The Perron root of these matrices is simple and dominant on a recurrent core,
 so plain power iteration with the two-sided Collatz-Wielandt ratio bound
 converges without any general eigensolver: iteration stops once the
-componentwise ratios (A v)_i / v_i agree to the requested relative tolerance.
+componentwise ratios (A v)_i / v_i agree to the relative tolerance EIGEN_TOL.
 
 Discretized open operators are never irreducible as raw matrices: cells
 inside the hole have empty columns, and cells in the gaps of the survivor set
@@ -33,6 +33,9 @@ from . import maps
 from .exceptions import ConvergenceError, DomainError, NormalizationError, ReducibleMatrixError
 from .induced import InducedOpenSystem
 from .operators import Grid, TransferMatrix, induced_branch_matrices, interval_cell_overlaps
+
+#: relative ratio gap that ends power iteration, and |log lambda| that ends a unit-eigenvalue solve
+EIGEN_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +167,13 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, maxiter=2000):
     raise ConvergenceError("eigenvector extension to transient cells did not settle")
 
 
-def leading_eigen(tm: TransferMatrix, tol: float = 1e-13, maxiter: int = 100_000) -> SpectralTriple:
+def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     """Perron root and both eigenvectors by a cold solve: two-sided power
     iteration from the uniform vectors on the dominant class.
 
     The matrix must be nonnegative with a unique dominant strongly connected
     class on its support (ReducibleMatrixError otherwise).  Raises
-    ConvergenceError when the ratio gap fails to reach ``tol`` within
+    ConvergenceError when the ratio gap fails to reach ``EIGEN_TOL`` within
     ``maxiter`` iterations.  Every call prunes the support and splits it into
     classes; stored zeros are dropped first, so they change nothing.
     """
@@ -211,7 +214,7 @@ def leading_eigen(tm: TransferMatrix, tol: float = 1e-13, maxiter: int = 100_000
     core_idx = keep[core]
     n_transient = len(keep) - len(core_idx)
 
-    lam, v, u, iterations = _power_pair(core_block, tol, maxiter)
+    lam, v, u, iterations = _power_pair(core_block, EIGEN_TOL, maxiter)
     h, nu = _extend_to_full(A, A.T.tocsr(), lam, core_idx, v, u)
 
     nu_total = nu.sum()

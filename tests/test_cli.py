@@ -244,6 +244,16 @@ MALFORMED_INPUTS = {
     "wrong-type-config": ["escape", "--hole-index", "2", "--config", "{tmp}/typed.json"],
     "missing-weights": ["escape", "--map", "pwl", "--hole-index", "2", "--pwl-weights", "{tmp}/missing.json"],
 }
+# weights files that hold no list of numbers, or no probability vector
+WEIGHT_FILES = {
+    "letters": '["a"]', "object": '{"a": 1}', "scalar": "0.5", "booleans": "[true, false]", "empty": "[]",
+    "negative": "[0.5, -0.1, 0.6]", "zero": "[0.5, 0.0, 0.5]", "nan": "[0.5, NaN, 0.5]",
+    "sum-below-one": "[0.5, 0.3, 0.15]", "sum-above-one": "[0.7, 0.7, 0.1]",
+}
+for name in WEIGHT_FILES:
+    MALFORMED_INPUTS[f"weights-{name}"] = [
+        "escape", "--map", "pwl", "--hole-index", "2", "--pwl-weights", f"{{tmp}}/weights-{name}.json"
+    ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
@@ -251,6 +261,8 @@ def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
     (tmp_path / "broken.json").write_text('{"grid": ')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "typed.json").write_text('{"grid": "big"}')
+    for name, text in WEIGHT_FILES.items():
+        (tmp_path / f"weights-{name}.json").write_text(text)
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert code == 2
     assert out == ""

@@ -101,7 +101,7 @@ def test_node_counts_agree(m, N):
     degree = ia.collocation_nodes - 1
     system = build_induced(m, N)
     fine = collocation.branch_stack(collocation.branch_values(system, 2 * degree), 2 * degree)
-    assert abs(_collocation_analysis(fine, 1e-13).gamma - ia.gamma) <= 1e-10 * ia.gamma
+    assert abs(_collocation_analysis(fine).gamma - ia.gamma) <= 1e-10 * ia.gamma
 
 
 def test_collocation_route_builds_no_grid(monkeypatch):

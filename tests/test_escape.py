@@ -25,9 +25,10 @@ from parabolic_escape.escape import (
     sweep,
 )
 from parabolic_escape.exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError
-from parabolic_escape.induced import InducedOpenSystem, build_induced
+from parabolic_escape.induced import InducedOpenSystem, branch_weight_sums, build_induced
 from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, preimage_sequence
 from parabolic_escape.operators import Grid, pwl_exact_matrix
+from parabolic_escape.roots import solve_monotone
 from parabolic_escape.spectral import cylinder_masses, leading_eigen
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -504,3 +505,21 @@ def report_digest(monkeypatch):
 
 def test_reports_bitwise_pinned(monkeypatch):
     assert report_digest(monkeypatch) == REPORTS_DIGEST
+
+
+# each tolerance is one module constant; a caller's own value would move a
+# rate without any report recording it
+REMOVED_KEYWORDS = {
+    "compute_escape-eigen_tol": lambda: compute_escape(PWL_ONE, Hole.markov(2), eigen_tol=1e-4),
+    "induced_analysis-eigen_tol": lambda: induced_analysis(PWL_ONE, 2, eigen_tol=1e-4),
+    "leading_eigen-tol": lambda: leading_eigen(pwl_exact_matrix(PWL_ONE, 2), tol=1e-4),
+    "solve_monotone-ftol": lambda: solve_monotone(lambda t: t, np.ones_like, 0.0, 1.0, y=0.5, ftol=1e-4),
+    "sweep-monotone_slack": lambda: sweep(PWL_ONE, [2, 3], monotone_slack=1.0),
+    "branch_weight_sums-samples": lambda: branch_weight_sums(build_induced(PWL_ONE, 2), samples=9),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_KEYWORDS.values(), ids=REMOVED_KEYWORDS)
+def test_removed_tolerance_keywords_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()

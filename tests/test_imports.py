@@ -1,4 +1,5 @@
 """Every imported name is used: a dead import misstates what a module needs.
+Every parameter in ``src/`` is read, or listed with the reason it is not.
 Each report type is built in one place, so its fields are filled in once."""
 
 import ast
@@ -35,6 +36,53 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list:
+    """(qualified name, parameter) of each function parameter that the
+    function's body never reads; ``self`` and ``cls`` are not counted, and a
+    read inside a nested function counts for the enclosing one."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                found.extend((prefix + child.name, a.arg) for a in params if a.arg not in read | {"self", "cls"})
+            visit(child, prefix + child.name + "." if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_checker_finds_an_unused_parameter():
+    source = (
+        "def f(a, b, *rest, c=d):\n    return a\n"
+        "class K:\n    def g(self, x):\n        def inner(y):\n            return x\n        return inner\n"
+    )
+    assert unused_parameters(source) == [("K.g.inner", "y"), ("f", "b"), ("f", "c"), ("f", "rest")]
+
+
+# (module, function, parameter) left unread on purpose, with the reason
+UNREAD_PARAMETERS = {
+    ("escape.py", "induced_analysis", "grid_size"): "perfbench passes it to every method",
+    ("operators.py", "combine_branch_matrices", "sys"): "perfbench passes it",
+    ("maps.py", "Weights.mass", "k"): "interface stub",
+    ("maps.py", "Weights.tail", "n"): "interface stub",
+    ("maps.py", "Weights.cell_index", "x"): "interface stub",
+    ("maps.py", "Weights.cell_index", "cap"): "interface stub",
+    ("maps.py", "ExplicitWeights.cell_index", "cap"): "a finite list ends before any cap",
+    ("maps.py", "_Farey.walk", "m"): "every family has the same walk signature",
+    ("maps.py", "_Pwl.walk", "m"): "every family has the same walk signature",
+}
+
+
+def test_every_parameter_is_read():
+    sources = sorted((ROOT / "src" / "parabolic_escape").glob("*.py"))
+    found = {(p.name, name, arg) for p in sources for name, arg in unused_parameters(p.read_text())}
+    assert found == set(UNREAD_PARAMETERS)
 
 
 def call_sites(source: str, name: str) -> int:

@@ -354,6 +354,12 @@ def test_explicit_weights_bounds():
         short.cell_index(0.9)
 
 
+@pytest.mark.parametrize("values", [(), (0.5, -0.1, 0.6), (0.5, 0.0, 0.5), (0.5, np.nan, 0.5), (0.5, np.inf)])
+def test_explicit_weights_must_be_finite_and_positive(values):
+    with pytest.raises(DomainError):
+        ExplicitWeights(values)
+
+
 def test_hole_construction():
     h = Hole.markov(3)
     assert h.edge(FAREY) == pytest.approx(0.25, abs=1e-14)

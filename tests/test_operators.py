@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from parabolic_escape import maps
+from parabolic_escape import maps, operators
 from parabolic_escape.exceptions import DomainError
 from parabolic_escape.induced import build_induced
 from parabolic_escape.maps import MapSpec, preimage_sequence
@@ -58,6 +58,21 @@ def test_markov_grid_contains_preimage_chain():
     # pwl uses the natural partition regardless of size
     g = markov_grid(PWL_ONE, 5, 4096)
     assert g.n_cells <= 9
+
+
+@pytest.mark.parametrize("m", [PM_ONE, MapSpec.pomeau_manneville(2.0), LSV_HALF, MapSpec.lsv(2.0), FAREY],
+                         ids=lambda m: f"{m.family}-{m.s}")
+def test_markov_grid_is_the_hole_grid_at_the_hole_edge(m, monkeypatch):
+    cases = ((2, 16), (5, 256), (40, 4096), (300, 1024))
+    expected = [hole_grid(m, preimage_sequence(m, N)[N], size).nodes for N, size in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("markov_grid called the public hole_grid")
+
+    # a nested public call would count the grid twice in a traced run
+    monkeypatch.setattr(operators, "hole_grid", forbidden)
+    for (N, size), nodes in zip(cases, expected):
+        assert np.array_equal(markov_grid(m, N, size).nodes, nodes)
 
 
 def test_hole_grid_has_epsilon_node():
