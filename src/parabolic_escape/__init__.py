@@ -28,7 +28,6 @@ from .maps import (
     default_pwl_weights,
     eval_derivative,
     eval_map,
-    inverse_branch,
     preimage_sequence,
     return_time,
     validate_hypotheses,
@@ -110,7 +109,6 @@ __all__ = [
     "induced_analysis",
     "invariant_function",
     "invariant_mass",
-    "inverse_branch",
     "leading_eigen",
     "markov_grid",
     "mc_escape_rate",

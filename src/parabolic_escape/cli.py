@@ -173,8 +173,11 @@ def _emit(cfg: RunConfig, payload: dict, csv_text: Optional[str]) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -182,7 +185,10 @@ def _emit(cfg: RunConfig, payload: dict, csv_text: Optional[str]) -> None:
 def _hole(cfg: RunConfig) -> Hole:
     if cfg.epsilon is not None:
         return Hole.interval(cfg.epsilon)
-    return Hole.markov(int(parse_index_range(cfg.hole_index)[0]))
+    indices = parse_index_range(cfg.hole_index)
+    if len(indices) > 1:
+        raise ConfigError(f"{cfg.command} takes one hole index, not the range {cfg.hole_index!r}; use sweep")
+    return Hole.markov(indices[0])
 
 
 def run(cfg: RunConfig) -> int:

@@ -42,11 +42,6 @@ class InducedOpenSystem:
         if not 1 <= n <= self.branch_count:
             raise DomainError(f"branch index {n} outside 1..{self.branch_count}")
 
-    def branch_interval(self, n: int) -> tuple:
-        """Closure of the image of branch n, [a_n, a_{n-1}]."""
-        self._check_branch(n)
-        return float(self.preimages[n]), float(self.preimages[n - 1])
-
 
 def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
     """Open induced system with surviving symbols 1..N (requires N >= 2); only

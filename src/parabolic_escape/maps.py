@@ -426,12 +426,10 @@ class MapSpec:
         """Right endpoint a of the left branch domain [0, a]."""
         return self.branches.cut
 
-    def __hash__(self):
-        return hash((self.family, self.s, self.weights))
-
 
 def left_inverse(m: MapSpec, y):
-    """phi_0(y): the left-branch local inverse, mapping [0, 1] into [0, a]."""
+    """phi_0(y): the left-branch local inverse, mapping [0, 1] into [0, a],
+    with |F(phi_0(y)) - y| <= 1e-13."""
     y_a = np.asarray(y, float)
     _check_unit_interval(y_a)
     out = m.branches.inv_left(y_a)
@@ -439,7 +437,8 @@ def left_inverse(m: MapSpec, y):
 
 
 def right_inverse(m: MapSpec, y):
-    """phi_1(y): the right-branch local inverse, mapping [0, 1] into [a, 1]."""
+    """phi_1(y): the right-branch local inverse, mapping [0, 1] into [a, 1],
+    with |F(phi_1(y)) - y| <= 1e-13."""
     y_a = np.asarray(y, float)
     _check_unit_interval(y_a)
     out = m.branches.inv_right(y_a)
@@ -490,15 +489,6 @@ def eval_derivative(m: MapSpec, x):
         raise DomainError("derivative undefined at the branch cut")
     out = _by_branch(m, x_a, m.branches.dleft, m.branches.dright)
     return out if np.asarray(x).ndim else float(out)
-
-
-def inverse_branch(m: MapSpec, branch: int, y):
-    """phi_branch(y) with |F(phi(y)) - y| <= 1e-13; branch is 0 or 1."""
-    if branch == 0:
-        return left_inverse(m, y)
-    if branch == 1:
-        return right_inverse(m, y)
-    raise DomainError("branch must be 0 or 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,11 +69,6 @@ class Grid:
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def locate(self, y) -> np.ndarray:
-        """Cell index of each point (interior convention, clipped at the ends)."""
-        idx = np.searchsorted(self.nodes, np.asarray(y, float), side="right") - 1
-        return np.clip(idx, 0, self.n_cells - 1)
-
     def node_index(self, value: float) -> int:
         i = int(np.argmin(np.abs(self.nodes - value)))
         if abs(self.nodes[i] - value) > 1e-12:
@@ -169,24 +164,15 @@ class TransferMatrix:
     """Nonnegative matrix acting on piecewise-constant grid functions.
 
     Assembly is deterministic: every entry is an exact interval overlap,
-    summed in a fixed order.  ``pieces`` (shared, not copied) and ``z`` are
-    those of a :func:`combine_branch_matrices` sum; other matrices have none.
+    summed in a fixed order; shape, row sums and dense form are read from
+    ``matrix``.  ``pieces`` (shared, not copied) and ``z`` are those of a
+    :func:`combine_branch_matrices` sum; other matrices have none.
     """
 
     grid: Grid
     matrix: sp.csr_matrix = field(compare=False)
     pieces: Optional[tuple] = field(default=None, repr=False)
     z: float = 1.0
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +345,8 @@ def assemble_ulam_open(m: MapSpec, epsilon: float, grid: Grid) -> TransferMatrix
     widths = grid.widths
 
     blocks = []
-    for branch in (0, 1):
-        u = np.asarray(maps.inverse_branch(m, branch, live_nodes), float)
+    for inverse in (maps.left_inverse, maps.right_inverse):
+        u = np.asarray(inverse(m, live_nodes), float)
         pre_lo = np.minimum(u[:-1], u[1:])
         pre_hi = np.maximum(u[:-1], u[1:])
         pre_lo = np.maximum(pre_lo, epsilon)  # source mass below the hole edge escaped already

@@ -67,16 +67,6 @@ class SpectralTriple:
     def residual(self) -> float:
         return max(self.stats.get("residual_right", 0.0), self.stats.get("residual_left", 0.0))
 
-    def to_json_dict(self) -> dict:
-        """JSON-serializable export: eigenvalue, vectors, grid and stats."""
-        return {
-            "lambda": self.eigenvalue,
-            "eigenfunction": self.eigenfunction.tolist(),
-            "eigenmeasure": self.eigenmeasure.tolist(),
-            "grid_nodes": self.grid.nodes.tolist(),
-            "stats": dict(self.stats),
-        }
-
 
 def _prune_support(A: sp.csr_matrix) -> np.ndarray:
     """Indices left after iteratively dropping zero rows/columns of the
@@ -295,9 +285,7 @@ def invariant_function(sys: InducedOpenSystem, triple: SpectralTriple) -> np.nda
         img_lo = np.maximum(u[:-1], hole_edge)
         img_hi = u[1:]
         cells, rows, overlap = interval_cell_overlaps(nodes, img_lo, img_hi)
-        vals = np.zeros(grid.n_cells)
-        np.add.at(vals, rows, overlap * h[cells])
-        e = e + vals / widths
+        e = e + np.bincount(rows, overlap * h[cells], grid.n_cells) / widths
     return e
 
 

@@ -243,6 +243,10 @@ MALFORMED_INPUTS = {
     "non-object-config": ["escape", "--hole-index", "2", "--config", "{tmp}/list.json"],
     "wrong-type-config": ["escape", "--hole-index", "2", "--config", "{tmp}/typed.json"],
     "missing-weights": ["escape", "--map", "pwl", "--hole-index", "2", "--pwl-weights", "{tmp}/missing.json"],
+    # escape and mc take one hole index; a range belongs to sweep
+    "escape-index-range": ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "2:10:1"],
+    "mc-index-range": ["mc", "--hole-index", "3:5:1"],
+    "unwritable-output": ["escape", "--hole-index", "2", "--output", "{tmp}/missing/out.json"],
 }
 # weights files that hold no list of numbers, or no probability vector
 WEIGHT_FILES = {

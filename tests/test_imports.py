@@ -1,11 +1,15 @@
 """Every imported name is used: a dead import misstates what a module needs.
 Every parameter in ``src/`` is read, or listed with the reason it is not.
-Each report type is built in one place, so its fields are filled in once."""
+Every public name in ``src/`` has a caller, or is listed with the reason it
+has none.  Each report type is built in one place, so its fields are filled
+in once."""
 
 import ast
 import pathlib
 
 import pytest
+
+import parabolic_escape
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "parabolic_escape").glob("*.py") if p.name != "__init__.py")
@@ -101,3 +105,71 @@ def test_call_site_counter():
 def test_reports_built_at_one_site(name):
     sources = (ROOT / "src" / "parabolic_escape").glob("*.py")
     assert sum(call_sites(p.read_text(), name) for p in sources) == 1
+
+
+def public_definitions(source: str) -> list:
+    """Qualified names of the public top-level functions and classes of
+    ``source``, and of the public methods of those classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{f.name}" for f in node.body
+                          if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return found
+
+
+def names_read(source: str) -> set:
+    """Every identifier of a Name node and every attribute of an Attribute node."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def string_constants(source: str) -> set:
+    return {n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def uncalled(definitions: list, read: set) -> list:
+    """The qualified names whose last part is not in ``read``."""
+    return sorted(q for q in definitions if q.rsplit(".", 1)[-1] not in read)
+
+
+def test_checker_finds_an_uncalled_public_name():
+    source = (
+        "def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+        "class K:\n    def method(self):\n        pass\n    def spare(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "used()\nK().method()\n"
+    )
+    defined = public_definitions(source)
+    assert defined == ["used", "unused", "K", "K.method", "K.spare"]
+    assert uncalled(defined, names_read(source)) == ["K.spare", "unused"]
+    # a benchmark that names its targets by string calls them too
+    assert uncalled(defined, names_read(source) | string_constants('TARGETS = (("m", "unused"),)')) == ["K.spare"]
+
+
+# public names that nothing in src/ or perfbench/ calls, kept on purpose, with the reason
+UNCALLED_PUBLIC = {
+    "escape.escape_rate_original": "the original-map rate that acceptance test 1 checks",
+    "induced.forward_jump": "the round-trip oracle |G(zeta_n(x)) - x|",
+    "induced.branch_weight_sums": "the summability diagnostic of the induced potential",
+    "operators.pwl_exact_matrix": "the exact oracle of the pwl family",
+    "maps.validate_hypotheses": "documented in the README",
+    "maps.MapSpec.pomeau_manneville": "one constructor per map family",
+}
+
+
+def test_every_public_name_has_a_caller():
+    sources = sorted((ROOT / "src" / "parabolic_escape").glob("*.py"))
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(names_read(p.read_text()) for p in sources + bench),
+                       *(string_constants(p.read_text()) for p in bench))
+    defined = [f"{p.stem}.{q}" for p in sources if p.name != "__init__.py" for q in public_definitions(p.read_text())]
+    assert uncalled(defined, read) == sorted(UNCALLED_PUBLIC)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in parabolic_escape.__all__ if not hasattr(parabolic_escape, name)]
+    assert missing == []
+    assert len(set(parabolic_escape.__all__)) == len(parabolic_escape.__all__)

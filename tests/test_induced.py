@@ -12,7 +12,7 @@ from parabolic_escape.induced import (
     forward_jump,
     zeta_and_log_weight,
 )
-from parabolic_escape.maps import ExplicitWeights, Hole, MapSpec, inverse_branch, preimage_sequence
+from parabolic_escape.maps import ExplicitWeights, Hole, MapSpec, left_inverse, preimage_sequence, right_inverse
 
 FAREY = MapSpec.farey()
 LSV_HALF = MapSpec.lsv(0.5)
@@ -38,12 +38,9 @@ def test_short_explicit_weight_list_fails_at_build():
 def test_branch_index_outside_range_rejected(n):
     sys = build_induced(MapSpec.lsv(0.5), 5)
     with pytest.raises(DomainError, match="outside 1..5"):
-        sys.branch_interval(n)
-    with pytest.raises(DomainError, match="outside 1..5"):
         forward_jump(sys, n, 0.3)
     with pytest.raises(DomainError, match="outside 1..5"):
         zeta_and_log_weight(sys, n, 0.3)
-    assert sys.branch_interval(5) == (sys.preimages[5], sys.preimages[4])
 
 
 def test_farey_branches_are_gauss():
@@ -60,9 +57,9 @@ def test_gauss_crosscheck_composed_inverses():
     sys = build_induced(FAREY, 6)
     xs = np.linspace(0.01, 0.99, 17)
     for n in (2, 4, 6):
-        y = inverse_branch(FAREY, 1, xs)
+        y = right_inverse(FAREY, xs)
         for _ in range(n - 1):
-            y = inverse_branch(FAREY, 0, y)
+            y = left_inverse(FAREY, y)
         assert np.max(np.abs(zeta_and_log_weight(sys, n, xs)[0] - y)) <= 1e-12
 
 
@@ -78,7 +75,7 @@ def test_first_branch_is_right_inverse():
     xs = np.linspace(0.05, 0.95, 11)
     for m in (FAREY, LSV_HALF, PM_ONE, PWL_ONE):
         sys = build_induced(m, 3)
-        assert np.max(np.abs(zeta_and_log_weight(sys, 1, xs)[0] - inverse_branch(m, 1, xs))) <= 1e-13
+        assert np.max(np.abs(zeta_and_log_weight(sys, 1, xs)[0] - right_inverse(m, xs))) <= 1e-13
 
 
 def test_branches_nest_into_disjoint_intervals():
@@ -87,7 +84,7 @@ def test_branches_nest_into_disjoint_intervals():
         sys = build_induced(m, 6)
         values = [zeta_and_log_weight(sys, n, xs)[0] for n in range(1, 7)]
         for n in range(1, 7):
-            lo, hi = sys.branch_interval(n)
+            lo, hi = sys.preimages[n], sys.preimages[n - 1]
             assert values[n - 1].min() >= lo - 1e-13
             assert values[n - 1].max() <= hi + 1e-13
         for deeper, shallower in zip(values[1:], values[:-1]):

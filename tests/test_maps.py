@@ -18,9 +18,10 @@ from parabolic_escape.maps import (
     ZipfWeights,
     eval_derivative,
     eval_map,
-    inverse_branch,
+    left_inverse,
     preimage_sequence,
     return_time,
+    right_inverse,
     validate_hypotheses,
 )
 
@@ -103,7 +104,7 @@ def test_nan_rejected_by_every_domain_check():
     with pytest.raises(DomainError):
         eval_derivative(LSV_HALF, np.array([np.nan]))
     with pytest.raises(DomainError):
-        inverse_branch(LSV_HALF, 0, np.array([0.3, np.nan]))
+        left_inverse(LSV_HALF, np.array([0.3, np.nan]))
     with pytest.raises(DomainError):
         eval_map(FAREY, np.array([0.2, np.inf]))
 
@@ -135,8 +136,8 @@ def test_derivative_branch_cut_error():
 
 
 def test_inverse_branch_values():
-    assert inverse_branch(FAREY, 0, 0.0) == 0.0
-    assert inverse_branch(LSV_HALF, 1, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert left_inverse(FAREY, 0.0) == 0.0
+    assert right_inverse(LSV_HALF, 0.0) == pytest.approx(0.5, abs=1e-15)
     # independent bisection oracle for the root-found branch
     y = 0.3
     lo, hi = 0.0, PM_ONE.branch_cut
@@ -146,19 +147,19 @@ def test_inverse_branch_values():
             lo = mid
         else:
             hi = mid
-    assert inverse_branch(PM_ONE, 0, y) == pytest.approx(0.5 * (lo + hi), abs=1e-13)
+    assert left_inverse(PM_ONE, y) == pytest.approx(0.5 * (lo + hi), abs=1e-13)
 
 
 def test_inverse_branch_residual_contract():
     ys = np.linspace(0.0, 1.0, 201)
     for m in ALL_MAPS:
-        for branch in (0, 1):
-            x = inverse_branch(m, branch, ys)
+        for inverse in (left_inverse, right_inverse):
+            x = inverse(m, ys)
             back = eval_map(m, np.clip(x, 0.0, 1.0))
             # right-branch values at y = 0 sit on the branch cut, which maps
             # with the left branch by convention; skip that single point
             ok = np.abs(back - ys) <= 1e-12
-            if branch == 1:
+            if inverse is right_inverse:
                 ok[0] = True
             assert ok.all(), m.family
 
@@ -309,9 +310,9 @@ def test_return_time_cap():
 )
 def test_inverse_roundtrip_property(family, x):
     m = {"farey": FAREY, "lsv": LSV_HALF, "pm": PM_ONE, "pwl": PWL_ONE}[family]
-    branch = 0 if x <= m.branch_cut else 1
+    inverse = left_inverse if x <= m.branch_cut else right_inverse
     y = eval_map(m, x)
-    back = inverse_branch(m, branch, min(y, 1.0))
+    back = inverse(m, min(y, 1.0))
     assert abs(back - x) <= 1e-12
 
 

@@ -314,13 +314,10 @@ def test_mean_return_time_lower_bound():
     assert mean_return_time(rho) == pytest.approx(2.25)
 
 
-def test_triple_json_export_roundtrip():
-    import json
-
+def test_pwl_exact_triple_fields():
     sys = build_induced(PWL_ONE, 3)
     triple = leading_eigen(pwl_exact_matrix(PWL_ONE, 3))
-    payload = json.loads(json.dumps(triple.to_json_dict()))
-    assert payload["lambda"] == pytest.approx(0.75, abs=1e-14)
-    assert len(payload["eigenfunction"]) == triple.grid.n_cells
+    assert triple.eigenvalue == pytest.approx(0.75, abs=1e-14)
+    assert len(triple.eigenfunction) == triple.grid.n_cells
     assert sum(cylinder_masses(sys, triple)) == pytest.approx(1.0, abs=1e-12)
-    assert payload["grid_nodes"][0] == 0.0 and payload["grid_nodes"][-1] == 1.0
+    assert triple.grid.nodes[0] == 0.0 and triple.grid.nodes[-1] == 1.0
