@@ -1,9 +1,11 @@
 """Command-line surface: escape, sweep, fit, sandwich, mc, verify.
 
-A JSON config file can predefine any flag (keys use underscores, e.g.
-``hole_index``); explicit flags override the file.  Every JSON report embeds
-the resolved configuration so that outputs re-parse into the exact run that
-produced them.
+``COMMANDS`` names the options each command reads, and a command accepts no
+other: as a flag, an unknown option is an argparse error, and as a key of the
+JSON ``--config`` file (keys use underscores, e.g. ``hole_index``) it is a
+ConfigError.  Explicit flags override the file.  Every JSON report embeds the
+command and the options it read, so that outputs re-parse into the exact run
+that produced them.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -26,8 +29,40 @@ from .exceptions import ConfigError, DomainError, EscapeError
 from .induced import build_induced
 from .maps import FAMILIES, ExplicitWeights, Hole, MapSpec, ZipfWeights, default_pwl_weights
 
-COMMANDS = ("escape", "sweep", "fit", "sandwich", "mc", "verify")
 METHODS = ("induced", "ulam", "montecarlo")
+
+# argparse settings of each option; the flag is ``--`` plus the name with dashes
+OPTIONS = {
+    "map": dict(choices=FAMILIES),
+    "s": dict(type=float),
+    "pwl_weights": dict(help='"zipf", "harmonic", or a JSON file of weights'),
+    "hole_index": dict(help="N, start:stop:step, or start:stop:geom[:ratio]"),
+    "epsilon": dict(type=float),
+    "method": dict(choices=METHODS),
+    "grid": dict(type=int),
+    "samples": dict(type=int),
+    "tmax": dict(type=int),
+    "window": dict(help="lo:hi"),
+    "seed": dict(type=int),
+    "threads": dict(type=int),
+    "output": dict(),
+    "format": dict(choices=("csv", "json")),
+}
+_MAP = ("map", "s", "pwl_weights")
+_RUN = ("samples", "tmax", "window", "seed", "threads", "output", "format")
+# name: (help, the options the command reads)
+COMMANDS = {
+    "escape": ("one escape-rate computation", _MAP + ("hole_index", "epsilon", "method", "grid") + _RUN),
+    "sweep": ("escape rates over a range of Markov holes", _MAP + ("hole_index", "method", "grid") + _RUN),
+    "fit": ("sweep plus shrinking-hole scaling fit", _MAP + ("hole_index", "method", "grid") + _RUN),
+    "sandwich": ("Markov bounds for a general hole", _MAP + ("epsilon", "output", "format")),
+    "mc": ("Monte Carlo survival curve and rate", _MAP + ("hole_index", "epsilon") + _RUN),
+    "verify": ("run the built-in oracle suite", ("grid",)),
+}
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
 
 
 @dataclass
@@ -57,11 +92,10 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
-        if self.command in ("escape", "sweep", "fit", "mc"):
-            if (self.hole_index is None) == (self.epsilon is None):
-                raise ConfigError("exactly one of --hole-index and --epsilon is required")
-        if self.command == "sandwich" and self.epsilon is None:
-            raise ConfigError("sandwich needs --epsilon")
+        holes = [o for o in ("hole_index", "epsilon") if o in COMMANDS[self.command][1]]
+        if holes and sum(getattr(self, o) is not None for o in holes) != 1:
+            flags = " and ".join(map(_flag, holes))
+            raise ConfigError(f"{self.command} needs {'exactly one of ' if len(holes) > 1 else ''}{flags}")
         if not self.s > 0:
             raise ConfigError("--s must be positive")
         if self.grid < 8:
@@ -72,17 +106,23 @@ class RunConfig:
             raise ConfigError("--seed must be >= 0")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The command and the options it reads."""
+        options = COMMANDS[self.command][1]
+        return {k: v for k, v in asdict(self).items() if k == "command" or k in options}
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        command = data.get("command")
+        if command not in COMMANDS:
+            raise ConfigError(f"unknown command {command!r}")
         hints = get_type_hints(RunConfig)
-        unknown = set(data) - set(hints)
+        unknown = set(data) - {"command", *COMMANDS[command][1]}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in data.items():
             allowed = get_args(hints[key]) or (hints[key],)
-            if not isinstance(value, allowed + ((int,) if float in allowed else ())):
+            # bool is an int subclass, but no option is a flag
+            if isinstance(value, bool) or not isinstance(value, allowed + ((int,) if float in allowed else ())):
                 names = " or ".join(t.__name__ for t in allowed)
                 raise ConfigError(f"config key {key!r} must be {names}, got {value!r}")
         return RunConfig(**data)
@@ -167,11 +207,8 @@ def parse_window(text: Optional[str], tmax: int):
     return window
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_text: Optional[str]) -> None:
-    if cfg.format == "csv" and csv_text is not None:
-        text = csv_text
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+def _emit(cfg: RunConfig, payload: dict, csv_text: str) -> None:
+    text = csv_text if cfg.format == "csv" else json.dumps(payload, indent=2) + "\n"
     if cfg.output:
         try:
             with open(cfg.output, "w") as fh:
@@ -194,6 +231,12 @@ def _hole(cfg: RunConfig) -> Hole:
 def run(cfg: RunConfig) -> int:
     """Execute one configuration; returns a process exit status."""
     cfg.validate()
+    if cfg.command == "verify":
+        return run_verify(cfg)
+    if cfg.output:  # checked before computing, so a long run cannot lose its result
+        folder = os.path.dirname(os.path.abspath(cfg.output))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"cannot write output {cfg.output!r}: no writable directory {folder!r}")
     m = build_map(cfg)
     window = parse_window(cfg.window, cfg.tmax)
     options = dict(
@@ -208,60 +251,37 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "escape":
         report = esc.compute_escape(m, _hole(cfg), **options)
-        payload = {"config": cfg.to_dict(), "results": [report.to_dict()]}
-        _emit(cfg, payload, esc.reports_csv_text([report]))
-        return 0
-
-    if cfg.command in ("sweep", "fit"):
-        if cfg.hole_index is None:
-            raise ConfigError(f"{cfg.command} needs --hole-index (a value or range)")
+        payload = {"results": [report.to_dict()]}
+        csv_text = esc.reports_csv_text([report])
+    elif cfg.command in ("sweep", "fit"):
         result = esc.sweep(m, parse_index_range(cfg.hole_index), **options)
         payload = {
-            "config": cfg.to_dict(),
             "results": [r.to_dict() for r in result.reports],
             "failures": [{"N": n, "error": msg} for n, msg in result.failures],
         }
         if cfg.command == "fit":
             payload["fit"] = asdict(esc.fit_scaling(result.reports, cfg.s))
-        _emit(cfg, payload, esc.reports_csv_text(result.reports))
-        return 0
-
-    if cfg.command == "sandwich":
-        bounds = esc.sandwich_bounds(m, cfg.epsilon, grid_size=cfg.grid)
-        payload = {
-            "config": cfg.to_dict(),
-            "result": {
-                "N_epsilon": bounds.index,
-                "gamma_lower": bounds.gamma_lower,
-                "gamma_upper": bounds.gamma_upper,
-            },
-        }
-        csv_text = "N_epsilon,gamma_lower,gamma_upper\n" + (
-            f"{bounds.index},{bounds.gamma_lower:.17g},{bounds.gamma_upper:.17g}\n"
-        )
-        _emit(cfg, payload, csv_text)
-        return 0
-
-    if cfg.command == "mc":
+        csv_text = esc.reports_csv_text(result.reports)
+    elif cfg.command == "sandwich":
+        bounds = esc.sandwich_bounds(m, cfg.epsilon)
+        row = {"N_epsilon": bounds.index, "gamma_lower": bounds.gamma_lower, "gamma_upper": bounds.gamma_upper}
+        payload = {"result": row}
+        csv_text = ",".join(row) + "\n" + ",".join(f"{v:.17g}" for v in row.values()) + "\n"
+    else:  # mc
         curve = mc.survival_curve(
             m, _hole(cfg), n_max=cfg.tmax, samples=cfg.samples, seed=cfg.seed, threads=cfg.threads
         )
         est = mc.mc_escape_rate(curve, window)
         payload = {
-            "config": cfg.to_dict(),
             "result": {"gamma": est.gamma, "stderr": est.stderr, "window": list(est.window)},
             "curve": [
                 {"n": int(n), "survivors": int(k)}
                 for n, k in zip(curve.n_values, curve.survivors)
             ],
         }
-        _emit(cfg, payload, mc.curve_csv_text(curve))
-        return 0
-
-    if cfg.command == "verify":
-        return run_verify(cfg)
-
-    raise ConfigError(f"unknown command {cfg.command!r}")
+        csv_text = mc.curve_csv_text(curve)
+    _emit(cfg, {"config": cfg.to_dict(), **payload}, csv_text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +295,7 @@ def _verify_checks(grid_size: int):
     # exactly solvable piecewise-linear family, generic pipeline
     m = MapSpec.pwl(1.0)
     for n in (2, 5, 10):
-        ia = esc.induced_analysis(m, n, exact_pwl=False, grid_size=64)
+        ia = esc.induced_analysis(m, n, exact_pwl=False)
         lam_exact = n / (n + 1)
         h = sum(1.0 / k for k in range(1, n + 2))
         gamma_ratio = math.log1p(1.0 / n) * (n / (n + 1)) / (h - 1.0)
@@ -298,7 +318,7 @@ def _verify_checks(grid_size: int):
 
     # cross-method agreement on the exact induced route
     m = MapSpec.lsv(0.5)
-    ia = esc.induced_analysis(m, 4, grid_size=grid_size)
+    ia = esc.induced_analysis(m, 4)
     rep_u = esc.compute_escape(m, Hole.markov(4), method="ulam", grid_size=grid_size)
     rel = abs(ia.gamma - rep_u.gamma) / ia.gamma
     rows.append(("cross-method lsv N=4", rel <= 2e-3, f"relative gap {rel:.2e}"))
@@ -337,47 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Escape rates of intermittent interval maps with holes at the origin.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("escape", "one escape-rate computation"),
-        ("sweep", "escape rates over a range of Markov holes"),
-        ("fit", "sweep plus shrinking-hole scaling fit"),
-        ("sandwich", "Markov bounds for a general hole"),
-        ("mc", "Monte Carlo survival curve and rate"),
-        ("verify", "run the built-in oracle suite"),
-    ):
+    for name, (doc, options) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--map", choices=FAMILIES)
-        p.add_argument("--s", type=float)
-        p.add_argument("--pwl-weights", dest="pwl_weights", help='"zipf", "harmonic", or a JSON file of weights')
-        p.add_argument("--hole-index", dest="hole_index", help="N, start:stop:step, or start:stop:geom[:ratio]")
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--method", choices=METHODS)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tmax", type=int)
-        p.add_argument("--window", help="lo:hi")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--output")
-        p.add_argument("--format", choices=("csv", "json"))
+        for option in options:
+            p.add_argument(_flag(option), **OPTIONS[option])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     data = {"command": args.command}
-    if getattr(args, "config", None):
+    if args.config:
         file_data = _read_json(args.config, "config file")
         if not isinstance(file_data, dict):
             raise ConfigError(f"config file {args.config!r} must hold a JSON object")
         file_data.pop("command", None)
         data.update(file_data)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            data[f.name] = value
+    for option in COMMANDS[args.command][1]:
+        if getattr(args, option) is not None:
+            data[option] = getattr(args, option)
     return RunConfig.from_dict(data)
 
 

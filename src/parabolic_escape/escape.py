@@ -366,7 +366,7 @@ def compute_escape(
     if method == "induced":
         if hole.index is None:
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
-        ia = induced_analysis(m, hole.index, grid_size=grid_size)
+        ia = induced_analysis(m, hole.index)
         edge = hole.edge(m)  # read after the walk, which grows the chain on its way
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             ia.eigenvalue, ia.gamma_induced, ia.mean_return, ia.gamma, ia.grid_size, ia.eigen_residual
@@ -499,7 +499,8 @@ def sandwich_bounds(m: MapSpec, epsilon: float, grid_size: int = 4096) -> Sandwi
     """Markov-hole bounds for a general hole [0, epsilon].
 
     The nesting H_{N+1} subset H_eps subset H_N squeezes the escape rate
-    between the two Markov rates, both computed by the induced route.
+    between the two Markov rates, both computed by the induced route, which
+    reads no grid: ``grid_size`` stays for the callers that pass it.
     """
     if not 0.0 < epsilon < m.branch_cut:
         raise DomainError("epsilon must lie strictly between 0 and the branch cut")
@@ -508,8 +509,8 @@ def sandwich_bounds(m: MapSpec, epsilon: float, grid_size: int = 4096) -> Sandwi
         raise DomainError(
             f"epsilon = {epsilon!r} gives bracket index {n_eps}; need epsilon <= a_2"
         )
-    upper = induced_analysis(m, n_eps, grid_size=grid_size).gamma
-    lower = induced_analysis(m, n_eps + 1, grid_size=grid_size).gamma
+    upper = induced_analysis(m, n_eps).gamma
+    lower = induced_analysis(m, n_eps + 1).gamma
     return SandwichBounds(n_eps, lower, upper)
 
 

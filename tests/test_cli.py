@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from parabolic_escape.cli import RunConfig, build_map, main, parse_index_range, parse_window
+from parabolic_escape.cli import COMMANDS, RunConfig, build_map, main, parse_index_range, parse_window
 from parabolic_escape.exceptions import ConfigError, DomainError
 from parabolic_escape import escape, operators, spectral
 from parabolic_escape.maps import MapSpec
@@ -127,7 +127,7 @@ def test_fit_command(capsys):
 
 def test_sandwich_command(capsys):
     code, out, _ = run_cli(
-        ["sandwich", "--map", "farey", "--epsilon", "0.3", "--grid", "512"], capsys
+        ["sandwich", "--map", "farey", "--epsilon", "0.3"], capsys
     )
     assert code == 0
     payload = json.loads(out)
@@ -242,6 +242,9 @@ MALFORMED_INPUTS = {
     "invalid-json-config": ["escape", "--hole-index", "2", "--config", "{tmp}/broken.json"],
     "non-object-config": ["escape", "--hole-index", "2", "--config", "{tmp}/list.json"],
     "wrong-type-config": ["escape", "--hole-index", "2", "--config", "{tmp}/typed.json"],
+    # bool is an int subclass, yet no numeric option takes true or false
+    "bool-s-config": ["escape", "--config", "{tmp}/bool-s.json"],
+    "bool-seed-config": ["escape", "--config", "{tmp}/bool-seed.json"],
     "missing-weights": ["escape", "--map", "pwl", "--hole-index", "2", "--pwl-weights", "{tmp}/missing.json"],
     # escape and mc take one hole index; a range belongs to sweep
     "escape-index-range": ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "2:10:1"],
@@ -265,12 +268,92 @@ def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
     (tmp_path / "broken.json").write_text('{"grid": ')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "typed.json").write_text('{"grid": "big"}')
+    (tmp_path / "bool-s.json").write_text('{"map": "pwl", "s": true, "hole_index": "2"}')
+    (tmp_path / "bool-seed.json").write_text('{"map": "pwl", "hole_index": "2", "seed": false}')
     for name, text in WEIGHT_FILES.items():
         (tmp_path / f"weights-{name}.json").write_text(text)
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_unwritable_output_found_before_computing(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("computed a rate that could not be written")
+
+    monkeypatch.setattr(escape, "compute_escape", never)
+    code, out, err = run_cli(["escape", "--hole-index", "2", "--output", f"{tmp_path}/missing/out.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+# the options each command reads: 59 (command, option) pairs
+COMMAND_OPTIONS = {
+    "escape": {"map", "s", "pwl_weights", "hole_index", "epsilon", "method", "grid", "samples", "tmax",
+               "window", "seed", "threads", "output", "format"},
+    "sweep": {"map", "s", "pwl_weights", "hole_index", "method", "grid", "samples", "tmax", "window", "seed",
+              "threads", "output", "format"},
+    "fit": {"map", "s", "pwl_weights", "hole_index", "method", "grid", "samples", "tmax", "window", "seed",
+            "threads", "output", "format"},
+    "sandwich": {"map", "s", "pwl_weights", "epsilon", "output", "format"},
+    "mc": {"map", "s", "pwl_weights", "hole_index", "epsilon", "samples", "tmax", "window", "seed", "threads",
+           "output", "format"},
+    "verify": {"grid"},
+}
+# a value each option would accept, as a flag and as a config-file value
+OPTION_VALUES = {
+    "map": "pwl", "s": 1.0, "pwl_weights": "zipf", "hole_index": "2", "epsilon": 0.3, "method": "ulam",
+    "grid": 512, "samples": 1000, "tmax": 20, "window": "5:15", "seed": 1, "threads": 1,
+    "output": "out.json", "format": "csv",
+}
+# the (command, option) pairs that a command does not read
+UNREAD = [(c, o) for c in COMMAND_OPTIONS for o in OPTION_VALUES if o not in COMMAND_OPTIONS[c]]
+HOLE_ARGS = {"sweep": ["--hole-index", "2"], "fit": ["--hole-index", "2"], "sandwich": ["--epsilon", "0.3"],
+             "mc": ["--hole-index", "2"], "verify": []}
+
+
+def test_command_options_table():
+    assert {name: set(options) for name, (_, options) in COMMANDS.items()} == COMMAND_OPTIONS
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 59
+    assert len(UNREAD) == 25
+
+
+@pytest.mark.parametrize("command,option", UNREAD, ids=[f"{c}-{o}" for c, o in UNREAD])
+def test_unread_option_rejected(command, option, tmp_path, capsys):
+    flag = "--" + option.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *HOLE_ARGS[command], flag, str(OPTION_VALUES[option])])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({option: OPTION_VALUES[option]}))
+    code, out, err = run_cli([command, *HOLE_ARGS[command], "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+    assert "unknown config keys" in err
+
+
+ECHO_RUNS = {
+    "escape": ["escape", "--map", "pwl", "--hole-index", "2"],
+    "sweep": ["sweep", "--map", "pwl", "--hole-index", "2:3:1"],
+    "fit": ["fit", "--map", "pwl", "--s", "0.5", "--pwl-weights", "zipf", "--hole-index", "30:1000:geom"],
+    "sandwich": ["sandwich", "--map", "farey", "--epsilon", "0.3"],
+    "mc": ["mc", "--map", "pwl", "--hole-index", "2", "--samples", "10000", "--tmax", "10"],
+}
+
+
+@pytest.mark.parametrize("command", ECHO_RUNS)
+def test_config_echo_holds_only_read_options(command, capsys):
+    code, out, _ = run_cli(ECHO_RUNS[command], capsys)
+    assert code == 0
+    echo = json.loads(out)["config"]
+    assert set(echo) == {"command"} | COMMAND_OPTIONS[command]
+    cfg = RunConfig.from_dict(echo)
+    cfg.validate()
+    assert cfg.to_dict() == echo
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
