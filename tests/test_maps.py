@@ -434,10 +434,10 @@ def test_pwl_weights_must_have_the_declared_exponent():
 # sha256 of the primitives below: a change to any bit of them fails here, so
 # a change of the branch code that moves numbers must say so and re-record
 PRIMITIVE_DIGESTS = {
-    ("pm", 1.0): "45c9d705d9962b9f11a0b53923e7821dbb2a0b621927bfbed39d0886cd77ffa5",
-    ("pm", 2.0): "c1fab8b550fa49cf1c70e7f524b9bae73757dbbe75106afa3f89363b79078c20",
-    ("lsv", 0.5): "0a9ec1f886c30ca50a83d6fa4a71c4d8ae4dde947833d39b81d68033cdb5bbb7",
-    ("lsv", 2.0): "bc1e33948590f8fd3e2c451449b59c0f00a11895fec66741153a3b7953def71b",
+    ("pm", 1.0): "e035d9067cddcb4715b6ce0cafb2a4da7ad5af6a721a7f355b5aed1a9836f827",
+    ("pm", 2.0): "41ffd42b21c93ddee0c740a936c06a337b832b1dc64b83e41e28cb243a0207d2",
+    ("lsv", 0.5): "5f7abae3a3efb83bb5cf3ad40484eaf51b6859992ec2052e02e4f3bbc6a367ec",
+    ("lsv", 2.0): "71572c5dd4f901e1cc2d55ce733cf54186a8bd57e7af1aa23fafe0d5a9c21893",
     ("farey", 1.0): "d039cc38c152e682b8af0f6e293ec90e6463e643bf04ce223fccf02db29e3d51",
     ("pwl", 1.0): "05959820eca1d5c49a640f99dd72bf9ec0d24b6d1452a7c2bdfc7dcbbde4dead",
     ("pwl", 0.5): "d0d43667148b810b2be9a6ed05e459eaa60caeffb88d89d2fd1d4d5922a96576",

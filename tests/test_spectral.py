@@ -256,10 +256,10 @@ def test_mass_check_builds_the_pieces_once(monkeypatch):
     pieces = operators.induced_branch_matrices(sys, grid)
     check = invariant_mass(sys, leading_eigen(combine_branch_matrices(sys, grid, pieces)))
     # the values a second build of the pieces gave, bit for bit
-    assert tuple(check) == (1.5283892675874908, 1.52838942049829, 1.5291079913382077e-07)
+    assert tuple(check) == (1.52838926758709, 1.5283894204979052, 1.5291081512103233e-07)
     solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, 0.97))
     assert solve.z == 0.97 and all(a is b for a, b in zip(solve.pieces, pieces, strict=True))
-    assert cylinder_masses(sys, solve).tolist() == [0.6136324108638745, 0.2606863558863826, 0.1256812332497428]
+    assert cylinder_masses(sys, solve).tolist() == [0.6136324108641936, 0.26068635588617395, 0.12568123324963248]
     assert builds == [grid]
 
     # a triple whose matrix carries no pieces builds them at z = 1
