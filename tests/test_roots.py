@@ -73,7 +73,7 @@ def test_left_inverse_iterates_only_open_points(evaluated):
     nodes = markov_grid(m, 25, 4096).nodes
     evaluated.clear()
     x = maps.left_inverse(m, nodes)
-    assert len(evaluated) <= 8  # as many as an interior target takes; bisecting y = 1 took 47
+    assert len(evaluated) <= 8  # no more than an interior target takes
     assert sum(evaluated) <= 19_347  # measured
     assert np.max(np.abs(x + np.sqrt(2.0) * x**1.5 - nodes)) <= 1e-13
 
