@@ -16,7 +16,9 @@ Three methods produce escape rates of the original map:
     derivative is the mean return time of the cylinder masses at t; the
     iterates fall onto the root from above, so a rate costs a handful of
     dense eigen solves.  Induced reports carry the node count, the gap to
-    the half-degree rate, and the solver counts in their JSON diagnostics.
+    the half-degree rate, the solver counts, and how many branches the walk
+    took by root solves (``walked_branches``) and how many from the Fatou
+    coordinate (``fatou_branches``) in their JSON diagnostics.
     Piecewise-linear maps take their closed form instead, and the Markov-grid
     discretization stays as the private reference :func:`_grid_analysis`.
     Each of the three routes supplies only its z = 1 leading data and its
@@ -48,7 +50,7 @@ from .exceptions import (
     ConvergenceError, DomainError, EscapeError, InsufficientRangeError, MonotonicityError, NormalizationError,
 )
 from .induced import build_induced
-from .maps import Hole, MapSpec, return_time
+from .maps import Hole, MapSpec, _walked_branches, return_time
 from .operators import (
     assemble_ulam_open,
     combine_branch_matrices,
@@ -368,6 +370,7 @@ def compute_escape(
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
         ia = induced_analysis(m, hole.index)
         edge = hole.edge(m)  # read after the walk, which grows the chain on its way
+        walked = _walked_branches(m, hole.index)
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             ia.eigenvalue, ia.gamma_induced, ia.mean_return, ia.gamma, ia.grid_size, ia.eigen_residual
         )
@@ -377,6 +380,8 @@ def compute_escape(
             "eigen_iterations": ia.eigen_iterations,
             "collocation_nodes": ia.collocation_nodes,
             "error_estimate": ia.error_estimate,
+            "walked_branches": walked,
+            "fatou_branches": hole.index - walked,
         }
         if not ia.converged:
             diagnostics["converged"] = False

@@ -59,8 +59,10 @@ def branch_walk(sys: InducedOpenSystem, x):
     The map's family object walks its inverse branches: the closed-form Gauss
     branches 1/(n + x) for the Farey map, affine branches of slope p_n for
     piecewise-linear maps, and for the smooth families one left-inverse root
-    solve per step, accumulating the log weight along the way.  A smooth walk
-    also carries the chain a_1..a_N as one more point and publishes it.
+    solve per step down to branch k0, accumulating the log weight along the
+    way, then every deeper branch from the Fatou coordinate of the parabolic
+    point in one vector evaluation (see :mod:`.maps`).  A smooth walk also
+    carries the chain a_1..a_k0 as one more point and publishes a_0..a_N.
     """
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):

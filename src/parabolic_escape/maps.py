@@ -13,7 +13,12 @@ indifferent fixed point at the origin, each by one private class:
 branches ``left``/``right``, their absolute derivatives ``dleft``/``dright``,
 the local inverses ``inv_left``/``inv_right``, and ``walk(m, x, N)``, which
 yields (zeta_n(x), log|zeta_n'(x)|) for n = 1..N down the inverse-branch chain
-of m.  pm and lsv share ``_Smooth``: each step of its walk is a root solve.
+of m.  pm and lsv share ``_Smooth``: its walk takes a root solve per step
+down to the first branch k0 that lies deep enough in the parabolic basin,
+and yields every deeper branch from the Fatou coordinate of the fixed point
+(the Abel function Psi, with Psi(phi_0(x)**-s) = Psi(x**-s) + 1), in one
+vector evaluation.  The preimage chain a_n past k0 comes from the same
+function.
 
 Conventions: the left branch domain is the closed interval [0, a], so the map
 value at the branch cut is the left-branch value 1.  The level sets of the
@@ -29,13 +34,21 @@ from typing import Optional
 import numpy as np
 from scipy.special import zeta as _zeta
 
-from .exceptions import DomainError, ReturnTimeOverflowError
+from .exceptions import ConvergenceError, DomainError, ReturnTimeOverflowError
 from .roots import solve_monotone
 
 DEFAULT_RETURN_TIME_CAP = 1_000_000
 #: cap on the cell lookups of the pwl branches, which are defined at every
 #: x > 0: far past any return time, at the last integer a float holds exactly
 _CELL_LIMIT = 2 ** 53
+#: terms of the Abel series past its logarithm, and the share of the leading
+#: term below which its last term must fall on every branch it serves
+ABEL_TERMS = 24
+ABEL_CUTOFF = 1e-17
+#: Newton steps allowed to one inversion of the Abel function (three suffice)
+_ABEL_MAXITER = 50
+#: points per block of the vector Abel-function evaluation of a walk
+_FATOU_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +220,14 @@ def default_pwl_weights(s: float) -> Weights:
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """Branches of one family on [0, cut] and (cut, 1]; see the module docstring."""
+    """Branches of one family on [0, cut] and (cut, 1]; see the module docstring.
+
+    ``fatou_edge``: a branch n whose interval top a_{n-1} lies at or below it
+    is deep enough for the Abel series; 0 for the families that have none.
+    """
 
     weights = None
+    fatou_edge = 0.0
 
     def __init__(self, s: float, weights: Optional[Weights]):
         if weights is not None:
@@ -217,8 +235,54 @@ class _Family:
         self.s = s
 
 
+def _horner(coefficients, w):
+    """sum_k coefficients[k-1] w**k, k = 1..len(coefficients), elementwise."""
+    acc = np.full_like(w, coefficients[-1])
+    for g in coefficients[-2::-1]:
+        acc *= w
+        acc += g
+    acc *= w
+    return acc
+
+
 class _Smooth(_Family):
+    """x + c x**(1+s) on [0, cut], with the Abel function of that branch.
+
+    In u = x**-s the left branch is u -> u (1 + c/u)**-s = u - cs + O(1/u),
+    and its Abel function Psi(u) = u/(cs) + beta log u + sum_k gamma_k u**-k
+    (the Fatou coordinate of the parabolic point; Milnor, Dynamics in One
+    Complex Variable, section 10) turns every left inverse into the unit
+    translation Psi -> Psi + 1.  beta = (1+s)/(2s) and the gamma_k follow
+    order by order in 1/u; the series is asymptotic, so it serves a branch
+    only where its last term is below ``ABEL_CUTOFF`` of the leading one.
+    """
+
     c = 1.0  # left branch x + c x**(1+s)
+
+    def __init__(self, s: float, weights: Optional[Weights]):
+        super().__init__(s, weights)
+        K, c = ABEL_TERMS, self.c
+        cs = c * s
+        # T[r][j] = binom(a_r, j) c**j for a = -s, s, 2s, ..., (K-1)s
+        a = np.concatenate([[-s], s * np.arange(1.0, K)])
+        j = np.arange(1.0, K + 3)
+        T = np.cumprod((a[:, None] - j + 1.0) * c / j, axis=1).tolist()
+        beta = (1.0 + s) / (2.0 * s)
+        gamma = [0.0] * (K + 1)  # gamma[k] for k = 1..K
+        # Psi(F(u)) - Psi(u) = -1 order by order in w = 1/u: the w**m terms of
+        # F(u)/(cs), beta log(F(u)/u) and gamma_k F(u)**-k, with F(u)/u =
+        # (1 + cw)**-s, cancel for each m >= 1; m = 1 gives beta, and each
+        # m >= 2 is linear in gamma_{m-1}, whose term is (m-1) cs gamma_{m-1} w**m
+        for m in range(2, K + 2):
+            rest = T[0][m] / cs - s * beta * (-1.0) ** (m + 1) * c**m / m
+            rest += sum(gamma[k] * T[k][m - k - 1] for k in range(1, m - 1))
+            gamma[m - 1] = -rest / ((m - 1) * cs)
+        self._cs, self._beta = cs, beta
+        self._gamma = np.array(gamma[1:])
+        self._kgamma = np.arange(1.0, K + 1) * self._gamma
+        # the last term falls below ABEL_CUTOFF of u/(cs) for u > u_edge
+        log_u_edge = np.log(abs(gamma[K]) * cs / ABEL_CUTOFF) / (K + 1)
+        self.fatou_edge = float(np.exp(-log_u_edge / s))
 
     def left(self, x):
         return x + self.c * x ** (1.0 + self.s)
@@ -229,23 +293,88 @@ class _Smooth(_Family):
     def inv_left(self, y):
         return solve_monotone(self.left, self.dleft, np.zeros_like(y), np.minimum(y, self.cut), y=y)
 
+    def _psi(self, u):
+        """Psi(u), with Psi(phi_0(x)**-s) = Psi(x**-s) + 1."""
+        return u / self._cs + self._beta * np.log(u) + _horner(self._gamma, 1.0 / u)
+
+    def _dpsi(self, u):
+        """Psi'(u)."""
+        w = 1.0 / u
+        return 1.0 / self._cs + (self._beta - _horner(self._kgamma, w)) * w
+
+    def _psi_inv(self, v):
+        """u with Psi(u) = v, elementwise: Newton from u = cs (v - beta log(cs v)).
+
+        Psi is increasing and concave, so past the first step the iterates
+        rise onto the root.  On the range of the series Psi'' u / (2 Psi')
+        stays below 0.1, so the step after one of relative size 1e-8 would
+        be below 1e-17 relative: a point stops there, and depends on no
+        other point.
+        """
+        u = self._cs * (v - self._beta * np.log(self._cs * v))
+        flat, target = u.reshape(-1), np.ravel(v)
+        at = np.arange(flat.size)
+        for _ in range(_ABEL_MAXITER):
+            u_at = flat[at]
+            step = (self._psi(u_at) - target[at]) / self._dpsi(u_at)
+            flat[at] = u_at - step
+            at = at[np.abs(step) > 1e-8 * u_at]
+            if at.size == 0:
+                return u
+        raise ConvergenceError(f"Abel function inversion did not settle in {_ABEL_MAXITER} steps")
+
+    def _deep_chain(self, chain, stop: int) -> np.ndarray:
+        """a_n for n = len(chain), ..., stop - 1 from a_k0, the chain's
+        first point whose branch k0 the Abel series serves."""
+        k0 = int(np.count_nonzero(chain > self.fatou_edge)) + 1
+        base = self._psi(chain[k0:k0 + 1] ** -self.s)
+        return self._psi_inv(base + np.arange(len(chain) - k0, stop - k0)) ** (-1.0 / self.s)
+
     def walk(self, m, x, N):
-        # zeta_n = phi_0(zeta_{n-1}) through the public inverses: N branches
-        # cost N - 1 root solves, and the error stays linear in n.  The chain
-        # rides along as one more point from the exact a_1 = cut (pm's
-        # phi_1(0) is some ulps off) and is published before branch N
+        # branches 1..k0 through the public inverses, one root solve a step
+        # with the error linear in n; the chain rides along as one more point
+        # from the exact a_1 = cut and is published once the walk has it
         y = right_inverse(m, x)
         logw = -np.log(self.dright(np.asarray(y, float)))
         yield y, logw
         chain = [1.0, self.cut]
-        for _ in range(N - 1):
+        while len(chain) <= N and chain[-2] > self.fatou_edge:
             lane = left_inverse(m, np.append(y, chain[-1]))
             y = lane[:-1].reshape(np.shape(x)) if np.ndim(x) else float(lane[0])
             chain.append(float(lane[-1]))
-            if len(chain) > N:
+            if len(chain) > N or chain[-2] <= self.fatou_edge:
                 _publish_chain(m, chain)  # a no-op on a map holding a longer chain
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
+        if len(chain) <= N:
+            yield from self._fatou_walk(_preimage_chain(m, N), np.shape(x), y, logw, len(chain) - 1, N)
+
+    def _fatou_walk(self, chain, shape, y, logw, k0, N):
+        """Branches k0+1..N from branch k0 by the Abel function, in row blocks:
+
+            U_n = Psi^-1(Psi(U_k0) + n - k0),   zeta_n = U_n**(-1/s),
+            log|zeta_n'| = log|zeta_k0'| + (1+s) log(zeta_n/zeta_k0)
+                           + log(Psi'(U_k0)/Psi'(U_n)).
+
+        A point on the chain stays on it: where zeta_k0 is a_{k0-1} (x = 1)
+        or a_k0 (x = 0), zeta_n is a_{n-1} or a_n itself, so the branch
+        images meet a Markov grid's chain nodes exactly.
+        """
+        s = self.s
+        y0, lw0 = np.ravel(np.asarray(y, float)), np.ravel(logw)
+        u0 = y0 ** -s
+        phase, slope = self._psi(u0), self._dpsi(u0)
+        on_top, on_bottom = y0 == chain[k0 - 1], y0 == chain[k0]
+        rows = max(1, _FATOU_BLOCK // max(y0.size, 1))
+        for first in range(k0 + 1, N + 1, rows):
+            ns = np.arange(first, min(first + rows, N + 1))
+            U = self._psi_inv(phase + (ns - k0)[:, None])
+            Y = U ** (-1.0 / s)
+            L = lw0 + (1.0 + s) * np.log(Y / y0) + np.log(slope / self._dpsi(U))
+            Y[:, on_top] = chain[ns - 1, None]
+            Y[:, on_bottom] = chain[ns, None]
+            for y_n, lw_n in zip(Y, L):
+                yield (y_n.reshape(shape), lw_n.reshape(shape)) if shape else (float(y_n[0]), lw_n[0])
 
 
 class _PomeauManneville(_Smooth):
@@ -267,8 +396,8 @@ class _Lsv(_Smooth):
     cut = 0.5
 
     def __init__(self, s: float, weights: Optional[Weights]):
+        self.c = 2.0 ** s  # before the Abel series, which depends on it
         super().__init__(s, weights)
-        self.c = 2.0 ** s
 
     def right(self, x):
         return 2.0 * x - 1.0
@@ -518,20 +647,35 @@ def _publish_chain(m: MapSpec, values) -> np.ndarray:
 def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
     """The map's read-only chain a_0, a_1, ..., at least up to a_n.
 
+    One scalar step a_{j-1} -> a_j at a time (``left_inverse``, or the pwl
+    tail) down to a_k0, the top of the first branch the Abel series serves;
+    every deeper point in one vector evaluation from a_k0 (``_Smooth``).
     Growth runs under the map's (reentrant) lock and publishes a longer copy
     by :func:`_publish_chain`, as a pm or lsv branch walk does, bit for bit.
     """
     chain = m._chain
     if len(chain) > n:
         return chain
+    f = m.branches
     with m._chain_lock:
-        values = m._chain.tolist()
-        while len(values) <= n:
-            if m.family == "pwl":
-                values.append(float(m.weights.tail(len(values))))
-            else:
-                values.append(float(left_inverse(m, values[-1])))
-        return _publish_chain(m, values)
+        chain = m._chain
+        if len(chain) <= n and chain[-2] > f.fatou_edge:
+            values = chain.tolist()
+            while len(values) <= n and values[-2] > f.fatou_edge:
+                if m.family == "pwl":
+                    values.append(float(m.weights.tail(len(values))))
+                else:
+                    values.append(float(left_inverse(m, values[-1])))
+            chain = np.array(values)
+        if len(chain) <= n:
+            chain = np.concatenate([chain, f._deep_chain(chain, n + 1)])
+        return _publish_chain(m, chain)
+
+
+def _walked_branches(m: MapSpec, N: int) -> int:
+    """How many of the branches 1..N a walk takes one step at a time: k0 for
+    pm and lsv (the rest come from the Abel function), else all N."""
+    return min(N, int(np.count_nonzero(_preimage_chain(m, N) > m.branches.fatou_edge)) + 1)
 
 
 def preimage_sequence(m: MapSpec, N: int) -> PreimageSeq:
@@ -545,8 +689,9 @@ def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int
     """tau(x): the unique n with a_n < x <= a_{n-1}, for x in (0, 1].
 
     Implemented by binary search in the preimage chain (extending it on
-    demand), never by orbit iteration, so points near the indifferent fixed
-    point cost O(tau) root solves at worst and raise once tau exceeds ``cap``.
+    demand, by doubling), never by orbit iteration, so points near the
+    indifferent fixed point cost O(tau) work, no more than k0 root solves for
+    pm and lsv, and raise once tau exceeds ``cap``.
     """
     if not 0.0 < x <= 1.0:
         raise DomainError("return time defined for x in (0, 1]")

@@ -289,7 +289,8 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     intersected with cell_j, so every entry is computed in closed form from
     branch values at the grid nodes; no integration rule enters.  The node
     values come from one walk down the inverse-branch chain
-    (:func:`branch_walk`), so N pieces cost N - 1 left-inverse solves.  The
+    (:func:`branch_walk`), so N pieces of pm or lsv cost min(N, k0) - 1
+    left-inverse solves, plus one Abel-function evaluation past k0.  The
     full open operator at parameter z is sum_n z**n piece_n.
     """
     M = grid.n_cells

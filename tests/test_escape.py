@@ -24,7 +24,9 @@ from parabolic_escape.escape import (
     sandwich_bounds,
     sweep,
 )
-from parabolic_escape.exceptions import ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError
+from parabolic_escape.exceptions import (
+    ConvergenceError, DomainError, InsufficientRangeError, MonotonicityError, ReturnTimeOverflowError,
+)
 from parabolic_escape.induced import InducedOpenSystem, branch_weight_sums, build_induced
 from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, preimage_sequence
 from parabolic_escape.operators import Grid, pwl_exact_matrix
@@ -267,6 +269,14 @@ def test_sandwich_rejects_large_holes():
         sandwich_bounds(FAREY, 0.7)
 
 
+def test_sandwich_past_the_return_time_cap_raises():
+    # epsilon = 1e-4 lies in the cell of index about 1.25e7 on lsv s = 2, past
+    # the cap of 10^6; the chain grows to the cap by Abel-function evaluations
+    # past k0, not by 10^6 root solves
+    with pytest.raises(ReturnTimeOverflowError):
+        sandwich_bounds(MapSpec.lsv(2.0), 1e-4)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -325,6 +335,10 @@ def test_diagnostics_carry_solver_counts_in_json_only(monkeypatch):
     assert d["diagnostics"]["eigen_iterations"] == rep.diagnostics["eigen_iterations"]
     assert d["diagnostics"]["collocation_nodes"] == 33
     assert d["diagnostics"]["error_estimate"] == rep.diagnostics["error_estimate"]
+    # N = 4 lies above k0: every branch walked, none from the Fatou coordinate
+    assert (d["diagnostics"]["walked_branches"], d["diagnostics"]["fatou_branches"]) == (4, 0)
+    deep = compute_escape(LSV_HALF, Hole.markov(100), method="induced").to_dict()["diagnostics"]
+    assert (deep["walked_branches"], deep["fatou_branches"]) == (13, 87)
     # degrees too low to agree end at the last one with a flag, not a silent value
     monkeypatch.setattr(collocation, "DEGREES", (2, 4))
     coarse = compute_escape(LSV_HALF, Hole.markov(4), method="induced")
@@ -463,8 +477,12 @@ def test_newton_solver_stops_and_fails_loudly():
 
 # sha256 of report_digest(): a change to any bit of a report, of its CSV row
 # or of an InducedAnalysis fails here, so a change that moves numbers must say
-# so and re-record
-REPORTS_DIGEST = "9a25857b34f9fe83b93a71730f873290a20aa4f4d4443708246a7d0f38cfb979"
+# so and re-record.  Re-recorded when induced reports gained walked_branches
+# and fatou_branches and the pm and lsv reports at N = 100 took their
+# branches past k0 from the Abel function (a_N now the 40-digit value
+# rounded; gamma moved by at most 6e-12 relative, at the floor of the
+# eigenvalue form)
+REPORTS_DIGEST = "90e06e5983e737c176180443ba28a9535e9883668983488d881070d64a44cae8"
 
 PINNED_MAPS = (
     MapSpec("pm", 1.0),

@@ -146,7 +146,11 @@ def test_markov_rate_on_a_fresh_map_walks_the_chain_once(monkeypatch, family, s)
 
     monkeypatch.setattr(maps, "left_inverse", counting)
     report = compute_escape(MapSpec(family, s), Hole.markov(100), method="induced")
-    assert len(calls) == 99  # a scalar chain before the walk would take 99 more
+    k0 = report.diagnostics["walked_branches"]
+    # root solves down to branch k0 only, and a scalar chain before the walk
+    # would take k0 - 1 more; the other branches come from the Abel function
+    assert len(calls) == k0 - 1
+    assert report.diagnostics["fatou_branches"] == 100 - k0 > 0
     assert report.hole_edge == preimage_sequence(MapSpec(family, s), 100)[100]
 
 

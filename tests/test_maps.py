@@ -428,16 +428,142 @@ def test_pwl_weights_must_have_the_declared_exponent():
 
 
 # ---------------------------------------------------------------------------
+# past k0: the chain and the branches from the Fatou coordinate, at 40 digits
+# ---------------------------------------------------------------------------
+
+def _left_branch_mp(mp, family, s):
+    """x + c x^(1+s) and its derivative at the working precision of mp."""
+    s_mp = mp.mpf(s)
+    c = mp.mpf(2) ** s_mp if family == "lsv" else mp.mpf(1)
+    return (lambda x: x + c * x ** (1 + s_mp)), (lambda x: 1 + c * (1 + s_mp) * x**s_mp)
+
+
+@pytest.mark.parametrize("family,s", [("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0)])
+def test_preimage_chain_is_exact_to_ten_thousand(family, s):
+    # a_n ~ n^(-1/s) for n <= 10^4 against a_n = phi_0(a_{n-1}) at 40 digits;
+    # past k0 the chain comes from a_k0 by the Abel function, so the ulp-level
+    # errors of a root solve per step no longer add up along it
+    mp = pytest.importorskip("mpmath")
+    chain = preimage_sequence(MapSpec(family, s), 10_000).values
+    worst = 0.0
+    with mp.workdps(40):
+        f, df = _left_branch_mp(mp, family, s)
+        a = mp.mpf(1)
+        for n in range(1, len(chain)):
+            x = mp.mpf(float(chain[n]))
+            for _ in range(3):  # Newton from the float value: 1e-13 -> 1e-52 relative at most
+                x -= (f(x) - a) / df(x)
+            a = x  # a_1 = phi_0(1) is the cut of both families
+            worst = max(worst, float(abs(mp.mpf(float(chain[n])) - a) / a))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("family,s", [("lsv", 0.25), ("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0)])
+def test_fatou_branches_match_composed_inverses(family, s):
+    # zeta_n and log|zeta_n'| at n = k0 + 1, 2 k0 and 100, on five Lobatto
+    # nodes, against phi_1 and n - 1 steps of phi_0 composed at 40 digits
+    mp = pytest.importorskip("mpmath")
+    m = MapSpec(family, s)
+    k0 = maps._walked_branches(m, 100)
+    ns = {k0 + 1, 2 * k0, 100}
+    xs = lobatto_nodes(64)[[0, 1, 32, 63, 64]]
+    walk = list(branch_walk(build_induced(m, 100), xs))
+    worst_y = worst_lw = 0.0
+    with mp.workdps(40):
+        f, df = _left_branch_mp(mp, family, s)
+        s_mp = mp.mpf(s)
+        for i, x in enumerate(xs):
+            x = mp.mpf(float(x))
+            if family == "lsv":
+                y, lw = (x + 1) / 2, -mp.log(2)
+            else:
+                y = mp.findroot(lambda z: z + z ** (1 + s_mp) - 1 - x, 0.8)
+                lw = -mp.log(1 + (1 + s_mp) * y**s_mp)
+            for n in range(2, 101):
+                target = y
+                for _ in range(60):  # Newton from the previous point, above the root
+                    step = (f(y) - target) / df(y)
+                    y -= step
+                    if step <= mp.mpf(10) ** -38 * y:
+                        break
+                lw -= mp.log(df(y))
+                if n in ns:
+                    y_n, lw_n = walk[n - 1][0][i], walk[n - 1][1][i]
+                    worst_y = max(worst_y, float(abs(mp.mpf(float(y_n)) - y) / y))
+                    worst_lw = max(worst_lw, float(abs(mp.mpf(float(lw_n)) - lw)))
+    assert k0 < 50
+    assert worst_y <= 1e-14
+    assert worst_lw <= 1e-13
+
+
+@pytest.mark.parametrize("family,s", [("lsv", 0.25), ("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0), ("pm", 2.0)])
+def test_abel_function_conjugates_the_left_branch_to_a_unit_step(family, s):
+    # Psi(F(u)) = Psi(u) - 1 for u = x^-s and F(u) = f(x)^-s, from the edge
+    # of the series out to u = 1e8: the series at 40 digits with the float
+    # coefficients, and its float evaluation to rounding
+    mp = pytest.importorskip("mpmath")
+    branches = MapSpec(family, s).branches
+    us = np.geomspace(branches.fatou_edge ** -s, 1e8, 40)
+    images = []
+    worst = 0.0
+    with mp.workdps(40):
+        f, _ = _left_branch_mp(mp, family, s)
+
+        def psi(u):
+            series = sum(mp.mpf(g) * u ** -(k + 1) for k, g in enumerate(branches._gamma))
+            return u / mp.mpf(branches._cs) + mp.mpf(branches._beta) * mp.log(u) + series
+
+        for u in us:
+            u = mp.mpf(u)
+            image = f(u ** (-1 / mp.mpf(s))) ** -mp.mpf(s)
+            worst = max(worst, float(abs(psi(image) - psi(u) + 1)))
+            images.append(float(image))
+    assert worst <= 1e-15
+    step = branches._psi(np.array(images)) - branches._psi(us)
+    assert np.all(np.abs(step + 1.0) <= 4 * np.finfo(float).eps * branches._psi(us))
+
+
+@pytest.mark.parametrize("family,s,k0", [("lsv", 0.1, 37), ("lsv", 0.5, 13), ("lsv", 2.0, 11), ("pm", 1.0, 10)])
+def test_k0_is_the_first_branch_the_series_serves(family, s, k0):
+    # the last Abel term is below ABEL_CUTOFF of the leading one at the top
+    # u = a_{k0-1}^-s of branch k0, and not yet at the top of branch k0 - 1
+    m = MapSpec(family, s)
+    f = m.branches
+    assert maps._walked_branches(m, 1000) == k0
+    a = preimage_sequence(m, k0).values
+
+    def last_over_leading(x):
+        u = x ** -s
+        return abs(f._gamma[-1]) * u ** -maps.ABEL_TERMS / (u / f._cs)
+
+    assert last_over_leading(a[k0 - 1]) < maps.ABEL_CUTOFF <= last_over_leading(a[k0 - 2])
+    assert maps._walked_branches(m, 5) == 5  # shallower holes are walked whole
+
+
+def test_chain_grown_in_pieces_is_the_chain_grown_at_once():
+    # each point of the Abel-function chain depends on a_k0 and its index only
+    at_once = preimage_sequence(MapSpec.lsv(2.0), 3000).values
+    m = MapSpec.lsv(2.0)
+    for n in (5, 11, 12, 40, 1000, 3000):
+        preimage_sequence(m, n)
+    assert preimage_sequence(m, 3000).values.tobytes() == at_once.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # bitwise pins of the branch primitives
 # ---------------------------------------------------------------------------
 
 # sha256 of the primitives below: a change to any bit of them fails here, so
-# a change of the branch code that moves numbers must say so and re-record
+# a change of the branch code that moves numbers must say so and re-record.
+# pm and lsv were re-recorded when the chain and the branches past k0 came
+# from the Abel function: against 40 digits the chain to a_300 went from
+# 1.2e-14..1.9e-14 to 7e-16 relative, the log weights to N = 40 from
+# 6.5e-15 to 4.9e-15 absolute
 PRIMITIVE_DIGESTS = {
-    ("pm", 1.0): "e035d9067cddcb4715b6ce0cafb2a4da7ad5af6a721a7f355b5aed1a9836f827",
-    ("pm", 2.0): "41ffd42b21c93ddee0c740a936c06a337b832b1dc64b83e41e28cb243a0207d2",
-    ("lsv", 0.5): "5f7abae3a3efb83bb5cf3ad40484eaf51b6859992ec2052e02e4f3bbc6a367ec",
-    ("lsv", 2.0): "71572c5dd4f901e1cc2d55ce733cf54186a8bd57e7af1aa23fafe0d5a9c21893",
+    ("pm", 1.0): "815220a00b5e7d4933262f05ce3cf78deeec6d8c218851b695239432d4104f1f",
+    ("pm", 2.0): "997845d40f70d23c5beecd5b908a56f6746d31f75e1afe61310be4569293c049",
+    ("lsv", 0.5): "de3186da267cc1a96afb7f657fadb1037a407dd33741d7b1abfc3d1cec2c01a4",
+    ("lsv", 2.0): "260bc92625fce05581726a99374aea0e4c923ed4480fae75cc83ab9cb03852eb",
     ("farey", 1.0): "d039cc38c152e682b8af0f6e293ec90e6463e643bf04ce223fccf02db29e3d51",
     ("pwl", 1.0): "05959820eca1d5c49a640f99dd72bf9ec0d24b6d1452a7c2bdfc7dcbbde4dead",
     ("pwl", 0.5): "d0d43667148b810b2be9a6ed05e459eaa60caeffb88d89d2fd1d4d5922a96576",

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from parabolic_escape import maps, operators
 from parabolic_escape.exceptions import DomainError
-from parabolic_escape.induced import build_induced
+from parabolic_escape.induced import branch_walk, build_induced
 from parabolic_escape.maps import MapSpec, preimage_sequence
 from parabolic_escape.operators import (
     Grid,
@@ -220,7 +220,10 @@ def test_assemble_ulam_requires_node():
 
 def _reference_branch_nodes(m, n, x):
     """zeta_n(x) built from scratch for one n: the closed forms for farey and
-    pwl, otherwise phi_1 followed by n - 1 applications of phi_0."""
+    pwl, otherwise phi_1 followed by n - 1 applications of phi_0, with the
+    Markov ends zeta_n(0) = a_n and zeta_n(1) = a_{n-1} taken from the chain
+    by definition (past k0 the chain comes from the Abel function, a few
+    ulps from the composed inverses)."""
     if m.family == "farey":
         return 1.0 / (n + x)
     if m.family == "pwl":
@@ -229,7 +232,8 @@ def _reference_branch_nodes(m, n, x):
     y = maps.right_inverse(m, x)
     for _ in range(n - 1):
         y = maps.left_inverse(m, y)
-    return np.asarray(y, float)
+    a = preimage_sequence(m, n).values
+    return np.where(x == 0.0, a[n], np.where(x == 1.0, a[n - 1], y))
 
 
 @pytest.mark.parametrize("m", [PM_ONE, LSV_HALF, FAREY, PWL_ONE], ids=lambda m: m.family)
@@ -240,13 +244,25 @@ def test_branch_pieces_match_per_branch_reference(m):
     nodes, widths, M = grid.nodes, grid.widths, grid.n_cells
     pieces = induced_branch_matrices(sys, grid)
     assert len(pieces) == N
+    walked = [np.asarray(y, float) for y, _ in branch_walk(sys, nodes)]
+    k0 = maps._walked_branches(m, N)
     for n, piece in enumerate(pieces, start=1):
         u = _reference_branch_nodes(m, n, nodes)
-        cells, rows, overlap = interval_cell_overlaps(nodes, np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:]))
+        lo, hi = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
+        cells, rows, overlap = interval_cell_overlaps(nodes, lo, hi)
         ref = sp.coo_matrix((overlap / widths[rows], (rows, cells)), shape=(M, M)).tocsr()
         assert np.array_equal(piece.indptr, ref.indptr)
         assert np.array_equal(piece.indices, ref.indices)
-        assert piece.data.tobytes() == ref.data.tobytes()
+        if n <= k0:
+            assert piece.data.tobytes() == ref.data.tobytes()
+            continue
+        # past k0 a smooth walk reads its branches from the Abel function, not
+        # from the composed inverses: the images agree to 1e-14 relative, and
+        # each entry, an overlap of images over its row's cell width, by as
+        # much as that moves the two image ends of its row
+        assert np.all(np.abs(walked[n - 1] - u) <= 1e-14 * u)
+        row = np.repeat(np.arange(M), np.diff(ref.indptr))
+        assert np.all(np.abs(piece.data - ref.data) <= 1e-14 * (lo + hi)[row] / widths[row])
 
 
 def test_branch_pieces_walk_the_chain_once(monkeypatch):
@@ -262,7 +278,9 @@ def test_branch_pieces_walk_the_chain_once(monkeypatch):
 
     monkeypatch.setattr(maps, "left_inverse", counting)
     induced_branch_matrices(sys, grid)
-    assert len(calls) == N - 1  # rebuilding each branch from scratch takes N(N-1)/2
+    # root solves down to branch k0 = 13, the rest from the Abel function;
+    # rebuilding each branch from scratch takes N(N-1)/2
+    assert len(calls) == maps._walked_branches(LSV_HALF, N) - 1 == 12
 
 
 def test_combined_matrix_is_the_sequential_sum():
