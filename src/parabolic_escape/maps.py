@@ -220,14 +220,9 @@ def default_pwl_weights(s: float) -> Weights:
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """Branches of one family on [0, cut] and (cut, 1]; see the module docstring.
-
-    ``fatou_edge``: a branch n whose interval top a_{n-1} lies at or below it
-    is deep enough for the Abel series; 0 for the families that have none.
-    """
+    """Branches of one family on [0, cut] and (cut, 1]; see the module docstring."""
 
     weights = None
-    fatou_edge = 0.0
 
     def __init__(self, s: float, weights: Optional[Weights]):
         if weights is not None:
@@ -293,42 +288,53 @@ class _Smooth(_Family):
     def inv_left(self, y):
         return solve_monotone(self.left, self.dleft, np.zeros_like(y), np.minimum(y, self.cut), y=y)
 
-    def _psi(self, u):
-        """Psi(u), with Psi(phi_0(x)**-s) = Psi(x**-s) + 1."""
-        return u / self._cs + self._beta * np.log(u) + _horner(self._gamma, 1.0 / u)
-
     def _dpsi(self, u):
         """Psi'(u)."""
         w = 1.0 / u
         return 1.0 / self._cs + (self._beta - _horner(self._kgamma, w)) * w
 
-    def _psi_inv(self, v):
-        """u with Psi(u) = v, elementwise: Newton from u = cs (v - beta log(cs v)).
+    def _psi_step(self, u0, t):
+        """d with Psi(u0 + d) = Psi(u0) + t for u0 and t broadcast together,
+        as a flat array.
 
+        Psi^-1(Psi(u0) + t) = u0 + d, solved for the step d by Newton from
+        d = cs (t - beta log(1 + cs t / u0)).  Taking the difference of Psi
+        term by term, d/(cs) + beta log(1 + d/u0) + the series at u0 + d
+        less that at u0, keeps its rounding to that of t, not of Psi(u0).
         Psi is increasing and concave, so past the first step the iterates
         rise onto the root.  On the range of the series Psi'' u / (2 Psi')
         stays below 0.1, so the step after one of relative size 1e-8 would
         be below 1e-17 relative: a point stops there, and depends on no
         other point.
         """
-        u = self._cs * (v - self._beta * np.log(self._cs * v))
-        flat, target = u.reshape(-1), np.ravel(v)
-        at = np.arange(flat.size)
+        cs, beta = self._cs, self._beta
+        series0 = _horner(self._gamma, 1.0 / u0)
+        u0, t, series0 = (np.ravel(a) for a in np.broadcast_arrays(u0, t, series0))
+        d = cs * (t - beta * np.log1p(cs * t / u0))
+        at = np.arange(d.size)
         for _ in range(_ABEL_MAXITER):
-            u_at = flat[at]
-            step = (self._psi(u_at) - target[at]) / self._dpsi(u_at)
-            flat[at] = u_at - step
-            at = at[np.abs(step) > 1e-8 * u_at]
+            d_at, u0_at = d[at], u0[at]
+            u = u0_at + d_at
+            gap = d_at / cs + beta * np.log1p(d_at / u0_at) + (_horner(self._gamma, 1.0 / u) - series0[at]) - t[at]
+            step = gap / self._dpsi(u)
+            d[at] = d_at - step
+            at = at[np.abs(step) > 1e-8 * d_at]
             if at.size == 0:
-                return u
+                return d
         raise ConvergenceError(f"Abel function inversion did not settle in {_ABEL_MAXITER} steps")
 
+    def _k0(self, chain) -> int:
+        """k0 for a chain a_0, a_1, ...: the first branch n whose interval top
+        a_{n-1} lies where the last term of the Abel series is below
+        ``ABEL_CUTOFF`` of the leading one, or len(chain) + 1 while the chain
+        is too short to tell."""
+        return int(np.count_nonzero(np.asarray(chain) > self.fatou_edge)) + 1
+
     def _deep_chain(self, chain, stop: int) -> np.ndarray:
-        """a_n for n = len(chain), ..., stop - 1 from a_k0, the chain's
-        first point whose branch k0 the Abel series serves."""
-        k0 = int(np.count_nonzero(chain > self.fatou_edge)) + 1
-        base = self._psi(chain[k0:k0 + 1] ** -self.s)
-        return self._psi_inv(base + np.arange(len(chain) - k0, stop - k0)) ** (-1.0 / self.s)
+        """a_n for n = len(chain), ..., stop - 1 from a_k0, which the chain holds."""
+        k0 = self._k0(chain)
+        u0 = chain[k0] ** -self.s
+        return (u0 + self._psi_step(u0, np.arange(len(chain) - k0, stop - k0, dtype=float))) ** (-1.0 / self.s)
 
     def walk(self, m, x, N):
         # branches 1..k0 through the public inverses, one root solve a step
@@ -338,11 +344,11 @@ class _Smooth(_Family):
         logw = -np.log(self.dright(np.asarray(y, float)))
         yield y, logw
         chain = [1.0, self.cut]
-        while len(chain) <= N and chain[-2] > self.fatou_edge:
+        while len(chain) <= min(N, self._k0(chain)):
             lane = left_inverse(m, np.append(y, chain[-1]))
             y = lane[:-1].reshape(np.shape(x)) if np.ndim(x) else float(lane[0])
             chain.append(float(lane[-1]))
-            if len(chain) > N or chain[-2] <= self.fatou_edge:
+            if len(chain) > min(N, self._k0(chain)):
                 _publish_chain(m, chain)  # a no-op on a map holding a longer chain
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
@@ -354,23 +360,25 @@ class _Smooth(_Family):
 
             U_n = Psi^-1(Psi(U_k0) + n - k0),   zeta_n = U_n**(-1/s),
             log|zeta_n'| = log|zeta_k0'| + (1+s) log(zeta_n/zeta_k0)
-                           + log(Psi'(U_k0)/Psi'(U_n)).
+                           + log(Psi'(U_k0)/Psi'(U_n)),
 
-        A point on the chain stays on it: where zeta_k0 is a_{k0-1} (x = 1)
-        or a_k0 (x = 0), zeta_n is a_{n-1} or a_n itself, so the branch
-        images meet a Markov grid's chain nodes exactly.
+        with U_n - U_k0 from :meth:`_psi_step`.  A point on the chain stays
+        on it: where zeta_k0 is a_{k0-1} (x = 1) or a_k0 (x = 0), zeta_n is
+        a_{n-1} or a_n itself, so the branch images meet a Markov grid's
+        chain nodes exactly.
         """
         s = self.s
         y0, lw0 = np.ravel(np.asarray(y, float)), np.ravel(logw)
         u0 = y0 ** -s
-        phase, slope = self._psi(u0), self._dpsi(u0)
+        slope = self._dpsi(u0)
         on_top, on_bottom = y0 == chain[k0 - 1], y0 == chain[k0]
         rows = max(1, _FATOU_BLOCK // max(y0.size, 1))
         for first in range(k0 + 1, N + 1, rows):
             ns = np.arange(first, min(first + rows, N + 1))
-            U = self._psi_inv(phase + (ns - k0)[:, None])
+            D = self._psi_step(u0, (ns - k0)[:, None].astype(float)).reshape(len(ns), y0.size)
+            U = u0 + D
             Y = U ** (-1.0 / s)
-            L = lw0 + (1.0 + s) * np.log(Y / y0) + np.log(slope / self._dpsi(U))
+            L = lw0 - (1.0 + s) / s * np.log1p(D / u0) + np.log(slope / self._dpsi(U))
             Y[:, on_top] = chain[ns - 1, None]
             Y[:, on_bottom] = chain[ns, None]
             for y_n, lw_n in zip(Y, L):
@@ -648,8 +656,9 @@ def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
     """The map's read-only chain a_0, a_1, ..., at least up to a_n.
 
     One scalar step a_{j-1} -> a_j at a time (``left_inverse``, or the pwl
-    tail) down to a_k0, the top of the first branch the Abel series serves;
-    every deeper point in one vector evaluation from a_k0 (``_Smooth``).
+    tail); for pm and lsv only down to a_k0, the bottom of the first branch
+    the Abel series serves, and every deeper point in one vector evaluation
+    from a_k0 (``_Smooth._deep_chain``).
     Growth runs under the map's (reentrant) lock and publishes a longer copy
     by :func:`_publish_chain`, as a pm or lsv branch walk does, bit for bit.
     """
@@ -659,14 +668,16 @@ def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
     f = m.branches
     with m._chain_lock:
         chain = m._chain
-        if len(chain) <= n and chain[-2] > f.fatou_edge:
+        if not isinstance(f, _Smooth):
             values = chain.tolist()
-            while len(values) <= n and values[-2] > f.fatou_edge:
+            while len(values) <= n:
                 if m.family == "pwl":
                     values.append(float(m.weights.tail(len(values))))
                 else:
                     values.append(float(left_inverse(m, values[-1])))
-            chain = np.array(values)
+            return _publish_chain(m, values)
+        while len(chain) <= min(n, f._k0(chain)):
+            chain = np.append(chain, float(left_inverse(m, chain[-1])))
         if len(chain) <= n:
             chain = np.concatenate([chain, f._deep_chain(chain, n + 1)])
         return _publish_chain(m, chain)
@@ -675,7 +686,8 @@ def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
 def _walked_branches(m: MapSpec, N: int) -> int:
     """How many of the branches 1..N a walk takes one step at a time: k0 for
     pm and lsv (the rest come from the Abel function), else all N."""
-    return min(N, int(np.count_nonzero(_preimage_chain(m, N) > m.branches.fatou_edge)) + 1)
+    f = m.branches
+    return min(N, f._k0(_preimage_chain(m, N))) if isinstance(f, _Smooth) else N
 
 
 def preimage_sequence(m: MapSpec, N: int) -> PreimageSeq:

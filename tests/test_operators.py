@@ -220,10 +220,7 @@ def test_assemble_ulam_requires_node():
 
 def _reference_branch_nodes(m, n, x):
     """zeta_n(x) built from scratch for one n: the closed forms for farey and
-    pwl, otherwise phi_1 followed by n - 1 applications of phi_0, with the
-    Markov ends zeta_n(0) = a_n and zeta_n(1) = a_{n-1} taken from the chain
-    by definition (past k0 the chain comes from the Abel function, a few
-    ulps from the composed inverses)."""
+    pwl, otherwise phi_1 followed by n - 1 applications of phi_0."""
     if m.family == "farey":
         return 1.0 / (n + x)
     if m.family == "pwl":
@@ -232,8 +229,7 @@ def _reference_branch_nodes(m, n, x):
     y = maps.right_inverse(m, x)
     for _ in range(n - 1):
         y = maps.left_inverse(m, y)
-    a = preimage_sequence(m, n).values
-    return np.where(x == 0.0, a[n], np.where(x == 1.0, a[n - 1], y))
+    return np.asarray(y, float)
 
 
 @pytest.mark.parametrize("m", [PM_ONE, LSV_HALF, FAREY, PWL_ONE], ids=lambda m: m.family)
@@ -248,21 +244,17 @@ def test_branch_pieces_match_per_branch_reference(m):
     k0 = maps._walked_branches(m, N)
     for n, piece in enumerate(pieces, start=1):
         u = _reference_branch_nodes(m, n, nodes)
-        lo, hi = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
-        cells, rows, overlap = interval_cell_overlaps(nodes, lo, hi)
+        if n > k0:
+            # past k0 a smooth walk reads its branches from the Abel function,
+            # within 1e-14 relative of the composed inverses; the assembly from
+            # those images is exact
+            assert np.all(np.abs(walked[n - 1] - u) <= 1e-14 * u)
+            u = walked[n - 1]
+        cells, rows, overlap = interval_cell_overlaps(nodes, np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:]))
         ref = sp.coo_matrix((overlap / widths[rows], (rows, cells)), shape=(M, M)).tocsr()
         assert np.array_equal(piece.indptr, ref.indptr)
         assert np.array_equal(piece.indices, ref.indices)
-        if n <= k0:
-            assert piece.data.tobytes() == ref.data.tobytes()
-            continue
-        # past k0 a smooth walk reads its branches from the Abel function, not
-        # from the composed inverses: the images agree to 1e-14 relative, and
-        # each entry, an overlap of images over its row's cell width, by as
-        # much as that moves the two image ends of its row
-        assert np.all(np.abs(walked[n - 1] - u) <= 1e-14 * u)
-        row = np.repeat(np.arange(M), np.diff(ref.indptr))
-        assert np.all(np.abs(piece.data - ref.data) <= 1e-14 * (lo + hi)[row] / widths[row])
+        assert piece.data.tobytes() == ref.data.tobytes()
 
 
 def test_branch_pieces_walk_the_chain_once(monkeypatch):
