@@ -231,13 +231,51 @@ class _Family:
 
 
 def _horner(coefficients, w):
-    """sum_k coefficients[k-1] w**k, k = 1..len(coefficients), elementwise."""
-    acc = np.full_like(w, coefficients[-1])
-    for g in coefficients[-2::-1]:
+    """sum_k coefficients[k-1] w**k, k = 1..len(coefficients), elementwise;
+    the columns of a (K, r) table give r sums at once, stacked on a new
+    first axis, each bit for bit the sum of its column alone."""
+    table = np.asarray(coefficients, float)
+    table = table.reshape(len(table), -1, *(1,) * np.ndim(w))
+    acc = np.empty(table.shape[1:2] + np.shape(w))
+    acc[...] = table[-1]
+    for g in table[-2::-1]:
         acc *= w
         acc += g
     acc *= w
-    return acc
+    return acc if np.ndim(coefficients) > 1 else acc[0]
+
+
+#: the Abel series of each left branch x + c x**(1+s) met so far, by (c, s)
+_ABEL_SERIES: dict = {}
+
+
+def _abel_series(c: float, s: float) -> tuple:
+    """beta, the (K, 2) table of gamma_k and k gamma_k, and the edge of the
+    series in x (see :class:`_Smooth`), computed once per (c, s)."""
+    if (c, s) in _ABEL_SERIES:
+        return _ABEL_SERIES[c, s]
+    K, cs = ABEL_TERMS, c * s
+    # T[r][j] = binom(a_r, j) c**j for a = -s, s, 2s, ..., (K-1)s
+    a = np.concatenate([[-s], s * np.arange(1.0, K)])
+    j = np.arange(1.0, K + 3)
+    T = np.cumprod((a[:, None] - j + 1.0) * c / j, axis=1).tolist()
+    beta = (1.0 + s) / (2.0 * s)
+    gamma = [0.0] * (K + 1)  # gamma[k] for k = 1..K
+    # Psi(F(u)) - Psi(u) = -1 order by order in w = 1/u: the w**m terms of
+    # F(u)/(cs), beta log(F(u)/u) and gamma_k F(u)**-k, with F(u)/u =
+    # (1 + cw)**-s, cancel for each m >= 1; m = 1 gives beta, and each
+    # m >= 2 is linear in gamma_{m-1}, whose term is (m-1) cs gamma_{m-1} w**m
+    for m in range(2, K + 2):
+        rest = T[0][m] / cs - s * beta * (-1.0) ** (m + 1) * c**m / m
+        rest += sum(gamma[k] * T[k][m - k - 1] for k in range(1, m - 1))
+        gamma[m - 1] = -rest / ((m - 1) * cs)
+    g = np.array(gamma[1:])
+    both = np.stack([g, np.arange(1.0, K + 1) * g], axis=1)
+    both.setflags(write=False)
+    # the last term falls below ABEL_CUTOFF of u/(cs) for u > u_edge
+    log_u_edge = np.log(abs(gamma[K]) * cs / ABEL_CUTOFF) / (K + 1)
+    _ABEL_SERIES[c, s] = beta, both, float(np.exp(-log_u_edge / s))
+    return _ABEL_SERIES[c, s]
 
 
 class _Smooth(_Family):
@@ -256,28 +294,9 @@ class _Smooth(_Family):
 
     def __init__(self, s: float, weights: Optional[Weights]):
         super().__init__(s, weights)
-        K, c = ABEL_TERMS, self.c
-        cs = c * s
-        # T[r][j] = binom(a_r, j) c**j for a = -s, s, 2s, ..., (K-1)s
-        a = np.concatenate([[-s], s * np.arange(1.0, K)])
-        j = np.arange(1.0, K + 3)
-        T = np.cumprod((a[:, None] - j + 1.0) * c / j, axis=1).tolist()
-        beta = (1.0 + s) / (2.0 * s)
-        gamma = [0.0] * (K + 1)  # gamma[k] for k = 1..K
-        # Psi(F(u)) - Psi(u) = -1 order by order in w = 1/u: the w**m terms of
-        # F(u)/(cs), beta log(F(u)/u) and gamma_k F(u)**-k, with F(u)/u =
-        # (1 + cw)**-s, cancel for each m >= 1; m = 1 gives beta, and each
-        # m >= 2 is linear in gamma_{m-1}, whose term is (m-1) cs gamma_{m-1} w**m
-        for m in range(2, K + 2):
-            rest = T[0][m] / cs - s * beta * (-1.0) ** (m + 1) * c**m / m
-            rest += sum(gamma[k] * T[k][m - k - 1] for k in range(1, m - 1))
-            gamma[m - 1] = -rest / ((m - 1) * cs)
-        self._cs, self._beta = cs, beta
-        self._gamma = np.array(gamma[1:])
-        self._kgamma = np.arange(1.0, K + 1) * self._gamma
-        # the last term falls below ABEL_CUTOFF of u/(cs) for u > u_edge
-        log_u_edge = np.log(abs(gamma[K]) * cs / ABEL_CUTOFF) / (K + 1)
-        self.fatou_edge = float(np.exp(-log_u_edge / s))
+        self._cs = self.c * s
+        self._beta, self._both, self.fatou_edge = _abel_series(self.c, s)
+        self._gamma, self._kgamma = self._both.T
 
     def left(self, x):
         return x + self.c * x ** (1.0 + self.s)
@@ -288,35 +307,36 @@ class _Smooth(_Family):
     def inv_left(self, y):
         return solve_monotone(self.left, self.dleft, np.zeros_like(y), np.minimum(y, self.cut), y=y)
 
-    def _dpsi(self, u):
-        """Psi'(u)."""
-        w = 1.0 / u
-        return 1.0 / self._cs + (self._beta - _horner(self._kgamma, w)) * w
+    def _dpsi(self, w, kseries):
+        """Psi'(u) from w = 1/u and the sum of k gamma_k w**k."""
+        return 1.0 / self._cs + (self._beta - kseries) * w
 
-    def _psi_step(self, u0, t):
-        """d with Psi(u0 + d) = Psi(u0) + t for u0 and t broadcast together,
-        as a flat array.
+    def _psi_step(self, u0, series0, t):
+        """d with Psi(u0 + d) = Psi(u0) + t, where series0 is the sum of
+        gamma_k u0**-k, for u0, series0 and t broadcast together; flat.
 
-        Psi^-1(Psi(u0) + t) = u0 + d, solved for the step d by Newton from
-        d = cs (t - beta log(1 + cs t / u0)).  Taking the difference of Psi
-        term by term, d/(cs) + beta log(1 + d/u0) + the series at u0 + d
-        less that at u0, keeps its rounding to that of t, not of Psi(u0).
-        Psi is increasing and concave, so past the first step the iterates
-        rise onto the root.  On the range of the series Psi'' u / (2 Psi')
-        stays below 0.1, so the step after one of relative size 1e-8 would
-        be below 1e-17 relative: a point stops there, and depends on no
+        Psi^-1(Psi(u0) + t) = u0 + d.  Taking the difference of Psi term by
+        term, d/(cs) + beta log(1 + d/u0) + the series at u0 + d less that at
+        u0, keeps its rounding to that of t, not of Psi(u0).  The start is
+        d = cs (t - beta log(1 + cs t / u0)) with one fixed-point pass of that
+        difference, within 1e-3 relative; Newton steps follow.  Psi is
+        increasing and concave, so past the first step the iterates rise onto
+        the root.  On the range of the series Psi'' u / (2 Psi') stays below
+        0.1, so the step after one of relative size 1e-8 would be below 1e-17
+        relative: a point stops there (after two steps), and depends on no
         other point.
         """
         cs, beta = self._cs, self._beta
-        series0 = _horner(self._gamma, 1.0 / u0)
-        u0, t, series0 = (np.ravel(a) for a in np.broadcast_arrays(u0, t, series0))
+        u0, series0, t = (np.ravel(a) for a in np.broadcast_arrays(u0, series0, t))
         d = cs * (t - beta * np.log1p(cs * t / u0))
+        d = cs * (t - beta * np.log1p(d / u0) - (_horner(self._gamma, 1.0 / (u0 + d)) - series0))
         at = np.arange(d.size)
         for _ in range(_ABEL_MAXITER):
             d_at, u0_at = d[at], u0[at]
-            u = u0_at + d_at
-            gap = d_at / cs + beta * np.log1p(d_at / u0_at) + (_horner(self._gamma, 1.0 / u) - series0[at]) - t[at]
-            step = gap / self._dpsi(u)
+            w = 1.0 / (u0_at + d_at)
+            series, kseries = _horner(self._both, w)
+            gap = d_at / cs + beta * np.log1p(d_at / u0_at) + (series - series0[at]) - t[at]
+            step = gap / self._dpsi(w, kseries)
             d[at] = d_at - step
             at = at[np.abs(step) > 1e-8 * d_at]
             if at.size == 0:
@@ -333,8 +353,9 @@ class _Smooth(_Family):
     def _deep_chain(self, chain, stop: int) -> np.ndarray:
         """a_n for n = len(chain), ..., stop - 1 from a_k0, which the chain holds."""
         k0 = self._k0(chain)
-        u0 = chain[k0] ** -self.s
-        return (u0 + self._psi_step(u0, np.arange(len(chain) - k0, stop - k0, dtype=float))) ** (-1.0 / self.s)
+        u0 = np.asarray(chain[k0:k0 + 1], float) ** -self.s
+        d = self._psi_step(u0, _horner(self._gamma, 1.0 / u0), np.arange(len(chain) - k0, stop - k0, dtype=float))
+        return (u0 + d) ** (-1.0 / self.s)
 
     def walk(self, m, x, N):
         # branches 1..k0 through the public inverses, one root solve a step
@@ -353,35 +374,43 @@ class _Smooth(_Family):
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
         if len(chain) <= N:
-            yield from self._fatou_walk(_preimage_chain(m, N), np.shape(x), y, logw, len(chain) - 1, N)
+            yield from self._fatou_walk(m, np.shape(x), y, logw, chain, N)
 
-    def _fatou_walk(self, chain, shape, y, logw, k0, N):
+    def _fatou_walk(self, m, shape, y, logw, chain, N):
         """Branches k0+1..N from branch k0 by the Abel function, in row blocks:
 
             U_n = Psi^-1(Psi(U_k0) + n - k0),   zeta_n = U_n**(-1/s),
             log|zeta_n'| = log|zeta_k0'| + (1+s) log(zeta_n/zeta_k0)
                            + log(Psi'(U_k0)/Psi'(U_n)),
 
-        with U_n - U_k0 from :meth:`_psi_step`.  A point on the chain stays
-        on it: where zeta_k0 is a_{k0-1} (x = 1) or a_k0 (x = 0), zeta_n is
-        a_{n-1} or a_n itself, so the branch images meet a Markov grid's
-        chain nodes exactly.
+        with U_n - U_k0 from :meth:`_psi_step`.  The chain a_0..a_k0 rides
+        along as one more point from a_k0, as :meth:`_deep_chain` would take
+        it, and each block publishes it.  A point on the chain stays on it:
+        where zeta_k0 is a_{k0-1} (x = 1) or a_k0 (x = 0), zeta_n is a_{n-1}
+        or a_n itself, so the branch images meet a Markov grid's chain nodes
+        exactly.
         """
-        s = self.s
-        y0, lw0 = np.ravel(np.asarray(y, float)), np.ravel(logw)
-        u0 = y0 ** -s
-        slope = self._dpsi(u0)
+        s, k0 = self.s, len(chain) - 1
+        y0 = np.ravel(np.asarray(y, float))
+        lw0 = np.append(np.ravel(logw), 0.0)
         on_top, on_bottom = y0 == chain[k0 - 1], y0 == chain[k0]
-        rows = max(1, _FATOU_BLOCK // max(y0.size, 1))
+        u0 = np.append(y0, chain[k0]) ** -s
+        w0 = 1.0 / u0
+        series0, kseries0 = _horner(self._both, w0)
+        slope = self._dpsi(w0, kseries0)
+        rows = max(1, _FATOU_BLOCK // u0.size)
         for first in range(k0 + 1, N + 1, rows):
             ns = np.arange(first, min(first + rows, N + 1))
-            D = self._psi_step(u0, (ns - k0)[:, None].astype(float)).reshape(len(ns), y0.size)
+            D = self._psi_step(u0, series0, (ns - k0)[:, None].astype(float)).reshape(len(ns), u0.size)
             U = u0 + D
             Y = U ** (-1.0 / s)
-            L = lw0 - (1.0 + s) / s * np.log1p(D / u0) + np.log(slope / self._dpsi(U))
-            Y[:, on_top] = chain[ns - 1, None]
-            Y[:, on_bottom] = chain[ns, None]
-            for y_n, lw_n in zip(Y, L):
+            W = 1.0 / U
+            L = lw0 - (1.0 + s) / s * np.log1p(D / u0) + np.log(slope / self._dpsi(W, _horner(self._kgamma, W)))
+            chain.extend(Y[:, -1].tolist())
+            lane = _publish_chain(m, chain)  # the map's chain: a longer one it held, or this one
+            Y[:, :-1][:, on_top] = lane[ns - 1, None]
+            Y[:, :-1][:, on_bottom] = lane[ns, None]
+            for y_n, lw_n in zip(Y[:, :-1], L[:, :-1]):
                 yield (y_n.reshape(shape), lw_n.reshape(shape)) if shape else (float(y_n[0]), lw_n[0])
 
 

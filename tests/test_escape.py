@@ -480,9 +480,10 @@ def test_newton_solver_stops_and_fails_loudly():
 # so and re-record.  Re-recorded when induced reports gained walked_branches
 # and fatou_branches and the pm and lsv reports at N = 100 took their
 # branches past k0 from the Abel function: a_N became the correctly rounded
-# 40-digit value; the eigenvalue and rates moved by 1-8 ulps, as far as
-# one-ulp changes to two of the 6,500 collocation inputs move them
-REPORTS_DIGEST = "1c867fe2252eb28b490c05075a198ca01d9c8834592362b660c1301847413ca5"
+# 40-digit value, and the eigenvalue and rates moved by at most 2.7e-15
+# (one-ulp noise on the 6,500 collocation inputs moves the eigenvalue by
+# 8e-16..9e-16, one standard deviation)
+REPORTS_DIGEST = "9587cfd39cb847326ca1a96ade2e3bf20e8b11f8add601bf9f9958cbc61db632"
 
 PINNED_MAPS = (
     MapSpec("pm", 1.0),
