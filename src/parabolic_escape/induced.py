@@ -62,7 +62,8 @@ def branch_walk(sys: InducedOpenSystem, x):
     solve per step down to branch k0, accumulating the log weight along the
     way, then every deeper branch from the Fatou coordinate of the parabolic
     point in one vector evaluation (see :mod:`.maps`).  A smooth walk also
-    carries the chain a_1..a_k0 as one more point and publishes a_0..a_N.
+    carries the chain as one more point, from a_1 through the root solves and
+    on through the Fatou-coordinate blocks, and publishes a_0..a_N.
     """
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):
