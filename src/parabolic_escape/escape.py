@@ -364,12 +364,11 @@ def compute_escape(
 ) -> EscapeReport:
     """One escape-rate computation, returned as a schema-stable report."""
     t0 = time.perf_counter()
-    edge = None if method == "induced" else hole.edge(m)
+    edge = hole.edge(m)
     if method == "induced":
         if hole.index is None:
             raise DomainError("the induced route needs a Markov hole index; use ulam or montecarlo for epsilon holes")
         ia = induced_analysis(m, hole.index)
-        edge = hole.edge(m)  # read after the walk, which grows the chain on its way
         walked = _walked_branches(m, hole.index)
         lam, gamma_rho, mean_ret, gamma, cells, residual = (
             ia.eigenvalue, ia.gamma_induced, ia.mean_return, ia.gamma, ia.grid_size, ia.eigen_residual

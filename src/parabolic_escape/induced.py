@@ -28,7 +28,7 @@ class InducedOpenSystem:
     """The first N branches of the jump map with their log weights.
 
     Immutable; evaluations are pure functions, safe under concurrent use.
-    ``preimages`` reads a_0 .. a_N from the map's cached chain on demand.
+    ``preimages`` computes a_0 .. a_N from the map on each read.
     """
 
     map: MapSpec
@@ -44,8 +44,8 @@ class InducedOpenSystem:
 
 
 def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
-    """Open induced system with surviving symbols 1..N (requires N >= 2); only
-    the closed-form pwl chain is grown now, so a short weight list fails here."""
+    """Open induced system with surviving symbols 1..N (requires N >= 2); the
+    pwl chain is read here, so a short weight list fails here."""
     if N < 2:
         raise DomainError("Markov hole index must be >= 2")
     if m.family == "pwl":
@@ -61,9 +61,9 @@ def branch_walk(sys: InducedOpenSystem, x):
     piecewise-linear maps, and for the smooth families one left-inverse root
     solve per step down to branch k0, accumulating the log weight along the
     way, then every deeper branch from the Fatou coordinate of the parabolic
-    point in one vector evaluation (see :mod:`.maps`).  A smooth walk also
-    carries the chain as one more point, from a_1 through the root solves and
-    on through the Fatou-coordinate blocks, and publishes a_0..a_N.
+    point in one vector evaluation (see :mod:`.maps`).  A smooth walk reads
+    a_0..a_k0 from the family and keeps a_n past k0 in one local column, so
+    zeta_n(1) = a_{n-1} and zeta_n(0) = a_n hold bit for bit.
     """
     x_a = np.asarray(x, float)
     if np.any(x_a < 0.0) or np.any(x_a > 1.0):

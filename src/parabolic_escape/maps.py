@@ -11,14 +11,15 @@ indifferent fixed point at the origin, each by one private class:
 
 ``MapSpec.branches`` holds the map's instance.  It provides ``cut``, the
 branches ``left``/``right``, their absolute derivatives ``dleft``/``dright``,
-the local inverses ``inv_left``/``inv_right``, and ``walk(m, x, N)``, which
-yields (zeta_n(x), log|zeta_n'(x)|) for n = 1..N down the inverse-branch chain
-of m.  pm and lsv share ``_Smooth``: its walk takes a root solve per step
-down to the first branch k0 that lies deep enough in the parabolic basin,
-and yields every deeper branch from the Fatou coordinate of the fixed point
-(the Abel function Psi, with Psi(phi_0(x)**-s) = Psi(x**-s) + 1), in one
-vector evaluation.  The preimage chain a_n past k0 comes from the same
-function.
+the local inverses ``inv_left``/``inv_right``, the chain a_0..a_N
+(``chain(N)``) and a_n alone (``point(n)``), ``return_time(x, cap)``, and
+``walk(m, x, N)``, which yields (zeta_n(x), log|zeta_n'(x)|) for n = 1..N
+down the inverse-branch chain of m.  pm and lsv share ``_Smooth``: its
+walk takes a root solve per step down to the first branch k0 that lies
+deep enough in the parabolic basin, and yields every deeper branch from the
+Fatou coordinate of the fixed point (the Abel function Psi, with
+Psi(phi_0(x)**-s) = Psi(x**-s) + 1), in one vector evaluation.  The chain
+a_n past k0 comes from the same function.
 
 Conventions: the left branch domain is the closed interval [0, a], so the map
 value at the branch cut is the left-branch value 1.  The level sets of the
@@ -27,7 +28,6 @@ return time are the half-open cells A_n = (a_n, a_{n-1}].
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -176,6 +176,7 @@ class ExplicitWeights(Weights):
         if not (arr.size and np.all(np.isfinite(arr) & (arr > 0))):
             raise DomainError(f"explicit weights must be a nonempty list of finite positive numbers, got {vals!r}")
         tails = np.concatenate([[arr.sum()], arr.sum() - np.cumsum(arr)])
+        tails.setflags(write=False)
         object.__setattr__(self, "_tails", tails)
 
     @property
@@ -229,12 +230,24 @@ class _Family:
             raise DomainError("weights are only meaningful for the pwl family")
         self.s = s
 
+    def point(self, n):
+        """a_n, bit for bit as ``chain`` has it."""
+        return float(self.chain(n)[n])
+
 
 def _horner(coefficients, w):
     """sum_k coefficients[k-1] w**k, k = 1..len(coefficients), elementwise;
     the columns of a (K, r) table give r sums at once, stacked on a new
     first axis, each bit for bit the sum of its column alone."""
     table = np.asarray(coefficients, float)
+    if np.size(w) == 1:  # the same IEEE steps in Python floats, without the ufunc overhead
+        x, sums = float(np.ravel(w)[0]), []
+        for column in table.reshape(len(table), -1).T.tolist():
+            acc = column[-1]
+            for g in column[-2::-1]:
+                acc = acc * x + g
+            sums.append(acc * x)
+        return np.reshape(sums, table.shape[1:] + np.shape(w))
     table = table.reshape(len(table), -1, *(1,) * np.ndim(w))
     acc = np.empty(table.shape[1:2] + np.shape(w))
     acc[...] = table[-1]
@@ -245,37 +258,9 @@ def _horner(coefficients, w):
     return acc if np.ndim(coefficients) > 1 else acc[0]
 
 
-#: the Abel series of each left branch x + c x**(1+s) met so far, by (c, s)
-_ABEL_SERIES: dict = {}
-
-
-def _abel_series(c: float, s: float) -> tuple:
-    """beta, the (K, 2) table of gamma_k and k gamma_k, and the edge of the
-    series in x (see :class:`_Smooth`), computed once per (c, s)."""
-    if (c, s) in _ABEL_SERIES:
-        return _ABEL_SERIES[c, s]
-    K, cs = ABEL_TERMS, c * s
-    # T[r][j] = binom(a_r, j) c**j for a = -s, s, 2s, ..., (K-1)s
-    a = np.concatenate([[-s], s * np.arange(1.0, K)])
-    j = np.arange(1.0, K + 3)
-    T = np.cumprod((a[:, None] - j + 1.0) * c / j, axis=1).tolist()
-    beta = (1.0 + s) / (2.0 * s)
-    gamma = [0.0] * (K + 1)  # gamma[k] for k = 1..K
-    # Psi(F(u)) - Psi(u) = -1 order by order in w = 1/u: the w**m terms of
-    # F(u)/(cs), beta log(F(u)/u) and gamma_k F(u)**-k, with F(u)/u =
-    # (1 + cw)**-s, cancel for each m >= 1; m = 1 gives beta, and each
-    # m >= 2 is linear in gamma_{m-1}, whose term is (m-1) cs gamma_{m-1} w**m
-    for m in range(2, K + 2):
-        rest = T[0][m] / cs - s * beta * (-1.0) ** (m + 1) * c**m / m
-        rest += sum(gamma[k] * T[k][m - k - 1] for k in range(1, m - 1))
-        gamma[m - 1] = -rest / ((m - 1) * cs)
-    g = np.array(gamma[1:])
-    both = np.stack([g, np.arange(1.0, K + 1) * g], axis=1)
-    both.setflags(write=False)
-    # the last term falls below ABEL_CUTOFF of u/(cs) for u > u_edge
-    log_u_edge = np.log(abs(gamma[K]) * cs / ABEL_CUTOFF) / (K + 1)
-    _ABEL_SERIES[c, s] = beta, both, float(np.exp(-log_u_edge / s))
-    return _ABEL_SERIES[c, s]
+#: :meth:`_Smooth._fatou` of each smooth map met so far, by (family class, s);
+#: threads that race on a key compute the same bits, so it needs no lock
+_FATOU: dict = {}
 
 
 class _Smooth(_Family):
@@ -288,6 +273,8 @@ class _Smooth(_Family):
     translation Psi -> Psi + 1.  beta = (1+s)/(2s) and the gamma_k follow
     order by order in 1/u; the series is asymptotic, so it serves a branch
     only where its last term is below ``ABEL_CUTOFF`` of the leading one.
+    ``head`` is the read-only chain a_0..a_k0, where k0 is the first branch
+    the series serves.
     """
 
     c = 1.0  # left branch x + c x**(1+s)
@@ -295,8 +282,45 @@ class _Smooth(_Family):
     def __init__(self, s: float, weights: Optional[Weights]):
         super().__init__(s, weights)
         self._cs = self.c * s
-        self._beta, self._both, self.fatou_edge = _abel_series(self.c, s)
+        if (type(self), s) not in _FATOU:
+            _FATOU[type(self), s] = self._fatou()
+        self.cut, self._beta, self._both, self.fatou_edge, self.head = _FATOU[type(self), s]
         self._gamma, self._kgamma = self._both.T
+        self.k0 = len(self.head) - 1
+
+    def _fatou(self) -> tuple:
+        """The cut, beta, the (K, 2) table of gamma_k and k gamma_k, the edge
+        of the series in x, and the head: one root solve a step from the exact
+        a_1 = cut down to a_k0, where the top a_{k0-1} of branch k0 is the
+        first chain point at or below the edge."""
+        K, c, s, cs = ABEL_TERMS, self.c, self.s, self._cs
+        # T[r][j] = binom(a_r, j) c**j for a = -s, s, 2s, ..., (K-1)s
+        a = np.concatenate([[-s], s * np.arange(1.0, K)])
+        j = np.arange(1.0, K + 3)
+        T = np.cumprod((a[:, None] - j + 1.0) * c / j, axis=1).tolist()
+        beta = (1.0 + s) / (2.0 * s)
+        gamma = [0.0] * (K + 1)  # gamma[k] for k = 1..K
+        # Psi(F(u)) - Psi(u) = -1 order by order in w = 1/u: the w**m terms of
+        # F(u)/(cs), beta log(F(u)/u) and gamma_k F(u)**-k, with F(u)/u =
+        # (1 + cw)**-s, cancel for each m >= 1; m = 1 gives beta, and each
+        # m >= 2 is linear in gamma_{m-1}, whose term is (m-1) cs gamma_{m-1} w**m
+        for m in range(2, K + 2):
+            rest = T[0][m] / cs - s * beta * (-1.0) ** (m + 1) * c**m / m
+            rest += sum(gamma[k] * T[k][m - k - 1] for k in range(1, m - 1))
+            gamma[m - 1] = -rest / ((m - 1) * cs)
+        g = np.array(gamma[1:])
+        both = np.stack([g, np.arange(1.0, K + 1) * g], axis=1)
+        both.setflags(write=False)
+        # the last term falls below ABEL_CUTOFF of u/(cs) for u > u_edge
+        log_u_edge = np.log(abs(gamma[K]) * cs / ABEL_CUTOFF) / (K + 1)
+        edge = float(np.exp(-log_u_edge / s))
+        self.cut = self._branch_cut()  # the left inverse reads it
+        head = [1.0, self.cut]
+        while head[-2] > edge:
+            head.append(float(self.inv_left(np.asarray(head[-1]))))
+        head = np.array(head)
+        head.setflags(write=False)
+        return self.cut, beta, both, edge, head
 
     def left(self, x):
         return x + self.c * x ** (1.0 + self.s)
@@ -343,62 +367,77 @@ class _Smooth(_Family):
                 return d
         raise ConvergenceError(f"Abel function inversion did not settle in {_ABEL_MAXITER} steps")
 
-    def _k0(self, chain) -> int:
-        """k0 for a chain a_0, a_1, ...: the first branch n whose interval top
-        a_{n-1} lies where the last term of the Abel series is below
-        ``ABEL_CUTOFF`` of the leading one, or len(chain) + 1 while the chain
-        is too short to tell."""
-        return int(np.count_nonzero(np.asarray(chain) > self.fatou_edge)) + 1
-
-    def _deep_chain(self, chain, stop: int) -> np.ndarray:
-        """a_n for n = len(chain), ..., stop - 1 from a_k0, which the chain holds."""
-        k0 = self._k0(chain)
-        u0 = np.asarray(chain[k0:k0 + 1], float) ** -self.s
-        d = self._psi_step(u0, _horner(self._gamma, 1.0 / u0), np.arange(len(chain) - k0, stop - k0, dtype=float))
+    def _deep(self, ns) -> np.ndarray:
+        """a_n for indices n > k0, each one Abel-function step from a_k0."""
+        u0 = self.head[-1:] ** -self.s
+        d = self._psi_step(u0, _horner(self._gamma, 1.0 / u0), np.asarray(ns, float) - self.k0)
         return (u0 + d) ** (-1.0 / self.s)
+
+    def chain(self, N):
+        if N <= self.k0:
+            return self.head[: N + 1]
+        return np.concatenate([self.head, self._deep(np.arange(self.k0 + 1, N + 1))])
+
+    def point(self, n):
+        return float(self.head[n]) if n <= self.k0 else float(self._deep([n])[0])
+
+    def return_time(self, x, cap):
+        # in the head by search; past it n from the gap Psi(x**-s) - Psi(a_k0**-s),
+        # which lies in [n - 1 - k0, n - k0) up to rounding, then moved by one
+        # while the chain's own a_n or a_{n-1} disagrees
+        head, k0, s = self.head, self.k0, self.s
+        if x > head[-1]:
+            return int(np.searchsorted(-head, -x, side="right"))
+        with np.errstate(over="ignore"):
+            u = np.float64(x) ** -s  # inf for an x far past any cap
+        u0 = head[-1] ** -s
+        gap = (u - u0) / self._cs + self._beta * np.log(u / u0)
+        gap += _horner(self._gamma, 1.0 / u) - _horner(self._gamma, 1.0 / u0)
+        if not gap < cap - k0 + 1:
+            raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
+        n = k0 + int(gap) + 1
+        while x <= self.point(n):
+            n += 1
+        while x > self.point(n - 1):
+            n -= 1
+        return n
 
     def walk(self, m, x, N):
         # branches 1..k0 through the public inverses, one root solve a step
-        # with the error linear in n; the chain rides along as one more point
-        # from the exact a_1 = cut and is published once the walk has it
+        # with the error linear in n
         y = right_inverse(m, x)
         logw = -np.log(self.dright(np.asarray(y, float)))
         yield y, logw
-        chain = [1.0, self.cut]
-        while len(chain) <= min(N, self._k0(chain)):
-            lane = left_inverse(m, np.append(y, chain[-1]))
-            y = lane[:-1].reshape(np.shape(x)) if np.ndim(x) else float(lane[0])
-            chain.append(float(lane[-1]))
-            if len(chain) > min(N, self._k0(chain)):
-                _publish_chain(m, chain)  # a no-op on a map holding a longer chain
+        for _ in range(2, min(N, self.k0) + 1):
+            y = left_inverse(m, y)
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
-        if len(chain) <= N:
-            yield from self._fatou_walk(m, np.shape(x), y, logw, chain, N)
+        if N > self.k0:
+            yield from self._fatou_walk(np.shape(x), y, logw, N)
 
-    def _fatou_walk(self, m, shape, y, logw, chain, N):
+    def _fatou_walk(self, shape, y, logw, N):
         """Branches k0+1..N from branch k0 by the Abel function, in row blocks:
 
             U_n = Psi^-1(Psi(U_k0) + n - k0),   zeta_n = U_n**(-1/s),
             log|zeta_n'| = log|zeta_k0'| + (1+s) log(zeta_n/zeta_k0)
                            + log(Psi'(U_k0)/Psi'(U_n)),
 
-        with U_n - U_k0 from :meth:`_psi_step`.  The chain a_0..a_k0 rides
-        along as one more point from a_k0, as :meth:`_deep_chain` would take
-        it, and each block publishes it.  A point on the chain stays on it:
-        where zeta_k0 is a_{k0-1} (x = 1) or a_k0 (x = 0), zeta_n is a_{n-1}
-        or a_n itself, so the branch images meet a Markov grid's chain nodes
-        exactly.
+        with U_n - U_k0 from :meth:`_psi_step`.  One more point from a_k0
+        gives a_n in a local column, as :meth:`chain` has it, so a point on
+        the chain stays on it: where zeta_k0 is a_{k0-1} (x = 1) or a_k0
+        (x = 0), zeta_n is a_{n-1} or a_n itself, and the branch images meet
+        a Markov grid's chain nodes exactly.
         """
-        s, k0 = self.s, len(chain) - 1
+        s, k0, head = self.s, self.k0, self.head
         y0 = np.ravel(np.asarray(y, float))
         lw0 = np.append(np.ravel(logw), 0.0)
-        on_top, on_bottom = y0 == chain[k0 - 1], y0 == chain[k0]
-        u0 = np.append(y0, chain[k0]) ** -s
+        on_top, on_bottom = y0 == head[k0 - 1], y0 == head[k0]
+        u0 = np.append(y0, head[k0]) ** -s
         w0 = 1.0 / u0
         series0, kseries0 = _horner(self._both, w0)
         slope = self._dpsi(w0, kseries0)
         rows = max(1, _FATOU_BLOCK // u0.size)
+        above = head[k0]  # a_{n-1} for the first row of a block
         for first in range(k0 + 1, N + 1, rows):
             ns = np.arange(first, min(first + rows, N + 1))
             D = self._psi_step(u0, series0, (ns - k0)[:, None].astype(float)).reshape(len(ns), u0.size)
@@ -406,18 +445,17 @@ class _Smooth(_Family):
             Y = U ** (-1.0 / s)
             W = 1.0 / U
             L = lw0 - (1.0 + s) / s * np.log1p(D / u0) + np.log(slope / self._dpsi(W, _horner(self._kgamma, W)))
-            chain.extend(Y[:, -1].tolist())
-            lane = _publish_chain(m, chain)  # the map's chain: a longer one it held, or this one
-            Y[:, :-1][:, on_top] = lane[ns - 1, None]
-            Y[:, :-1][:, on_bottom] = lane[ns, None]
+            a = Y[:, -1]
+            Y[:, :-1][:, on_top] = np.append(above, a[:-1])[:, None]
+            Y[:, :-1][:, on_bottom] = a[:, None]
+            above = a[-1]
             for y_n, lw_n in zip(Y[:, :-1], L[:, :-1]):
                 yield (y_n.reshape(shape), lw_n.reshape(shape)) if shape else (float(y_n[0]), lw_n[0])
 
 
 class _PomeauManneville(_Smooth):
-    def __init__(self, s: float, weights: Optional[Weights]):
-        super().__init__(s, weights)
-        self.cut = float(solve_monotone(self.right, self.dright, 0.0, 1.0))
+    def _branch_cut(self):
+        return float(solve_monotone(self.right, self.dright, 0.0, 1.0))
 
     def right(self, x):
         return x + x ** (1.0 + self.s) - 1.0
@@ -430,11 +468,12 @@ class _PomeauManneville(_Smooth):
 
 
 class _Lsv(_Smooth):
-    cut = 0.5
-
     def __init__(self, s: float, weights: Optional[Weights]):
         self.c = 2.0 ** s  # before the Abel series, which depends on it
         super().__init__(s, weights)
+
+    def _branch_cut(self):
+        return 0.5
 
     def right(self, x):
         return 2.0 * x - 1.0
@@ -471,6 +510,18 @@ class _Farey(_Family):
 
     def inv_right(self, y):
         return 1.0 / (1.0 + y)
+
+    def chain(self, N):
+        values = [1.0, self.cut]
+        for _ in range(N - 1):
+            values.append(values[-1] / (1.0 + values[-1]))  # inv_left in Python floats, bit for bit
+        return np.array(values)
+
+    def return_time(self, x, cap):
+        # a_n is 1/(n + 1) to rounding, so the chain two cells past 1/x holds tau(x)
+        if not 1.0 / x <= cap + 2:
+            raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
+        return int(np.searchsorted(-self.chain(min(int(1.0 / x) + 2, cap + 1)), -x, side="right"))
 
     def walk(self, m, x, N):
         for n in range(1, N + 1):
@@ -523,6 +574,12 @@ class _Pwl(_Family):
     def inv_right(self, y):
         return self.cut + y * self.weights.mass(1)
 
+    def chain(self, N):
+        return np.concatenate([[1.0], self.weights.tail(np.arange(1, N + 1))])
+
+    def return_time(self, x, cap):
+        return int(self.weights.cell_index(x, cap=cap))
+
     def walk(self, m, x, N):
         w = self.weights
         for n in range(1, N + 1):
@@ -542,18 +599,17 @@ FAMILIES = tuple(_FAMILY_TYPES)
 class MapSpec:
     """Immutable description of one parabolic map.
 
-    ``branches`` is its family object, which holds no reference back.  All
-    evaluation helpers accept scalars or numpy arrays and are pure.  The
-    cached preimage chain is a read-only array that only grows, under a lock,
-    by publishing a longer copy, so a MapSpec may be shared across threads.
+    ``branches`` is its family object, which holds no reference back, is
+    never changed after construction and whose arrays are read-only.  All
+    evaluation helpers accept scalars or numpy arrays and are pure, so a
+    MapSpec may be shared across threads; a pickle or a copy rebuilds
+    ``branches`` from the fields.
     """
 
     family: str
     s: float = 1.0
     weights: Optional[Weights] = None
     branches: _Family = field(init=False, repr=False, compare=False)
-    _chain: np.ndarray = field(init=False, repr=False, compare=False)
-    _chain_lock: threading.RLock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -563,9 +619,9 @@ class MapSpec:
         branches = _FAMILY_TYPES[self.family](self.s, self.weights)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "weights", branches.weights)
-        object.__setattr__(self, "_chain", np.empty(0))
-        object.__setattr__(self, "_chain_lock", threading.RLock())
-        _publish_chain(self, [1.0, branches.cut])
+
+    def __reduce__(self):
+        return MapSpec, (self.family, self.s, self.weights)
 
     # -- constructors ------------------------------------------------------
 
@@ -670,81 +726,34 @@ class PreimageSeq:
         return float(self.values[i])
 
 
-def _publish_chain(m: MapSpec, values) -> np.ndarray:
-    """Publish ``values`` (a_0, a_1, ...) as the map's new read-only chain if
-    they reach further than the one it holds; return the chain held then."""
-    with m._chain_lock:
-        if len(values) > len(m._chain):
-            chain = np.array(values)
-            chain.setflags(write=False)
-            object.__setattr__(m, "_chain", chain)
-        return m._chain
-
-
-def _preimage_chain(m: MapSpec, n: int) -> np.ndarray:
-    """The map's read-only chain a_0, a_1, ..., at least up to a_n.
-
-    One scalar step a_{j-1} -> a_j at a time (``left_inverse``, or the pwl
-    tail); for pm and lsv only down to a_k0, the bottom of the first branch
-    the Abel series serves, and every deeper point in one vector evaluation
-    from a_k0 (``_Smooth._deep_chain``).
-    Growth runs under the map's (reentrant) lock and publishes a longer copy
-    by :func:`_publish_chain`, as a pm or lsv branch walk does, bit for bit.
-    """
-    chain = m._chain
-    if len(chain) > n:
-        return chain
-    f = m.branches
-    with m._chain_lock:
-        chain = m._chain
-        if not isinstance(f, _Smooth):
-            values = chain.tolist()
-            while len(values) <= n:
-                if m.family == "pwl":
-                    values.append(float(m.weights.tail(len(values))))
-                else:
-                    values.append(float(left_inverse(m, values[-1])))
-            return _publish_chain(m, values)
-        while len(chain) <= min(n, f._k0(chain)):
-            chain = np.append(chain, float(left_inverse(m, chain[-1])))
-        if len(chain) <= n:
-            chain = np.concatenate([chain, f._deep_chain(chain, n + 1)])
-        return _publish_chain(m, chain)
-
-
 def _walked_branches(m: MapSpec, N: int) -> int:
     """How many of the branches 1..N a walk takes one step at a time: k0 for
     pm and lsv (the rest come from the Abel function), else all N."""
-    f = m.branches
-    return min(N, f._k0(_preimage_chain(m, N))) if isinstance(f, _Smooth) else N
+    return min(N, m.branches.k0) if isinstance(m.branches, _Smooth) else N
 
 
 def preimage_sequence(m: MapSpec, N: int) -> PreimageSeq:
-    """a_0..a_N.  Values are cached on the map and never recomputed."""
+    """a_0..a_N, read-only and computed on each call: for pm and lsv the
+    head a_0..a_k0 of the family, then one vector Abel-function step from
+    a_k0, so each a_n depends on its index alone."""
     if N < 1:
         raise DomainError("need N >= 1")
-    return PreimageSeq(_preimage_chain(m, N)[: N + 1])
+    values = m.branches.chain(N)
+    values.setflags(write=False)
+    return PreimageSeq(values)
 
 
 def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int:
-    """tau(x): the unique n with a_n < x <= a_{n-1}, for x in (0, 1].
+    """tau(x): the unique n with a_n < x <= a_{n-1} of the chain, for x in (0, 1].
 
-    Implemented by binary search in the preimage chain (extending it on
-    demand, by doubling), never by orbit iteration, so points near the
-    indifferent fixed point cost O(tau) work, no more than k0 root solves for
-    pm and lsv, and raise once tau exceeds ``cap``.
+    Never by orbit iteration: for pm and lsv, n from the Abel function,
+    checked against a_{n-1} and a_n, at a cost that does not depend on tau.
+    Raises ``ReturnTimeOverflowError`` once tau, or its estimate, exceeds
+    ``cap``.
     """
     if not 0.0 < x <= 1.0:
         raise DomainError("return time defined for x in (0, 1]")
-    if m.family == "pwl":
-        return int(m.weights.cell_index(x, cap=cap))
-    chain = m._chain
-    while chain[-1] >= x:
-        target = min(2 * len(chain), cap + 2)
-        if len(chain) >= target:
-            raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
-        chain = _preimage_chain(m, target - 1)
-    n = int(np.searchsorted(-chain, -x, side="right"))
+    n = m.branches.return_time(x, cap)
     if n > cap:
         raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
     return n
@@ -784,7 +793,7 @@ class Hole:
     def edge(self, m: MapSpec) -> float:
         if self.epsilon is not None:
             return self.epsilon
-        return preimage_sequence(m, self.index)[self.index]
+        return m.branches.point(self.index)
 
 
 # ---------------------------------------------------------------------------

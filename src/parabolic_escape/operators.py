@@ -95,7 +95,7 @@ def _graded_nodes(anchors: np.ndarray, size: int) -> np.ndarray:
 def _anchor_chain(m: MapSpec, edge: float, limit: int = 4096) -> np.ndarray:
     """Preimage-chain anchors above ``edge`` plus right-branch preimages.
 
-    The chain is grown in doubling steps through the map's cache and capped
+    The chain is read in doubling lengths until it passes ``edge``, capped
     at ``limit`` anchors: alignment to very deep preimages buys nothing once
     the chain outnumbers the cells, and the cap keeps tiny holes affordable.
     """

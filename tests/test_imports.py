@@ -2,14 +2,18 @@
 Every parameter in ``src/`` is read, or listed with the reason it is not.
 Every public name in ``src/`` has a caller, or is listed with the reason it
 has none.  Each report type is built in one place, so its fields are filled
-in once."""
+in once.  A MapSpec holds its fields only, takes no lock and hands out
+read-only arrays."""
 
 import ast
+import dataclasses
 import pathlib
 
+import numpy as np
 import pytest
 
 import parabolic_escape
+from parabolic_escape.maps import ExplicitWeights, MapSpec, preimage_sequence
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "parabolic_escape").glob("*.py") if p.name != "__init__.py")
@@ -174,3 +178,32 @@ def test_every_exported_name_resolves():
     missing = [name for name in parabolic_escape.__all__ if not hasattr(parabolic_escape, name)]
     assert missing == []
     assert len(set(parabolic_escape.__all__)) == len(parabolic_escape.__all__)
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that ``source`` imports."""
+    nodes = list(ast.walk(ast.parse(source)))
+    found = {a.name.split(".")[0] for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    return found | {n.module.split(".")[0] for n in nodes if isinstance(n, ast.ImportFrom) and n.module}
+
+
+@pytest.mark.parametrize("m", [
+    MapSpec.lsv(0.5), MapSpec.pomeau_manneville(2.0), MapSpec.farey(), MapSpec.pwl(0.5),
+    MapSpec.pwl(1.0, ExplicitWeights((0.5, 0.3, 0.2))),
+], ids=lambda m: m.family)
+def test_map_spec_is_immutable_and_hands_out_read_only_arrays(m):
+    # the chain is a function of the map: nothing to guard with a lock, no
+    # attribute beyond the fields, and no array a caller could write into the
+    # shared memo of heads, cuts and series through
+    assert "threading" not in imported_modules((ROOT / "src" / "parabolic_escape" / "maps.py").read_text())
+    assert set(vars(m)) == {f.name for f in dataclasses.fields(MapSpec)}
+    held = [v for part in (m.branches, m.weights) if part is not None for v in vars(part).values()]
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    top = getattr(m.weights, "kmax", None)  # a short explicit list ends early, with its tails held
+    assert len(arrays) == 4 if m.family in ("pm", "lsv") else len(arrays) == (top is not None)
+    top = top or 300
+    arrays += [preimage_sequence(m, N).values for N in (1, 2, min(40, top), top)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = a.copy()

@@ -132,51 +132,57 @@ def test_branch_index_validation():
 
 
 # ---------------------------------------------------------------------------
-# the preimage chain rides along the smooth branch walk
+# the smooth branch walk and the preimage chain
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("family,s", [("lsv", 0.5), ("pm", 1.0)])
 def test_markov_rate_on_a_fresh_map_walks_the_chain_once(monkeypatch, family, s):
-    calls = []
-    original = maps.left_inverse
+    m = MapSpec(family, s)  # its head is computed here, or was by an earlier map
+    calls, solves = [], []
+    original, solve = maps.left_inverse, maps.solve_monotone
 
     def counting(m, y):
         calls.append(1)
         return original(m, y)
 
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(maps, "left_inverse", counting)
-    report = compute_escape(MapSpec(family, s), Hole.markov(100), method="induced")
+    monkeypatch.setattr(maps, "solve_monotone", counting_solve)
+    report = compute_escape(m, Hole.markov(100), method="induced")
     k0 = report.diagnostics["walked_branches"]
-    # root solves down to branch k0 only, and a scalar chain before the walk
-    # would take k0 - 1 more; the other branches come from the Abel function
+    # root solves down to branch k0 only, none for the chain, which comes
+    # from the head and the Abel function; the other branches come from the
+    # Abel function too
     assert len(calls) == k0 - 1
     assert report.diagnostics["fatou_branches"] == 100 - k0 > 0
-    assert report.hole_edge == preimage_sequence(MapSpec(family, s), 100)[100]
+    # a second map of the same family and exponent reads the head, the cut
+    # and the series of the first: its construction and chain solve nothing
+    del solves[:]
+    again = MapSpec(family, s)
+    assert report.hole_edge == preimage_sequence(again, 100)[100]
+    assert solves == []
 
 
 @pytest.mark.parametrize("family,s", [("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0), ("pm", 2.0)])
 def test_walk_publishes_the_serial_chain(family, s):
+    # the walk hands out the chain of preimage_sequence at the interval ends:
+    # zeta_n(0) = a_n and zeta_n(1) = a_{n-1} byte for byte, on both sides of
+    # k0 and across the row blocks of the Fatou walk (257 nodes: two blocks),
+    # so the branch images meet a Markov grid's chain nodes exactly
     N = 500
-    walked = MapSpec(family, s)
-    for _ in branch_walk(build_induced(walked, N), lobatto_nodes(16)):
-        pass
-    assert len(walked._chain) == N + 1
-    serial = preimage_sequence(MapSpec(family, s), N).values
-    assert walked._chain.tobytes() == serial.tobytes()
-
-
-def test_walk_leaves_a_longer_chain_in_place():
-    m = MapSpec.lsv(0.5)
-    preimage_sequence(m, 60)
-    chain = m._chain
-    for _ in branch_walk(build_induced(m, 40), lobatto_nodes(16)):
-        pass
-    assert m._chain is chain
+    m = MapSpec(family, s)
+    chain = preimage_sequence(m, N).values
+    ends = np.array([y[[0, -1]] for y, _ in branch_walk(build_induced(m, N), lobatto_nodes(256))])
+    assert ends[:, 0].tobytes() == chain[:-1].tobytes()  # the nodes run from x = 1 down to x = 0
+    assert ends[:, 1].tobytes() == chain[1:].tobytes()
 
 
 @pytest.mark.parametrize("x", [lobatto_nodes(64), np.array(0.3), 1.0])
 def test_walk_values_do_not_depend_on_the_chain_lane(x):
-    # a fresh map publishes the chain its walk carries, a grown one keeps its own
+    # the walk reads nothing a map could have gained from an earlier chain
     fresh, grown = MapSpec.pomeau_manneville(1.0), MapSpec.pomeau_manneville(1.0)
     preimage_sequence(grown, 30)
     for a, b in zip(branch_walk(build_induced(fresh, 30), x), branch_walk(build_induced(grown, 30), x), strict=True):

@@ -1,6 +1,10 @@
+import copy
 import hashlib
+import pickle
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -223,54 +227,26 @@ def test_return_time_against_orbit_iteration():
 
 
 def test_preimage_chain_shared_across_threads():
-    # four threads grow the chain of one fresh map at once; a lost or doubled
-    # append would break the exact match with a chain grown serially
-    serial = preimage_sequence(MapSpec.lsv(0.5), 2000).values
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            m = MapSpec.lsv(0.5)
-            start = threading.Barrier(4)
-            results = [None] * 4
-
-            def grow(i, m=m, start=start, results=results):
-                start.wait(timeout=30)
-                results[i] = preimage_sequence(m, 2000).values
-
-            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            for values in results:
-                assert values is not None and np.array_equal(values, serial)
-            assert np.array_equal(preimage_sequence(m, 2000).values, serial)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_walks_and_chain_growth_share_one_chain_across_threads():
-    # on one fresh map, two threads walk 200 branches on many nodes, which
-    # publishes the chain they carry, while two grow it by scalar steps to
-    # a_100 and to a_400; every thread must see the serial chain, and the
-    # a_0..a_200 a slow walk publishes last must not replace a longer chain
-    serial = preimage_sequence(MapSpec.lsv(0.5), 400).values
+    # on one fresh map, with its family's head, cut and series dropped from
+    # the memo so the threads race to compute them, two threads walk 200
+    # branches on many nodes while two read the chain to a_100 and a_400;
+    # every thread must see the serial bytes
+    fresh = MapSpec.lsv(0.5)
+    chain = preimage_sequence(fresh, 400).values
+    walk = [np.asarray(pair) for pair in branch_walk(build_induced(fresh, 200), lobatto_nodes(1024))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            m = MapSpec.lsv(0.5)
+            maps._FATOU.pop((type(fresh.branches), 0.5))
             start = threading.Barrier(4)
             results = [None] * 4
 
-            def work(i, m=m, start=start, results=results):
+            def work(i, start=start, results=results):
                 start.wait(timeout=30)
+                m = MapSpec.lsv(0.5)
                 if i % 2:
-                    for _ in branch_walk(build_induced(m, 200), lobatto_nodes(1024)):
-                        pass
-                    results[i] = m._chain
+                    results[i] = [np.asarray(pair) for pair in branch_walk(build_induced(m, 200), lobatto_nodes(1024))]
                 else:
                     results[i] = preimage_sequence(m, 400 if i else 100).values
 
@@ -280,9 +256,12 @@ def test_walks_and_chain_growth_share_one_chain_across_threads():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            for values in results:
-                assert values is not None and np.array_equal(values, serial[: len(values)])
-            assert np.array_equal(m._chain, serial)
+            for i, values in enumerate(results):
+                assert values is not None
+                if i % 2:
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(values, walk, strict=True))
+                else:
+                    assert values.tobytes() == chain[: len(values)].tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -427,6 +406,51 @@ def test_pwl_weights_must_have_the_declared_exponent():
         assert MapSpec("pwl", s, explicit).weights == explicit
 
 
+@pytest.mark.parametrize("family,s", [("pm", 1.0), ("pm", 2.0), ("lsv", 0.5), ("lsv", 2.0)])
+def test_return_time_and_hole_edge_agree_with_the_chain_on_both_sides_of_k0(family, s):
+    # at a_n itself tau is n + 1, one ulp above it n, in the head and past
+    # it; a Markov hole's edge, read without the chain, is a_n itself
+    m = MapSpec(family, s)
+    k0 = maps._walked_branches(m, 10**6)
+    chain = preimage_sequence(m, 10**5 + 1).values
+    for n in (k0 - 1, k0, k0 + 1, 10**3, 10**5):
+        assert return_time(m, chain[n], cap=10**6) == n + 1
+        assert return_time(m, np.nextafter(chain[n], 1.0), cap=10**6) == n
+    assert [Hole.markov(n).edge(m) for n in range(1, k0 + 3)] == chain[1:k0 + 3].tolist()
+    assert Hole.markov(10**5).edge(m) == chain[10**5]
+
+
+def test_return_time_deep_in_the_parabolic_basin_is_cheap():
+    # epsilon = 1e-4 lies in cell 12,500,013 of lsv s = 2; the Abel function
+    # finds it without a chain of that length
+    start = time.perf_counter()
+    assert return_time(MapSpec.lsv(2.0), 1e-4, cap=10**8) == 12_500_013
+    assert time.perf_counter() - start < 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from x**-s either
+        for x in (1e-4, 1e-300):
+            start = time.perf_counter()
+            with pytest.raises(ReturnTimeOverflowError):
+                return_time(MapSpec.lsv(2.0), x)
+            assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("m", [LSV_HALF, PM_ONE, FAREY, MapSpec.pwl(0.5), MapSpec.pwl(1.0, ExplicitWeights((0.5, 0.3, 0.2)))],
+                         ids=lambda m: m.family)
+def test_maps_pickle_and_copy(m):
+    # a round trip rebuilds the map from its fields: equal, with the same
+    # chain and walk bytes
+    N = getattr(m.weights, "kmax", None) or 300  # a short explicit list ends early
+    induced = build_induced(m, min(N, 40))
+    for copied, induced_copy in ((pickle.loads(pickle.dumps(m)), pickle.loads(pickle.dumps(induced))),
+                                 (copy.deepcopy(m), copy.deepcopy(induced))):
+        assert copied == m and induced_copy.map == m and induced_copy.branch_count == induced.branch_count
+        assert preimage_sequence(copied, N).values.tobytes() == preimage_sequence(m, N).values.tobytes()
+        walks = [branch_walk(i, lobatto_nodes(64)) for i in (induced, induced_copy)]
+        for a, b in zip(*walks, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # past k0: the chain and the branches from the Fatou coordinate, at 40 digits
 # ---------------------------------------------------------------------------
@@ -438,11 +462,14 @@ def _left_branch_mp(mp, family, s):
     return (lambda x: x + c * x ** (1 + s_mp)), (lambda x: 1 + c * (1 + s_mp) * x**s_mp)
 
 
-@pytest.mark.parametrize("family,s", [("lsv", 0.25), ("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0), ("pm", 2.0)])
+@pytest.mark.parametrize("family,s", [
+    ("lsv", 0.25), ("lsv", 0.5), ("lsv", 1.0), ("lsv", 2.0), ("pm", 1.0), ("pm", 2.0), ("farey", 1.0),
+])
 def test_preimage_chain_is_exact_to_ten_thousand(family, s):
     # a_n ~ n^(-1/s) for n <= 10^4 against a_n = phi_0(a_{n-1}) at 40 digits;
     # past k0 the chain comes from a_k0 by the Abel function, so the ulp-level
-    # errors of a root solve per step no longer add up along it
+    # errors of a root solve per step no longer add up along it.  The farey
+    # chain takes the float steps a/(1 + a), against the exact 1/(n + 1)
     mp = pytest.importorskip("mpmath")
     chain = preimage_sequence(MapSpec(family, s), 10_000).values
     worst = 0.0
@@ -450,10 +477,13 @@ def test_preimage_chain_is_exact_to_ten_thousand(family, s):
         f, df = _left_branch_mp(mp, family, s)
         a = mp.mpf(1)
         for n in range(1, len(chain)):
-            x = mp.mpf(float(chain[n]))
-            for _ in range(3):  # Newton from the float value: 1e-13 -> 1e-52 relative at most
-                x -= (f(x) - a) / df(x)
-            a = x  # a_1 = phi_0(1) is the cut of both families
+            if family == "farey":
+                a = mp.mpf(1) / (n + 1)
+            else:
+                x = mp.mpf(float(chain[n]))
+                for _ in range(3):  # Newton from the float value: 1e-13 -> 1e-52 relative at most
+                    x -= (f(x) - a) / df(x)
+                a = x  # a_1 = phi_0(1) is the cut of both smooth families
             worst = max(worst, float(abs(mp.mpf(float(chain[n])) - a) / a))
     assert worst <= 1e-14
 
