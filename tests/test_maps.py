@@ -227,6 +227,35 @@ def test_return_time_against_orbit_iteration():
 
 
 def test_preimage_chain_shared_across_threads():
+    # four threads build fresh maps at once, with the family's head, cut and
+    # series dropped from the memo so they race to compute them, and read the
+    # chain to a_2000; every thread must see the serial bytes
+    serial = preimage_sequence(MapSpec.lsv(0.5), 2000).values
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            maps._FATOU.pop((type(MapSpec.lsv(0.5).branches), 0.5))
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def grow(i, start=start, results=results):
+                start.wait(timeout=30)
+                results[i] = preimage_sequence(MapSpec.lsv(0.5), 2000).values
+
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for values in results:
+                assert values is not None and values.tobytes() == serial.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_walks_and_chain_growth_share_one_chain_across_threads():
     # on one fresh map, with its family's head, cut and series dropped from
     # the memo so the threads race to compute them, two threads walk 200
     # branches on many nodes while two read the chain to a_100 and a_400;
