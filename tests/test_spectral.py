@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from parabolic_escape import operators, spectral
+from parabolic_escape import maps, operators, spectral
 from parabolic_escape.exceptions import ConvergenceError, DomainError, ReducibleMatrixError
 from parabolic_escape.induced import build_induced
 from parabolic_escape.maps import ExplicitWeights, MapSpec
@@ -148,6 +149,84 @@ def test_stored_zero_changes_nothing():
     assert a.eigenmeasure.tobytes() == b.eigenmeasure.tobytes()
 
 
+def _sweep_support(A):
+    """The prune as repeated sweeps, each a full A @ x and A.T @ x over the
+    indicator of the kept set: the reference for the peel."""
+    alive = np.ones(A.shape[0], bool)
+    while True:
+        x = alive.astype(float)
+        still = alive & (A @ x > 0) & (A.T @ x > 0)
+        if not still.any():
+            raise ReducibleMatrixError("matrix has no recurrent support")
+        if np.array_equal(still, alive):
+            return np.nonzero(alive)[0]
+        alive = still
+
+
+def _peel_support(A):
+    A = sp.csr_matrix(A)
+    return spectral._prune_support(A, A.T.tocsr())
+
+
+@pytest.mark.parametrize("m,N", [(LSV_HALF, 4), (MapSpec.lsv(2.0), 3), (MapSpec("pm", 1.0), 4), (FAREY, 6)],
+                         ids=["lsv-0.5", "lsv-2", "pm-1", "farey"])
+def test_peel_keeps_what_the_sweeps_kept_on_markov_grids(m, N):
+    _, grid, pieces, _ = _induced_triple(m, N, 4096)
+    A = combine_branch_matrices(build_induced(m, N), grid, pieces).matrix
+    kept = _peel_support(A)
+    assert np.array_equal(kept, _sweep_support(A))
+    # farey prunes nothing: its gaps are transient classes instead
+    assert 0 < len(kept) <= A.shape[0] and (len(kept) < A.shape[0]) == (m.family != "farey")
+
+
+@st.composite
+def _sparse_graphs(draw):
+    """Sparse nonnegative matrices: random edges and self-loops, plus a cycle
+    with a transient chain running into it and one running out of it."""
+    n = draw(st.integers(1, 24))
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    if draw(st.booleans()):
+        path = draw(st.permutations(range(n)))
+        a, b, c = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+        chain_in, cycle, chain_out = path[:a], path[a:b], path[b:c]
+        edges += list(zip(chain_in, chain_in[1:] + cycle[:1]))
+        edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+        edges += list(zip(cycle[-1:] + chain_out[:-1], chain_out))
+    weights = draw(st.lists(st.floats(0.01, 2.0), min_size=len(edges), max_size=len(edges)))
+    rows, cols = (np.array([e[k] for e in edges], int) for k in (0, 1))
+    A = sp.coo_matrix((np.array(weights, float), (rows, cols)), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_sparse_graphs())
+def test_peel_keeps_what_the_sweeps_kept_on_drawn_matrices(A):
+    try:
+        expected = _sweep_support(A)
+    except ReducibleMatrixError:
+        with pytest.raises(ReducibleMatrixError):
+            _peel_support(A)
+        return
+    assert np.array_equal(_peel_support(A), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 24), data=st.data())
+def test_peel_rejects_a_matrix_without_a_cycle(n, data):
+    # every edge runs from a lower to a higher index: no cycle, no recurrent support
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    rows = np.array([i for i, _ in edges], int)
+    cols = np.array([j for _, j in edges], int)
+    A = sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+    with pytest.raises(ReducibleMatrixError):
+        _sweep_support(A)
+    with pytest.raises(ReducibleMatrixError):
+        _peel_support(A)
+
+
 # ---------------------------------------------------------------------------
 # cylinder masses
 # ---------------------------------------------------------------------------
@@ -269,6 +348,29 @@ def test_mass_check_builds_the_pieces_once(monkeypatch):
     rho = cylinder_masses(build_induced(PWL_ONE, 4), exact)
     assert np.max(np.abs(rho - (1.0 / (ks * (ks + 1.0))) / (4 / 5))) <= 1e-14
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("m,N", [(LSV_HALF, 4), (MapSpec.lsv(2.0), 3), (MapSpec("pm", 1.0), 4), (FAREY, 5), (PWL_ONE, 3)],
+                         ids=["lsv-0.5", "lsv-2", "pm-1", "farey", "pwl-exact"])
+def test_mass_check_reads_only_the_support(m, N, monkeypatch):
+    sys = build_induced(m, N)
+    if m.family == "pwl":
+        triple = leading_eigen(pwl_exact_matrix(m, N))
+    else:
+        triple = _induced_triple(m, N, 4096)[3]
+    full = float(triple.eigenmeasure @ invariant_function(sys, triple))
+    points = []
+    original = maps.left_inverse
+
+    def counting(mm, y):
+        points.append(np.size(y))
+        return original(mm, y)
+
+    monkeypatch.setattr(maps, "left_inverse", counting)
+    check = invariant_mass(sys, triple)
+    assert check.mass_from_function.hex() == full.hex()
+    support = np.count_nonzero(triple.eigenmeasure)
+    assert 0 < sum(points) <= 2 * (N - 1) * support
 
 
 def test_mean_return_growth_regimes():
