@@ -17,12 +17,10 @@ the full matrix and the dominant class must be unique.
 The leading pair feeds three derived quantities: per-branch cylinder masses
 of the normalized product h * nu, the accumulated hole-avoiding pullback
 function of the eigenfunction, and the mass consistency check between its
-integral and the mean return time.
-
-Both costs beyond the power iteration follow the survivor set, not the grid.
-The prune is one peel that reads every edge once, and the mass check pulls
-back only the nodes of the cells where nu is nonzero: 5.6 % of the 262,144
-cells for lsv s = 2, N = 3, whose check went from 1.4 s to 0.9 s.
+integral and the mean return time.  The prune is one peel that reads every
+edge once, where repeated sweeps read them all once per round, and the mass
+check pulls back only the nodes of the cells where nu is nonzero (5.6 % of
+the 262,144 cells for lsv s = 2, N = 3), not every node of the grid.
 """
 
 from __future__ import annotations
@@ -294,8 +292,11 @@ def _pullback_sum(sys: InducedOpenSystem, triple: SpectralTriple, fill: np.ndarr
 
     e = np.where(fill, h, 0.0)
     live = np.append(fill, False) | np.insert(fill, 0, False)
-    # a node left out is NaN, so no interval ends there
-    u = np.where(live, nodes, np.nan)
+    # the nodes of the filled cells, each run followed by a NaN node: no
+    # interval ends at a NaN, so between kept[j] and kept[j + 1] lies cell kept[j]
+    kept = np.nonzero(live | np.insert(live[:-1], 0, False))[0]
+    live = live[kept]
+    u = np.where(live, nodes[kept], np.nan)
     for k in range(1, sys.branch_count):
         u[live] = maps.left_inverse(sys.map, u[live])
         # an image at or below the hole edge stays there under phi_0, and its
@@ -303,8 +304,8 @@ def _pullback_sum(sys: InducedOpenSystem, triple: SpectralTriple, fill: np.ndarr
         live &= u > hole_edge
         # x survives k pullbacks iff its k-fold image stays above the hole
         # edge, so clipping the image interval realizes the indicator exactly
-        cells, rows, overlap = interval_cell_overlaps(nodes, np.maximum(u, hole_edge))
-        e = e + np.bincount(rows, overlap * h[cells], grid.n_cells) / widths
+        cells, which, overlap = interval_cell_overlaps(nodes, np.maximum(u, hole_edge))
+        e = e + np.bincount(kept[which], overlap * h[cells], grid.n_cells) / widths
     return np.where(fill, e, 0.0)
 
 
