@@ -265,17 +265,18 @@ def interval_cell_overlaps(nodes: np.ndarray, bounds: np.ndarray):
     """
     n_cells = len(nodes) - 1
     bounds = np.asarray(bounds, float)
+    start, end = bounds[:-1], bounds[1:]
+    # a NaN fails both comparisons
+    which0 = np.nonzero((start < end) | (start > end))[0]
+    up = start[which0] < end[which0]
+    l_v = np.minimum(start[which0], end[which0])
+    h_v = np.maximum(start[which0], end[which0])
     at = np.searchsorted(nodes, bounds, side="left")
+    i_hi = np.clip(np.where(up, at[which0 + 1], at[which0]) - 1, 0, n_cells - 1)
     # side="right" differs from side="left" only where a bound is a node; as
     # a lower end, it skips the cell below, whose overlap is empty
-    past = at + (nodes[np.minimum(at, n_cells)] == bounds)
-    rising = bounds[1:] >= bounds[:-1]
-    lo_k = np.minimum(bounds[:-1], bounds[1:])
-    hi_k = np.maximum(bounds[:-1], bounds[1:])
-    which0 = np.nonzero(hi_k > lo_k)[0]
-    l_v, h_v, up = lo_k[which0], hi_k[which0], rising[which0]
-    i_lo = np.clip(np.where(up, past[which0], past[which0 + 1]) - 1, 0, n_cells - 1)
-    i_hi = np.clip(np.where(up, at[which0 + 1], at[which0]) - 1, 0, n_cells - 1)
+    at += nodes[np.minimum(at, n_cells)] == bounds
+    i_lo = np.clip(np.where(up, at[which0], at[which0 + 1]) - 1, 0, n_cells - 1)
     counts = i_hi - i_lo + 1
     total = int(counts.sum())
     if total == 0:
