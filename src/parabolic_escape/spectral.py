@@ -89,8 +89,12 @@ def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix) -> np.ndarray:
     dying = np.nonzero((out_deg == 0) | (in_deg == 0))[0]
     while dying.size:
         alive[dying] = False
-        out_deg = out_deg - np.bincount(AT[dying].indices, minlength=n)
-        in_deg = in_deg - np.bincount(A[dying].indices, minlength=n)
+        for M, deg in ((AT, out_deg), (A, in_deg)):
+            first = M.indptr[dying]
+            count = M.indptr[dying + 1] - first
+            # the dying rows' entries from indptr: slicing the matrix costs more on small grids
+            entries = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            deg -= np.bincount(M.indices[entries], minlength=n)
         dying = np.nonzero(alive & ((out_deg == 0) | (in_deg == 0)))[0]
     if not alive.any():
         raise ReducibleMatrixError("matrix has no recurrent support")
@@ -125,9 +129,8 @@ def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, tol: float, maxiter: int):
     )
 
 
-def _component_radius(block: sp.csr_matrix, AT: sp.csr_matrix, cells: np.ndarray) -> float:
-    """Perron root of one strongly connected block, the rows and columns
-    ``cells`` of the matrix whose CSR transpose is ``AT``.
+def _component_radius(block: sp.csr_matrix) -> float:
+    """Perron root of one strongly connected block.
 
     Small blocks go through a dense solve because they may be periodic (cells
     around a periodic point of the branch maps), where ratio-based power
@@ -135,7 +138,7 @@ def _component_radius(block: sp.csr_matrix, AT: sp.csr_matrix, cells: np.ndarray
     """
     if block.shape[0] <= 256:
         return float(np.max(np.abs(np.linalg.eigvals(block.toarray()))))
-    lam, _, _, _ = _power_pair(block, AT[np.ix_(cells, cells)], 1e-8, 20_000)
+    lam, _, _, _ = _power_pair(block, block.T.tocsr(), 1e-8, 20_000)
     return lam
 
 
@@ -202,7 +205,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
         for c in np.nonzero(sizes > 1)[0]:
             idx = np.nonzero(labels == c)[0]
             blocks[c] = B[np.ix_(idx, idx)].tocsr()
-            radii[c] = _component_radius(blocks[c], AT, keep[idx])
+            radii[c] = _component_radius(blocks[c])
         order = np.argsort(radii)
         best, second = order[-1], radii[order[-2]]
         if second >= radii[best] * (1.0 - 1e-9):
@@ -214,7 +217,8 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     core_idx = keep[core]
     n_transient = len(keep) - len(core_idx)
 
-    core_T = AT if len(core_idx) == A.shape[0] else AT[np.ix_(core_idx, core_idx)]
+    # transposing a pruned block costs less than slicing it from AT
+    core_T = AT if core_block is A else core_block.T.tocsr()
     lam, v, u, iterations = _power_pair(core_block, core_T, EIGEN_TOL, maxiter)
     h, nu = _extend_to_full(A, AT, lam, core_idx, v, u)
 
@@ -299,9 +303,6 @@ def _pullback_sum(sys: InducedOpenSystem, triple: SpectralTriple, fill: np.ndarr
     u = np.where(live, nodes[kept], np.nan)
     for k in range(1, sys.branch_count):
         u[live] = maps.left_inverse(sys.map, u[live])
-        # an image at or below the hole edge stays there under phi_0, and its
-        # clipped bound is the edge from now on
-        live &= u > hole_edge
         # x survives k pullbacks iff its k-fold image stays above the hole
         # edge, so clipping the image interval realizes the indicator exactly
         cells, which, overlap = interval_cell_overlaps(nodes, np.maximum(u, hole_edge))
