@@ -190,9 +190,10 @@ def _sparse_graphs(draw):
         path = draw(st.permutations(range(n)))
         a, b, c = sorted(draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
         chain_in, cycle, chain_out = path[:a], path[a:b], path[b:c]
-        edges += list(zip(chain_in, chain_in[1:] + cycle[:1]))
-        edges += list(zip(cycle, cycle[1:] + cycle[:1]))
-        edges += list(zip(cycle[-1:] + chain_out[:-1], chain_out))
+        if cycle:
+            edges += list(zip(chain_in, chain_in[1:] + cycle[:1]))
+            edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+            edges += list(zip(cycle[-1:] + chain_out[:-1], chain_out))
     weights = draw(st.lists(st.floats(0.01, 2.0), min_size=len(edges), max_size=len(edges)))
     rows, cols = (np.array([e[k] for e in edges], int) for k in (0, 1))
     A = sp.coo_matrix((np.array(weights, float), (rows, cols)), shape=(n, n)).tocsr()
