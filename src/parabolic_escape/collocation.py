@@ -34,10 +34,10 @@ def interpolation_matrices(nodes: np.ndarray, y: np.ndarray) -> np.ndarray:
     Lobatto ``nodes`` that is one at node j and zero at the others."""
     weights = (-1.0) ** np.arange(len(nodes))
     weights[[0, -1]] *= 0.5
-    diff = y[..., None] - nodes
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    P = weights / diff
+    P = y[..., None] - nodes  # the one full-size array: each step below is in place
+    hit = P == 0.0
+    P[hit] = 1.0
+    np.divide(weights, P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
     on_node = hit.any(axis=-1)
     P[on_node] = hit[on_node]
@@ -57,7 +57,9 @@ def branch_stack(values, degree: int) -> np.ndarray:
     ys, logws = values
     stride = (ys.shape[1] - 1) // degree
     ys, logws = ys[:, ::stride], logws[:, ::stride]
-    return np.exp(logws)[:, :, None] * interpolation_matrices(lobatto_nodes(degree), ys)
+    P = interpolation_matrices(lobatto_nodes(degree), ys)
+    P *= np.exp(logws)[:, :, None]
+    return P
 
 
 def leading_pair(A: np.ndarray) -> tuple:

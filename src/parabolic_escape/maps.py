@@ -38,8 +38,8 @@ from .exceptions import ConvergenceError, DomainError, ReturnTimeOverflowError
 from .roots import solve_monotone
 
 DEFAULT_RETURN_TIME_CAP = 1_000_000
-#: cap on the cell lookups of the pwl branches, which are defined at every
-#: x > 0: far past any return time, at the last integer a float holds exactly
+#: cap on the cell lookups of the pwl branches and their inverse, defined at
+#: every x > 0: far past any return time, at the last integer a float holds exactly
 _CELL_LIMIT = 2 ** 53
 #: terms of the Abel series past its logarithm, and the share of the leading
 #: term below which its last term must fall on every branch it serves
@@ -55,25 +55,46 @@ _FATOU_BLOCK = 1 << 16
 # piecewise-linear weight sequences
 # ---------------------------------------------------------------------------
 
+def _first_below(tail, x, start, cap):
+    """The smallest n >= 1 with tail(n) < x, elementwise, for a tail that
+    decreases in n; an int for a scalar x.
+
+    Probes the guess ``start`` (clipped to [1, cap]), then start -+ 1, 2,
+    4, ... towards the answer until it is bracketed, and bisects the
+    bracket: an exact guess costs two tail evaluations.  tail(0) is never
+    evaluated.  Raises ``ReturnTimeOverflowError`` if the answer passes ``cap``.
+    """
+    shape, x = np.shape(x), np.ravel(np.asarray(x, float))
+    n = np.clip(np.ravel(start), 1, cap).astype(np.int64)
+    down = tail(n) < x
+    # tail(lo) >= x > tail(hi); it gallops towards an end still untested
+    # (lo = 0 or hi = cap + 1) and bisects once both are tested
+    lo, hi = np.where(down, 0, n), np.where(down, n, cap + 1)
+    at, step = np.flatnonzero(hi - lo > 1), 1
+    while at.size:
+        l, h, o = lo[at], hi[at], n[at]
+        probe = np.where(l == 0, np.maximum(o - step, 1), np.where(h > cap, np.minimum(o + step, cap), (l + h) // 2))
+        hit = tail(probe) < x[at]
+        hi[at], lo[at] = np.where(hit, probe, h), np.where(hit, l, probe)
+        at, step = at[hi[at] - lo[at] > 1], min(2 * step, cap)  # a larger step probes 1 or cap
+    if np.any(hi > cap):
+        raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
+    return hi.reshape(shape) if shape else int(hi[0])
+
+
 class Weights:
     """Interface for the cell lengths p_k of a piecewise-linear map.
 
     ``mass(k)`` is p_k, ``tail(n)`` is a_n = sum_{j>n} p_j, both vectorized
     over integer arrays.  ``kmax`` is the largest usable cell index (None for
-    an infinite sequence).
+    an infinite sequence, which gives ``_start(x)``, a guess at x's cell).
     """
 
     kmax: Optional[int] = None
 
-    def mass(self, k):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def tail(self, n):  # pragma: no cover - interface
-        raise NotImplementedError
-
     def cell_index(self, x, cap=DEFAULT_RETURN_TIME_CAP):
         """Smallest n >= 1 with tail(n) < x, i.e. the return time of x."""
-        raise NotImplementedError
+        return _first_below(self.tail, x, self._start(np.asarray(x, float)), cap)
 
 
 @dataclass(frozen=True)
@@ -88,18 +109,8 @@ class HarmonicWeights(Weights):
         n = np.asarray(n, float)
         return 1.0 / (n + 1.0)
 
-    def cell_index(self, x, cap=DEFAULT_RETURN_TIME_CAP):
-        x = np.asarray(x, float)
-        # a_n < x <= a_{n-1}  <=>  n <= 1/x < n+1, up to boundary rounding
-        # clipped before the cast, which would wrap; the check below still
-        # sees every n beyond the cap
-        n = np.clip(np.floor(1.0 / x), 1, cap + 1).astype(np.int64)
-        # fix up boundary rounding: x == a_{n-1} must give n, x <= a_n gives n+1
-        n = np.where(x > self.tail(n - 1), n - 1, n)
-        n = np.where(x <= self.tail(n), n + 1, n)
-        if np.any(n > cap):
-            raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
-        return n if n.ndim else int(n)
+    def _start(self, x):
+        return np.floor(1.0 / x)  # a_n < x <= a_{n-1} <=> n <= 1/x < n+1, up to rounding
 
 
 @dataclass(frozen=True)
@@ -132,33 +143,8 @@ class ZipfWeights(Weights):
         n = np.asarray(n, float)
         return _zeta(self.exponent, n + 1.0) / self._norm()
 
-    def cell_index(self, x, cap=DEFAULT_RETURN_TIME_CAP):
-        x = np.asarray(x, float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        # binary search for the smallest n with tail(n) < x; the predicate is
-        # monotone in n, and the asymptotic tail inversion seeds the bracket
-        guess = np.maximum((self.s / (self._norm() * x)) ** self.s, 1.0)
-        hi = np.minimum(guess, float(cap) + 1).astype(np.int64)
-        hi = np.maximum(hi, 1)
-        for _ in range(80):
-            unresolved = np.asarray(self.tail(hi), float) >= x
-            if not unresolved.any():
-                break
-            if np.any(unresolved & (hi > cap)):
-                raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
-            hi = np.where(unresolved, np.minimum(hi * 2, cap + 1), hi)
-        else:  # pragma: no cover - doubling reaches the cap in < 80 steps
-            raise ReturnTimeOverflowError("cell bracket search failed")
-        lo = np.ones_like(hi)
-        while np.any(lo < hi):
-            mid = (lo + hi) // 2
-            below = np.asarray(self.tail(mid), float) < x
-            hi = np.where(below & (lo < hi), mid, hi)
-            lo = np.where(~below & (lo < hi), mid + 1, lo)
-        if np.any(lo > cap):
-            raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
-        return int(lo[0]) if scalar else lo
+    def _start(self, x):
+        return (self.s / (self._norm() * x)) ** self.s  # a_n ~ s n**(-1/s) / norm
 
 
 @dataclass(frozen=True)
@@ -382,9 +368,9 @@ class _Smooth(_Family):
         return float(self.head[n]) if n <= self.k0 else float(self._deep([n])[0])
 
     def return_time(self, x, cap):
-        # in the head by search; past it n from the gap Psi(x**-s) - Psi(a_k0**-s),
-        # which lies in [n - 1 - k0, n - k0) up to rounding, then moved by one
-        # while the chain's own a_n or a_{n-1} disagrees
+        # in the head by search; past it the chain's own a_n searched from the
+        # gap Psi(x**-s) - Psi(a_k0**-s), which lies in [n - 1 - k0, n - k0)
+        # up to rounding
         head, k0, s = self.head, self.k0, self.s
         if x > head[-1]:
             return int(np.searchsorted(-head, -x, side="right"))
@@ -393,14 +379,7 @@ class _Smooth(_Family):
         u0 = head[-1] ** -s
         gap = (u - u0) / self._cs + self._beta * np.log(u / u0)
         gap += _horner(self._gamma, 1.0 / u) - _horner(self._gamma, 1.0 / u0)
-        if not gap < cap - k0 + 1:
-            raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
-        n = k0 + int(gap) + 1
-        while x <= self.point(n):
-            n += 1
-        while x > self.point(n - 1):
-            n -= 1
-        return n
+        return _first_below(lambda ns: np.array([self.point(n) for n in ns.tolist()]), x, k0 + 1 + gap, cap)
 
     def walk(self, m, x, N):
         # branches 1..k0 through the public inverses, one root solve a step
@@ -537,14 +516,14 @@ class _Pwl(_Family):
         self.weights = w = weights if weights is not None else default_pwl_weights(s)
         self.cut = float(w.tail(1))
 
-    def _cellwise(self, x, fill: float, cap: int, formula):
-        """formula(k, x) on the points x > 0 of cell k (up to return time cap), fill at 0."""
+    def _cellwise(self, x, fill: float, formula):
+        """formula(k, x) on the points x > 0 of cell k, fill at 0."""
         x_in = np.asarray(x, float)
         x1 = np.atleast_1d(x_in)
         out = np.full_like(x1, fill)
         pos = x1 > 0.0
         if np.any(pos):
-            k = np.atleast_1d(self.weights.cell_index(x1[pos], cap=cap))
+            k = self.weights.cell_index(x1[pos], cap=_CELL_LIMIT)
             out[pos] = formula(k, x1[pos])
         return out.reshape(x_in.shape)
 
@@ -557,13 +536,13 @@ class _Pwl(_Family):
         return np.asarray(tail(j), float) + (x - np.asarray(tail(k), float)) * self._slope(k, top)
 
     def left(self, x):
-        return self._cellwise(x, 0.0, _CELL_LIMIT, lambda k, x: self._affine(k, x, k - 1, np.maximum(k - 1, 1)))
+        return self._cellwise(x, 0.0, lambda k, x: self._affine(k, x, k - 1, np.maximum(k - 1, 1)))
 
     def dleft(self, x):
-        return self._cellwise(x, 1.0, _CELL_LIMIT, lambda k, x: self._slope(k, np.maximum(k - 1, 1)))
+        return self._cellwise(x, 1.0, lambda k, x: self._slope(k, np.maximum(k - 1, 1)))
 
     def inv_left(self, y):
-        return self._cellwise(y, 0.0, DEFAULT_RETURN_TIME_CAP, lambda k, y: self._affine(k, y, k + 1, k + 1))
+        return self._cellwise(y, 0.0, lambda k, y: self._affine(k, y, k + 1, k + 1))
 
     def right(self, x):
         return (x - self.cut) / self.weights.mass(1)
@@ -719,9 +698,6 @@ class PreimageSeq:
 
     values: np.ndarray
 
-    def __len__(self):
-        return len(self.values)
-
     def __getitem__(self, i):
         return float(self.values[i])
 
@@ -746,9 +722,10 @@ def preimage_sequence(m: MapSpec, N: int) -> PreimageSeq:
 def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int:
     """tau(x): the unique n with a_n < x <= a_{n-1} of the chain, for x in (0, 1].
 
-    Never by orbit iteration: for pm and lsv, n from the Abel function,
-    checked against a_{n-1} and a_n, at a cost that does not depend on tau.
-    Raises ``ReturnTimeOverflowError`` once tau, or its estimate, exceeds
+    Never by orbit iteration: for pm and lsv a guess from the Abel function,
+    for infinite pwl weights one from the tails' asymptotics, then a search
+    of the chain's own a_n out from that guess, at a cost that does not
+    depend on tau.  Raises ``ReturnTimeOverflowError`` once tau exceeds
     ``cap``.
     """
     if not 0.0 < x <= 1.0:

@@ -78,10 +78,6 @@ UNREAD_PARAMETERS = {
     ("escape.py", "induced_analysis", "grid_size"): "perfbench passes it to every method",
     ("escape.py", "sandwich_bounds", "grid_size"): "perfbench passes it",
     ("operators.py", "combine_branch_matrices", "sys"): "perfbench passes it",
-    ("maps.py", "Weights.mass", "k"): "interface stub",
-    ("maps.py", "Weights.tail", "n"): "interface stub",
-    ("maps.py", "Weights.cell_index", "x"): "interface stub",
-    ("maps.py", "Weights.cell_index", "cap"): "interface stub",
     ("maps.py", "ExplicitWeights.cell_index", "cap"): "a finite list ends before any cap",
     ("maps.py", "_Farey.walk", "m"): "every family has the same walk signature",
     ("maps.py", "_Pwl.walk", "m"): "every family has the same walk signature",

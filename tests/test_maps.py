@@ -123,6 +123,10 @@ def test_pwl_deep_cells_need_no_return_time_cap(m, x):
     slope = float(w.mass(k - 1) / w.mass(k))
     assert eval_map(m, x) == pytest.approx(float(w.tail(k - 1)) + (x - float(w.tail(k))) * slope, rel=1e-12)
     assert eval_derivative(m, x) == pytest.approx(slope, rel=1e-12)
+    # the left inverse sends x on into cell k + 1
+    y = left_inverse(m, x)
+    assert y == pytest.approx(float(w.tail(k + 1)) + (x - float(w.tail(k))) * float(w.mass(k + 1) / w.mass(k)), rel=1e-12)
+    assert eval_map(m, y) == pytest.approx(x, rel=1e-12)
 
 
 def test_derivative_values():
@@ -305,6 +309,94 @@ def test_return_time_cap():
         eval_map(PWL_ONE, 1e-20)
     with pytest.raises(DomainError):
         return_time(FAREY, 0.0)
+
+
+@pytest.mark.parametrize(
+    "m", [PWL_ONE, MapSpec.pwl(0.5), MapSpec.pwl(2.0), FAREY, LSV_HALF, MapSpec.pomeau_manneville(2.0)],
+    ids=["harmonic", "zipf-0.5", "zipf-2", "farey", "lsv-0.5", "pm-2"],
+)
+def test_return_time_at_the_cell_boundaries(m):
+    # tau is n + 1 at a_n and one ulp below it, n one ulp above it
+    top = 10**4 if m.family == "farey" else 10**5
+    chain = preimage_sequence(m, top).values
+    for n in (1, 2, 3, 10, 10**3, top):
+        a = chain[n]
+        assert [return_time(m, x) for x in (np.nextafter(a, 0.0), a, np.nextafter(a, 1.0))] == [n + 1, n + 1, n]
+
+
+@pytest.mark.parametrize("m", [PWL_ONE, MapSpec.pwl(0.5), MapSpec.pwl(2.0)], ids=["harmonic", "zipf-0.5", "zipf-2"])
+def test_pwl_cell_index_of_an_array_is_the_chain_search(m):
+    # 2,000 points on, beside and between the chain's nodes, in one call
+    chain = preimage_sequence(m, 10**5).values
+    n = np.random.default_rng(5).integers(1, 10**5, 500)
+    x = np.concatenate([chain[n], np.nextafter(chain[n], 0.0), np.nextafter(chain[n], 1.0), 0.5 * (chain[n] + chain[n - 1])])
+    cells = m.weights.cell_index(x.reshape(40, 50))
+    assert cells.shape == (40, 50)
+    assert cells.ravel().tolist() == np.searchsorted(-chain, -x, side="right").tolist()
+
+
+CAPPED_LOOKUPS = {
+    "harmonic": HarmonicWeights().cell_index,
+    "zipf-0.5": ZipfWeights(0.5).cell_index,
+    "zipf-2": ZipfWeights(2.0).cell_index,
+    "lsv-0.5": lambda x, cap: return_time(LSV_HALF, x, cap=cap),
+}
+
+
+@pytest.mark.parametrize("x", [0.1, 1e-3, 2e-7])
+@pytest.mark.parametrize("name", CAPPED_LOOKUPS)
+def test_the_cap_is_the_largest_return_time_allowed(name, x):
+    lookup = CAPPED_LOOKUPS[name]
+    n = lookup(x, cap=10**15)
+    assert n >= 2
+    assert lookup(x, cap=n) == n
+    with pytest.raises(ReturnTimeOverflowError):
+        lookup(x, cap=n - 1)
+
+
+def test_the_search_costs_two_tail_evaluations_at_an_exact_guess():
+    calls = []
+
+    def tail(n):
+        calls.append(n)
+        return 1.0 / (n + 1.0)
+
+    x = np.array([0.3, 1e-3, 2e-7])
+    cells = HarmonicWeights().cell_index(x, cap=10**9)
+    for offset, cost in ((0, 2), (-1, 2), (1, 3), (-2, 3)):
+        calls.clear()
+        assert maps._first_below(tail, x, cells + offset, 10**9).tolist() == cells.tolist()
+        assert len(calls) == cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**7), st.floats(-10.0, 1e8), st.integers(1, 10**7))
+def test_the_search_finds_the_first_tail_below_x_from_any_guess(answer, start, cap):
+    # tail(n) = -n falls below x = 1/2 - answer first at n = answer
+    evaluated = []
+
+    def tail(n):
+        evaluated.extend(n.tolist())
+        return -n.astype(float)
+
+    if answer > cap:
+        with pytest.raises(ReturnTimeOverflowError):
+            maps._first_below(tail, 0.5 - answer, start, cap)
+    else:
+        assert maps._first_below(tail, 0.5 - answer, start, cap) == answer
+    # never tail(0) nor past the cap, and a number of steps logarithmic in the miss
+    assert 1 <= min(evaluated) and max(evaluated) <= cap
+    miss = abs(int(min(max(start, 1), cap)) - min(answer, cap + 1))
+    assert len(evaluated) <= 2 * np.log2(miss + 1) + 3
+    if answer <= cap:  # each point of an array on its own
+        found = maps._first_below(tail, np.full(3, 0.5 - answer), np.array([start, answer, 1.0]), cap)
+        assert found.tolist() == [answer] * 3
+
+
+def test_the_search_spans_every_cell_a_float_can_index():
+    # a gallop of 53 steps from a guess of 1, then a bisection of 52; no int64 overflow
+    answer = 2**52 + 3
+    assert maps._first_below(lambda n: -n.astype(float), 0.5 - answer, 1.0, maps._CELL_LIMIT) == answer
 
 
 # ---------------------------------------------------------------------------
