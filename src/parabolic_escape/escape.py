@@ -19,10 +19,9 @@ Three methods produce escape rates of the original map:
     the half-degree rate, the solver counts, and how many branches the walk
     took by root solves (``walked_branches``) and how many from the Fatou
     coordinate (``fatou_branches``) in their JSON diagnostics.
-    Piecewise-linear maps take their closed form instead, and the Markov-grid
-    discretization stays as the private reference :func:`_grid_analysis`.
-    Each of the three routes supplies only its z = 1 leading data and its
-    unit-eigenvalue equation; :func:`_solve_rates` forms both rates from them.
+    Piecewise-linear maps take their closed form instead.  Each of the two
+    routes supplies only its z = 1 leading data and its unit-eigenvalue
+    equation; :func:`_solve_rates` forms both rates from them.
 
 ``ulam``
     Discretize the open operator of the original map directly on a
@@ -38,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
@@ -51,14 +51,8 @@ from .exceptions import (
 )
 from .induced import build_induced
 from .maps import Hole, MapSpec, _walked_branches, return_time
-from .operators import (
-    assemble_ulam_open,
-    combine_branch_matrices,
-    hole_grid,
-    induced_branch_matrices,
-    markov_grid,
-)
-from .spectral import EIGEN_TOL, SpectralTriple, cylinder_masses, leading_eigen, mean_return_time
+from .operators import assemble_ulam_open, hole_grid
+from .spectral import EIGEN_TOL, SpectralTriple, leading_eigen, mean_return_time
 
 CSV_COLUMNS = (
     "family",
@@ -119,7 +113,7 @@ class InducedAnalysis:
     eigen_residual: float
     grid_size: int
     zsolve_evals: int  # evaluations of the unit-eigenvalue equation
-    eigen_iterations: int  # power iterations (grid) or dense solves (collocation), z = 1 included
+    eigen_iterations: int = 0  # dense solves of the collocation, z = 1 included; none for the closed form
     collocation_nodes: Optional[int] = None
     error_estimate: Optional[float] = None  # |gamma_n - gamma_(n/2)| of the collocation
     converged: bool = True  # False when the collocation degrees never agreed
@@ -158,19 +152,17 @@ def _bracket_and_solve(evaluate, lam1: float, t1: float, ftol: float) -> tuple:
 
 
 def _solve_rates(
-    lam: float, masses: np.ndarray, mean_return: float, residual: float, evaluate, grid_size: int, solves,
+    lam: float, masses: np.ndarray, mean_return: float, residual: float, evaluate, grid_size: int,
     collocation_nodes: Optional[int] = None,
 ) -> InducedAnalysis:
     """Both rates from a route's z = 1 leading data and its ``evaluate(t)``
-    for :func:`_bracket_and_solve`, which stops at |f| <= ``EIGEN_TOL``;
-    ``solves(evals)`` is the route's eigen work once the solve has taken
-    ``evals`` evaluations."""
+    for :func:`_bracket_and_solve`, which stops at |f| <= ``EIGEN_TOL``."""
     gamma_induced = escape_rate_induced(lam)
     gamma_formula = gamma_induced / mean_return
     gamma, evals = _bracket_and_solve(evaluate, lam, gamma_formula, EIGEN_TOL)
     return InducedAnalysis(
         lam, masses, gamma_induced, mean_return, gamma_formula, gamma, residual, grid_size, evals,
-        solves(evals), collocation_nodes,
+        collocation_nodes=collocation_nodes,
     )
 
 
@@ -203,7 +195,7 @@ def induced_analysis(m: MapSpec, N: int, grid_size: int = 4096, exact_pwl: bool 
             value = float(np.polynomial.polynomial.polyval(z, coeffs))
             return math.log(value), float(np.polynomial.polynomial.polyval(z, dcoeffs)) / value
 
-        return _solve_rates(lam, p / lam, float(ks @ p) / lam, 0.0, evaluate, N, lambda evals: 0)
+        return _solve_rates(lam, p / lam, float(ks @ p) / lam, 0.0, evaluate, N)
 
     values = collocation.branch_values(sys, collocation.DEGREES[-1])
     coarse = collocation.branch_stack(values, collocation.DEGREES[0])
@@ -216,7 +208,8 @@ def induced_analysis(m: MapSpec, N: int, grid_size: int = 4096, exact_pwl: bool 
         f, df = _unit_equation(coarse, ia.gamma)
         gap = abs(f / df)
         evals += ia.zsolve_evals + 1
-        solves += ia.eigen_iterations + 1
+        # the z = 1 solve, one per Newton evaluation, and the coarse step
+        solves += ia.zsolve_evals + 2
         if gap <= 1e-10 * ia.gamma:
             break
         coarse = stack
@@ -259,31 +252,7 @@ def _collocation_analysis(stack: np.ndarray) -> InducedAnalysis:
     nodes = stack.shape[1]
     return _solve_rates(
         lam, masses, mean_return_time(masses), residual, lambda t: _unit_equation(stack, t), nodes,
-        lambda evals: evals + 1, collocation_nodes=nodes,
-    )
-
-
-def _grid_analysis(m: MapSpec, N: int, grid_size: int = 4096) -> InducedAnalysis:
-    """The Markov-grid induced route, kept as a plain reference for tests and
-    ``verify``: N_z on an aligned log-graded grid of ``grid_size`` cells with
-    exact interval-overlap entries, and the same unit-eigenvalue solve, each
-    evaluation a branch-order sum and a cold solve.  First order in the cell
-    width, so it is the least accurate route."""
-    sys = build_induced(m, N)
-    grid = markov_grid(m, N, grid_size)
-    pieces = induced_branch_matrices(sys, grid)
-    triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
-    masses = cylinder_masses(sys, triple)
-    iterations = [triple.stats["iterations"]]
-
-    def evaluate(t: float) -> tuple:
-        solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, math.exp(t)))
-        iterations.append(solve.stats["iterations"])
-        return math.log(solve.eigenvalue), mean_return_time(cylinder_masses(sys, solve))
-
-    return _solve_rates(
-        triple.eigenvalue, masses, mean_return_time(masses), triple.residual, evaluate, grid.n_cells,
-        lambda evals: sum(iterations),
+        collocation_nodes=nodes,
     )
 
 
@@ -420,9 +389,13 @@ def sweep(m: MapSpec, indices: Sequence[int], method: str = "induced", **kwargs)
 
     For the deterministic methods the escape rate must not increase along
     shrinking holes; an increase beyond 1e-10 raises MonotonicityError.
-    Monte Carlo sweeps are exempt (sampling noise).
+    Monte Carlo sweeps are exempt (sampling noise).  An index that is not
+    an integer is a DomainError, raised before any computation.
     """
-    indices = sorted(int(n) for n in indices)
+    try:
+        indices = sorted(map(operator.index, indices))
+    except TypeError:
+        raise DomainError("Markov hole indices must be integers") from None
     reports = []
     failures = []
     for n in indices:

@@ -28,6 +28,7 @@ return time are the half-open cells A_n = (a_n, a_{n-1}].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,6 +65,8 @@ def _first_below(tail, x, start, cap):
     bracket: an exact guess costs two tail evaluations.  tail(0) is never
     evaluated.  Raises ``ReturnTimeOverflowError`` if the answer passes ``cap``.
     """
+    if cap < 1:
+        raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
     shape, x = np.shape(x), np.ravel(np.asarray(x, float))
     n = np.clip(np.ravel(start), 1, cap).astype(np.int64)
     down = tail(n) < x
@@ -744,8 +747,8 @@ def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int
 class Hole:
     """A hole [0, edge] around the indifferent fixed point.
 
-    Markov holes are indexed by N (edge a_N); general holes carry an explicit
-    epsilon.  Exactly one of the two is set.
+    Markov holes are indexed by an integer N >= 1 (edge a_N); general holes
+    carry an explicit epsilon.  Exactly one of the two is set.
     """
 
     index: Optional[int] = None
@@ -754,8 +757,13 @@ class Hole:
     def __post_init__(self):
         if (self.index is None) == (self.epsilon is None):
             raise DomainError("exactly one of index and epsilon must be given")
-        if self.index is not None and self.index < 1:
-            raise DomainError("Markov hole index must be >= 1")
+        if self.index is not None:
+            try:
+                object.__setattr__(self, "index", operator.index(self.index))
+            except TypeError:
+                raise DomainError(f"Markov hole index {self.index!r} is not an integer") from None
+            if self.index < 1:
+                raise DomainError("Markov hole index must be >= 1")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
 

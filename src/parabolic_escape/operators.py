@@ -165,14 +165,13 @@ class TransferMatrix:
 
     Assembly is deterministic: every entry is an exact interval overlap,
     summed in a fixed order; shape, row sums and dense form are read from
-    ``matrix``.  ``pieces`` (shared, not copied) and ``z`` are those of a
+    ``matrix``.  ``pieces`` (shared, not copied) are those of a
     :func:`combine_branch_matrices` sum; other matrices have none.
     """
 
     grid: Grid
     matrix: sp.csr_matrix = field(compare=False)
     pieces: Optional[tuple] = field(default=None, repr=False)
-    z: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     values come from one walk down the inverse-branch chain
     (:func:`branch_walk`), so N pieces of pm or lsv cost min(N, k0) - 1
     left-inverse solves, plus one Abel-function evaluation past k0.  The
-    full open operator at parameter z is sum_n z**n piece_n.
+    open operator N_1 is the sum of the pieces.
     """
     M = grid.n_cells
     nodes = grid.nodes
@@ -316,15 +315,12 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     return pieces
 
 
-def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces, z: float = 1.0) -> TransferMatrix:
-    """N_z = sum_n z**n piece_n on the grid, as a branch-order sum: the
-    scaled pieces are added one after another, each entry in branch order;
-    the result records them and ``z``."""
+def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces) -> TransferMatrix:
+    """N_1 = sum_n piece_n on the grid, as a branch-order sum: the pieces
+    are added one after another, each entry in branch order; the result
+    records them."""
     pieces = tuple(pieces)
-    total = pieces[0] * z
-    for n, piece in enumerate(pieces[1:], start=2):
-        total = total + piece * (z ** n)
-    return TransferMatrix(grid, total.tocsr(), pieces, z)
+    return TransferMatrix(grid, sum(pieces[1:], pieces[0]).tocsr(), pieces)
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:

@@ -48,7 +48,7 @@ class SpectralTriple:
     ``eigenfunction`` holds per-cell values (the density-like right vector),
     ``eigenmeasure`` per-cell masses summing to one.  The joint normalization
     sum(eigenmeasure * eigenfunction) = 1 makes their product a probability.
-    ``pieces`` and ``z`` are those the solved matrix recorded (see
+    ``pieces`` are those the solved matrix recorded (see
     :class:`TransferMatrix`); the matrix itself is not kept.
     """
 
@@ -58,7 +58,6 @@ class SpectralTriple:
     grid: Grid
     stats: dict = field(default_factory=dict)
     pieces: Optional[tuple] = field(default=None, repr=False)
-    z: float = 1.0
 
     def __post_init__(self):
         for name in ("eigenfunction", "eigenmeasure"):
@@ -240,7 +239,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
         "pruned_cells": int(A.shape[0] - len(keep)),
         "transient_cells": int(n_transient),
     }
-    return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats, pieces=tm.pieces, z=tm.z)
+    return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats, pieces=tm.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +249,20 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
 def cylinder_masses(sys: InducedOpenSystem, triple: SpectralTriple) -> np.ndarray:
     """Branch masses of the normalized eigen-pair product.
 
-    Branch k receives (z**k/lambda) * integral of |zeta_k'(x)| h(zeta_k(x))
+    Branch k receives (1/lambda) * integral of |zeta_k'(x)| h(zeta_k(x))
     d nu(x), evaluated through the same exact per-branch kernels used in the
-    assembly; for the leading pair of N_z the masses then add up to the
+    assembly; for the leading pair of N_1 the masses then add up to the
     pairing sum(nu h) = 1 to rounding.  Computed through the eigen-pair
     rather than by cell-indicator sums so cylinder boundaries cannot straddle
-    cells.  Their mean k is the derivative of log lambda(e^t) at z = e^t.
-    The pieces and z are the triple's; a triple without pieces (exact pwl,
-    Ulam or hand-built matrices) has them built from ``sys`` at z = 1.
+    cells.  Their mean k is the derivative of log lambda(e^t) at t = 0.
+    The pieces are the triple's; a triple without pieces (exact pwl, Ulam or
+    hand-built matrices) has them built from ``sys``.
     """
-    pieces, z = triple.pieces, triple.z
-    if pieces is None:
-        pieces, z = induced_branch_matrices(sys, triple.grid), 1.0
+    pieces = triple.pieces or induced_branch_matrices(sys, triple.grid)
     lam = triple.eigenvalue
     nu = triple.eigenmeasure
     h = triple.eigenfunction
-    masses = np.array([z ** k * float(nu @ (piece @ h)) / lam for k, piece in enumerate(pieces, start=1)])
+    masses = np.array([float(nu @ (piece @ h)) / lam for piece in pieces])
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:
         raise NormalizationError(f"cylinder masses sum to {total!r}, expected 1")

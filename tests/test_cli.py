@@ -381,7 +381,7 @@ def test_verify_builds_each_set_of_pieces_once(monkeypatch, capsys):
         builds.append((sys, grid))
         return original(sys, grid)
 
-    for module in (operators, spectral, escape):
+    for module in (operators, spectral):
         monkeypatch.setattr(module, "induced_branch_matrices", counting)
     code, _, _ = run_cli(["verify", "--grid", "2048"], capsys)
     assert code == 0

@@ -168,6 +168,16 @@ def test_sweep_aggregates_failures():
     assert len(result.failures) == 1 and result.failures[0][0] == 1
 
 
+@pytest.mark.parametrize("m", [PWL_ONE, LSV_HALF, FAREY], ids=["pwl", "lsv", "farey"])
+def test_non_integer_hole_index_is_a_domain_error(m):
+    # not a numpy IndexError or TypeError from deep inside the route
+    with pytest.raises(DomainError):
+        compute_escape(m, Hole.markov(2.5))
+    # nor a sweep that silently computes N = 2
+    with pytest.raises(DomainError):
+        sweep(m, [2.5, 3])
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     # only the library's own failures become failure rows; a bug surfaces
     def broken(m, hole, method="induced", **kwargs):
@@ -368,23 +378,6 @@ def test_import_leaves_scipy_optimize_out():
 # the unit-eigenvalue solve
 # ---------------------------------------------------------------------------
 
-# gamma of the Markov-grid reference at lsv s = 0.5, M = 4096; N = 200 as
-# the Newton-from-hi root solver gives it, 1.3e-11 relative from the same
-# grid with every inversion rounded from 40 digits (2.194267297656561e-05)
-LSV_HALF_PINNED_GAMMA = {
-    25: 0.0017255719857377,
-    50: 0.00039262132560999573,
-    100: 9.172635071472353e-05,
-    200: 2.1942672976279207e-05,
-}
-
-
-@pytest.mark.parametrize("N", sorted(LSV_HALF_PINNED_GAMMA))
-def test_induced_gamma_pinned(N):
-    gamma = esc._grid_analysis(LSV_HALF, N, grid_size=4096).gamma
-    assert abs(gamma - LSV_HALF_PINNED_GAMMA[N]) <= 1e-10 * LSV_HALF_PINNED_GAMMA[N]
-
-
 # gamma of the collocation route at lsv s = 0.5 (33 nodes at every N here);
 # N = 200 is 3.0e-11 relative from the same route with every inversion
 # rounded from 40 digits (2.1944884896818935e-05)
@@ -400,8 +393,29 @@ LSV_HALF_COLLOCATION_GAMMA = {
 def test_collocation_gamma_pinned(N):
     rep = compute_escape(LSV_HALF, Hole.markov(N), method="induced", grid_size=4096)
     assert abs(rep.gamma - LSV_HALF_COLLOCATION_GAMMA[N]) <= 1e-10 * LSV_HALF_COLLOCATION_GAMMA[N]
-    # the grid reference is first order in the cell width and sits below
-    assert LSV_HALF_PINNED_GAMMA[N] < rep.gamma
+
+
+# the escape rate of lsv at 40 digits, the whole collocation run in mpmath:
+# phi_1 and n - 1 steps of phi_0 composed by Newton on the Chebyshev-Lobatto
+# nodes of [0, 1], the barycentric interpolation matrices, the leading pair
+# of sum_n e^(n t) L_n from mp.eig, and Newton in t on log lambda from the
+# pressure-ratio rate, to a step below 1e-34 t.  Degrees 32 and 64 agree to
+# 25 digits, so each value is the rate of the exact operator, rounded to a
+# float.  (Degree 16 is 3.0e-15, 1.8e-14 and 2.6e-13 relative away.)
+TRUE_GAMMA = {
+    # (s, N): gamma
+    (0.5, 25): 0.0017255875267341038,
+    (0.5, 100): 9.173388447470346e-05,
+    (2.0, 25): 0.029393176863576797,
+}
+
+
+@pytest.mark.parametrize("s,N", sorted(TRUE_GAMMA), ids=[f"lsv-{s}-{N}" for s, N in sorted(TRUE_GAMMA)])
+def test_collocation_gamma_matches_forty_digits(s, N):
+    rep = compute_escape(MapSpec.lsv(s), Hole.markov(N), method="induced")
+    # the float route's own error is rounding in log lambda near one:
+    # 2.2e-13, 4.1e-12 and 1.3e-14 relative in the order above
+    assert abs(rep.gamma - TRUE_GAMMA[s, N]) <= 1e-11 * TRUE_GAMMA[s, N]
 
 
 NEWTON_CASES = [(MapSpec.lsv(0.5), 25), (FAREY, 13), (MapSpec("pm", 1.0), 3)]
@@ -422,21 +436,6 @@ def test_unit_eigenvalue_solve_takes_few_eigen_solves(monkeypatch, m, N):
     assert all(count <= 6 for count in per_node_count.values()), per_node_count
     assert ia.eigen_iterations == len(sizes)  # a dense solve counts as one
     assert ia.zsolve_evals == len(sizes) - 1  # all but the z = 1 solve
-
-
-@pytest.mark.parametrize("m,N", NEWTON_CASES, ids=["lsv-25", "farey-13", "pm-3"])
-def test_grid_unit_eigenvalue_solve_takes_few_eigen_solves(monkeypatch, m, N):
-    calls = []
-    original = esc.leading_eigen
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(esc, "leading_eigen", counting)
-    ia = esc._grid_analysis(m, N, grid_size=4096)
-    assert len(calls) <= 6
-    assert ia.zsolve_evals == len(calls) - 1  # all but the z = 1 solve
 
 
 @pytest.mark.parametrize("m,N", NEWTON_CASES + [(PWL_ONE, 50)], ids=["lsv-25", "farey-13", "pm-3", "pwl-50"])
@@ -482,8 +481,10 @@ def test_newton_solver_stops_and_fails_loudly():
 # branches past k0 from the Abel function: a_N became the correctly rounded
 # 40-digit value, and the eigenvalue and rates moved by at most 2.7e-15
 # (one-ulp noise on the 6,500 collocation inputs moves the eigenvalue by
-# 8e-16..9e-16, one standard deviation)
-REPORTS_DIGEST = "9587cfd39cb847326ca1a96ade2e3bf20e8b11f8add601bf9f9958cbc61db632"
+# 8e-16..9e-16, one standard deviation).  Re-recorded again when the
+# Markov-grid reference was deleted and its InducedAnalysis left the inputs:
+# the code before the deletion gives this same hash for the inputs that remain
+REPORTS_DIGEST = "4947b43cb9b381eaade47c6d4d698c7642ba3cd4d7b5f663f2b32c0e401b10d1"
 
 PINNED_MAPS = (
     MapSpec("pm", 1.0),
@@ -503,8 +504,8 @@ def report_digest(monkeypatch):
     """Rows and dicts (less runtime_ms) of the induced reports of PINNED_MAPS
     at N = 10 and 100, their Ulam reports at N = 10, an Ulam report of an
     epsilon hole, a Monte Carlo report and an induced report whose degrees
-    never agree; then every InducedAnalysis field of the grid reference and
-    of the generic pipeline on a pwl map."""
+    never agree; then every InducedAnalysis field of the generic pipeline on
+    a pwl map."""
     reports = [compute_escape(m, Hole.markov(N), method=method, grid_size=256)
                for m in PINNED_MAPS for N, method in ((10, "induced"), (100, "induced"), (10, "ulam"))]
     reports.append(compute_escape(LSV_HALF, Hole.interval(0.22), method="ulam", grid_size=512))
@@ -518,10 +519,10 @@ def report_digest(monkeypatch):
         for out in (rep.to_row(), rep.to_dict()):
             del out["runtime_ms"]
             h.update(json.dumps(out).encode())
-    for ia in (esc._grid_analysis(LSV_HALF, 10, grid_size=512), induced_analysis(PWL_ONE, 10, exact_pwl=False)):
-        for name in ANALYSIS_FIELDS:
-            h.update(np.asarray(getattr(ia, name), float).tobytes() if name == "masses" else
-                     repr(getattr(ia, name)).encode())
+    ia = induced_analysis(PWL_ONE, 10, exact_pwl=False)
+    for name in ANALYSIS_FIELDS:
+        h.update(np.asarray(getattr(ia, name), float).tobytes() if name == "masses" else
+                 repr(getattr(ia, name)).encode())
     return h.hexdigest()
 
 

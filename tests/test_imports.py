@@ -3,11 +3,13 @@ Every parameter in ``src/`` is read, or listed with the reason it is not.
 Every public name in ``src/`` has a caller, or is listed with the reason it
 has none.  Each report type is built in one place, so its fields are filled
 in once.  A MapSpec holds its fields only, takes no lock and hands out
-read-only arrays."""
+read-only arrays.  Every source parses with the grammar of the oldest Python
+that pyproject.toml declares."""
 
 import ast
 import dataclasses
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +176,25 @@ def test_every_exported_name_resolves():
     missing = [name for name in parabolic_escape.__all__ if not hasattr(parabolic_escape, name)]
     assert missing == []
     assert len(set(parabolic_escape.__all__)) == len(parabolic_escape.__all__)
+
+
+def python_floor() -> tuple:
+    """(major, minor) of the ``requires-python = ">=X.Y"`` line of pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    # the grammar of the oldest Python the package claims; a newer construct
+    # (``except*`` is 3.11) would fail only on the interpreter it excludes
+    floor = python_floor()
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def imported_modules(source: str) -> set:

@@ -309,6 +309,16 @@ def test_return_time_cap():
         eval_map(PWL_ONE, 1e-20)
     with pytest.raises(DomainError):
         return_time(FAREY, 0.0)
+    # every return time is at least 1, so it exceeds any cap below 1; the
+    # search must not clip its start to the cap and read tail(0)
+    for m in ALL_MAPS:
+        for cap in (0, -3):
+            for x in (1.0, 0.3, 1e-4):
+                with pytest.raises(ReturnTimeOverflowError):
+                    return_time(m, x, cap=cap)
+            if m.family == "pwl":
+                with pytest.raises(ReturnTimeOverflowError):
+                    m.weights.cell_index(1.0, cap=cap)
 
 
 @pytest.mark.parametrize(
@@ -469,6 +479,12 @@ def test_hole_construction():
         Hole(index=2, epsilon=0.1)
     with pytest.raises(DomainError):
         Hole()
+    # the index is a positive integer, stored as an int
+    for index in (2.5, 3.0, "3", 0, -2):
+        with pytest.raises(DomainError):
+            Hole.markov(index)
+    hole = Hole.markov(np.int64(7))
+    assert type(hole.index) is int and hole == Hole.markov(7)
 
 
 # ---------------------------------------------------------------------------

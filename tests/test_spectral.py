@@ -118,7 +118,7 @@ def test_cold_solve_prunes_and_splits(m, N, pruned, transient):
     # farey splits into hundreds of transient classes, pm prunes hundreds of cells
     sys = build_induced(m, N)
     grid = markov_grid(m, N, 4096)
-    triple = leading_eigen(combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid), 1.0001))
+    triple = leading_eigen(combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid)))
     assert triple.stats["pruned_cells"] == pruned
     assert triple.stats["transient_cells"] == transient
     assert triple.residual <= 1e-12
@@ -321,8 +321,8 @@ def test_lsv_mass_identity_converges():
 
 
 def test_mass_check_builds_the_pieces_once(monkeypatch):
-    # the sequence of acceptance 8: the solved triple hands the pieces and z
-    # of its matrix on to the masses, so nothing builds them a second time
+    # the sequence of acceptance 8: the solved triple hands the pieces of its
+    # matrix on to the masses, so nothing builds them a second time
     builds = []
 
     def counting(sys, grid):
@@ -334,15 +334,14 @@ def test_mass_check_builds_the_pieces_once(monkeypatch):
     sys = build_induced(LSV_HALF, 3)
     grid = markov_grid(LSV_HALF, 3, 4096)
     pieces = operators.induced_branch_matrices(sys, grid)
-    check = invariant_mass(sys, leading_eigen(combine_branch_matrices(sys, grid, pieces)))
+    triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
+    assert all(a is b for a, b in zip(triple.pieces, pieces, strict=True))
+    check = invariant_mass(sys, triple)
     # the values a second build of the pieces gave, bit for bit
     assert tuple(check) == (1.52838926758709, 1.5283894204979052, 1.5291081512103233e-07)
-    solve = leading_eigen(combine_branch_matrices(sys, grid, pieces, 0.97))
-    assert solve.z == 0.97 and all(a is b for a, b in zip(solve.pieces, pieces, strict=True))
-    assert cylinder_masses(sys, solve).tolist() == [0.6136324108641936, 0.26068635588617395, 0.12568123324963248]
     assert builds == [grid]
 
-    # a triple whose matrix carries no pieces builds them at z = 1
+    # a triple whose matrix carries no pieces builds them
     exact = leading_eigen(pwl_exact_matrix(PWL_ONE, 4))
     assert exact.pieces is None
     ks = np.arange(1, 5)
