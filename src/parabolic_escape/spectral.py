@@ -8,19 +8,23 @@ componentwise ratios (A v)_i / v_i agree to the relative tolerance EIGEN_TOL.
 Discretized open operators are never irreducible as raw matrices: cells
 inside the hole have empty columns, and cells in the gaps of the survivor set
 are transient (some carry small self-loops around periodic points of the
-branch maps).  ``leading_eigen`` therefore prunes empty rows/columns, splits
-the support graph into strongly connected components, solves on the dominant
-component, and extends both eigenvectors to the transient cells by damped
-application of the operator; the returned vectors are exact eigenvectors of
-the full matrix and the dominant class must be unique.
+branch maps).  ``leading_eigen`` therefore peels off the cells without a
+source or a target, splits the rest into strongly connected components,
+solves on the dominant one (which must be unique), and fills both
+eigenvectors on the other cells so that they are eigenvectors of the full
+matrix: by fixed-point iteration on the transient classes, and on the peeled
+cells, which lie on no cycle, in one pass back along the peel, reading each
+of their rows once.
 
 The leading pair feeds three derived quantities: per-branch cylinder masses
 of the normalized product h * nu, the accumulated hole-avoiding pullback
 function of the eigenfunction, and the mass consistency check between its
-integral and the mean return time.  The prune is one peel that reads every
-edge once, where repeated sweeps read them all once per round, and the mass
-check pulls back only the nodes of the cells where nu is nonzero (5.6 % of
-the 262,144 cells for lsv s = 2, N = 3), not every node of the grid.
+integral and the mean return time.  The prune is one peel that reads each
+edge at most once, where repeated sweeps read them all once per round; the
+fill reads each peeled row once, where a whole-matrix fixed point read every
+row once per round (16 rounds for lsv s = 2, N = 3, M = 262,144); and the
+mass check pulls back only the nodes of the cells where nu is nonzero (5.6 %
+of the 262,144 cells for lsv s = 2, N = 3), not every node of the grid.
 """
 
 from __future__ import annotations
@@ -70,34 +74,49 @@ class SpectralTriple:
         return max(self.stats.get("residual_right", 0.0), self.stats.get("residual_left", 0.0))
 
 
-def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix) -> np.ndarray:
-    """Indices of the largest set in which every index has a kept source and
-    a kept target under the nonnegative ``A`` (``AT`` its CSR transpose,
-    neither storing zeros).
+def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix):
+    """The largest set in which every index has a kept source and a kept
+    target under the nonnegative ``A`` (``AT`` its CSR transpose, neither
+    storing zeros), and the peel that found it.
 
     Dropping an index with a zero row (or column) leaves the nonzero spectrum
     unchanged, because the matrix is block triangular over the dropped set.
     The set is peeled from the in- and out-degrees: each round drops the
     indices left without a source or a target and takes their edges off the
-    degrees of their neighbours, so the whole peel reads every edge once.
+    degrees of their neighbours.  A no-source index only has dead sources
+    and a no-target index only dead targets, so only the out-edges of the
+    one and the in-edges of the other are read: the whole peel reads each
+    edge at most once.
+
+    Returns ``(keep, rounds)``: the kept indices, and per round the indices
+    it dropped as a pair ``(no_source, no_target)``, split by whether a kept
+    source was left (no_target) or not (no_source).  Every target of a
+    no-target index died in an earlier round as a no-target index, and
+    every source of a no-source index as a no-source index:
+    :func:`_extend_to_full` relies on both.
     """
     n = A.shape[0]
     out_deg = np.diff(A.indptr)
     in_deg = np.diff(AT.indptr)
     alive = np.ones(n, bool)
+    rounds = []
     dying = np.nonzero((out_deg == 0) | (in_deg == 0))[0]
     while dying.size:
+        sourced = in_deg[dying] > 0
+        peeled = (dying[~sourced], dying[sourced])
+        rounds.append(peeled)
         alive[dying] = False
-        for M, deg in ((AT, out_deg), (A, in_deg)):
-            first = M.indptr[dying]
-            count = M.indptr[dying + 1] - first
-            # the dying rows' entries from indptr: slicing the matrix costs more on small grids
-            entries = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-            deg -= np.bincount(M.indices[entries], minlength=n)
+        for M, deg, rows in ((A, in_deg, peeled[0]), (AT, out_deg, peeled[1])):
+            if len(rows):
+                first = M.indptr[rows]
+                count = M.indptr[rows + 1] - first
+                # the entries from indptr: slicing the matrix costs more on small grids
+                entries = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+                deg -= np.bincount(M.indices[entries], minlength=n)
         dying = np.nonzero(alive & ((out_deg == 0) | (in_deg == 0)))[0]
     if not alive.any():
         raise ReducibleMatrixError("matrix has no recurrent support")
-    return np.nonzero(alive)[0]
+    return np.nonzero(alive)[0], rounds
 
 
 def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, tol: float, maxiter: int):
@@ -141,31 +160,48 @@ def _component_radius(block: sp.csr_matrix) -> float:
     return lam
 
 
-def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, maxiter=2000):
-    """Fill non-core entries so (h, nu) solve the full eigen equations.
+def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds, maxiter=2000):
+    """Fill the non-core entries so (h, nu) solve the full eigen equations
+    h = (A h)/lam and nu = (A^T nu)/lam, given the core pair.
 
-    Off the dominant class the equations h = (A h)/lam and nu = (A^T nu)/lam
-    are contractions (every other class has spectral radius strictly below
-    lam), so fixed-point iteration from zero with the core pinned converges
-    geometrically.
+    On the transient cells (kept, outside the core) the equations are
+    contractions, every other class having spectral radius below lam, so a
+    fixed-point iteration from zero with the core pinned converges
+    geometrically; it reads only the transient rows.
+
+    The peeled cells lie on no cycle and take one pass back over the peel's
+    ``rounds`` (see :func:`_prune_support`).  h is 0 on every no-target cell
+    and nu on every no-source cell: their targets (sources) are no-target
+    (no-source) cells of earlier rounds, down to empty rows (columns).  Past
+    those zeros, every other peeled value reads only core, transient and
+    later-peeled cells, so the pass back from the last round sets each value
+    once, from final ones.  It is the expression (A[i, :] . h)/lam that a
+    whole-matrix fixed point reaches once it settles, at one read of each
+    peeled row instead of one read of every row per round.
     """
     h = np.zeros(A.shape[0])
     nu = np.zeros(A.shape[0])
     h[core_idx] = h_core
     nu[core_idx] = nu_core
-    for _ in range(maxiter):
-        h_new = (A @ h) / lam
-        nu_new = (AT @ nu) / lam
-        h_new[core_idx] = h_core
-        nu_new[core_idx] = nu_core
-        delta = max(
-            np.max(np.abs(h_new - h)) / max(np.max(np.abs(h_core)), 1e-300),
-            np.max(np.abs(nu_new - nu)) / max(np.max(np.abs(nu_core)), 1e-300),
-        )
-        h, nu = h_new, nu_new
-        if delta <= 1e-16:
-            return h, nu
-    raise ConvergenceError("eigenvector extension to transient cells did not settle")
+    if len(transient_idx):
+        # a kept cell's peeled targets (sources) are no-target (no-source) cells: their 0 is final
+        A_t, AT_t = A[transient_idx], AT[transient_idx]
+        for _ in range(maxiter):
+            h_t, nu_t = (A_t @ h) / lam, (AT_t @ nu) / lam
+            delta = max(
+                np.max(np.abs(h_t - h[transient_idx])) / np.max(h_core),
+                np.max(np.abs(nu_t - nu[transient_idx])) / np.max(nu_core),
+            )
+            h[transient_idx], nu[transient_idx] = h_t, nu_t
+            if delta <= 1e-16:
+                break
+        else:
+            raise ConvergenceError("eigenvector extension to transient cells did not settle")
+    for peeled in reversed(rounds):
+        for M, v, rows in ((A, h, peeled[0]), (AT, nu, peeled[1])):
+            if len(rows):
+                v[rows] = (M[rows] @ v) / lam
+    return h, nu
 
 
 def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
@@ -189,11 +225,11 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
         A.eliminate_zeros()
 
     AT = A.T.tocsr()
-    keep = _prune_support(A, AT)
+    keep, rounds = _prune_support(A, AT)
     B = A if len(keep) == A.shape[0] else A[np.ix_(keep, keep)].tocsr()
     ncomp, labels = connected_components(B, directed=True, connection="strong")
     if ncomp == 1:
-        core, core_block = np.arange(len(keep)), B
+        best, core_block = 0, B
     else:
         # one-cell classes take their radius straight from the diagonal
         sizes = np.bincount(labels, minlength=ncomp)
@@ -211,15 +247,14 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
             raise ReducibleMatrixError(
                 f"no unique dominant class: top spectral radii {radii[best]:.6e} and {second:.6e}"
             )
-        core = np.nonzero(labels == best)[0]
         core_block = blocks.get(best, sp.csr_matrix([[radii[best]]]))
-    core_idx = keep[core]
-    n_transient = len(keep) - len(core_idx)
+    in_core = labels == best
+    core_idx, transient_idx = keep[in_core], keep[~in_core]
 
     # transposing a pruned block costs less than slicing it from AT
     core_T = AT if core_block is A else core_block.T.tocsr()
     lam, v, u, iterations = _power_pair(core_block, core_T, EIGEN_TOL, maxiter)
-    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u)
+    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds)
 
     nu_total = nu.sum()
     if nu_total <= 0:
@@ -237,7 +272,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
         "residual_right": res_r,
         "residual_left": res_l,
         "pruned_cells": int(A.shape[0] - len(keep)),
-        "transient_cells": int(n_transient),
+        "transient_cells": len(transient_idx),
     }
     return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats, pieces=tm.pieces)
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.sparse.csgraph import breadth_first_order
 
 from parabolic_escape import maps, operators, spectral
 from parabolic_escape.exceptions import ConvergenceError, DomainError, ReducibleMatrixError
@@ -13,7 +14,9 @@ from parabolic_escape.maps import ExplicitWeights, MapSpec
 from parabolic_escape.operators import (
     Grid,
     TransferMatrix,
+    assemble_ulam_open,
     combine_branch_matrices,
+    hole_grid,
     induced_branch_matrices,
     markov_grid,
     pwl_exact_matrix,
@@ -104,12 +107,20 @@ def test_negative_entries_rejected():
 
 
 def test_transient_cells_extended_exactly():
-    # the full-matrix eigen equation must hold also on pruned/transient cells
-    sys, grid, pieces, triple = _induced_triple(LSV_HALF, 4, 1024)
-    A = combine_branch_matrices(sys, grid, pieces).matrix
-    res = np.max(np.abs(A @ triple.eigenfunction - triple.eigenvalue * triple.eigenfunction))
-    assert res / np.max(triple.eigenfunction) <= 1e-12
-    assert triple.stats["pruned_cells"] > 0
+    # both full-matrix eigen equations hold on every cell, pruned and
+    # transient ones included: to rounding of the cell's own value, and
+    # exactly where that value is 0.  farey's Ulam matrix prunes cells whose
+    # rows read transient classes.
+    sys, grid, pieces, lsv = _induced_triple(LSV_HALF, 4, 1024)
+    farey = assemble_ulam_open(FAREY, 0.236, hole_grid(FAREY, 0.236, 4096))
+    for A, triple, pruned, transient in (
+        (combine_branch_matrices(sys, grid, pieces).matrix, lsv, 338, 0),
+        (farey.matrix, leading_eigen(farey), 3315, 117),
+    ):
+        lam = triple.eigenvalue
+        for M, v in ((A, triple.eigenfunction), (A.T, triple.eigenmeasure)):
+            assert np.all(np.abs(M @ v - lam * v) <= 1e-12 * lam * v)
+        assert (triple.stats["pruned_cells"], triple.stats["transient_cells"]) == (pruned, transient)
 
 
 @pytest.mark.parametrize("m,N,pruned,transient", [(FAREY, 13, 0, 898), (MapSpec("pm", 1.0), 13, 884, 0)],
@@ -165,7 +176,7 @@ def _sweep_support(A):
 
 def _peel_support(A):
     A = sp.csr_matrix(A)
-    return spectral._prune_support(A, A.T.tocsr())
+    return spectral._prune_support(A, A.T.tocsr())[0]
 
 
 @pytest.mark.parametrize("m,N", [(LSV_HALF, 4), (MapSpec.lsv(2.0), 3), (MapSpec("pm", 1.0), 4), (FAREY, 6)],
@@ -226,6 +237,109 @@ def test_peel_rejects_a_matrix_without_a_cycle(n, data):
         _sweep_support(A)
     with pytest.raises(ReducibleMatrixError):
         _peel_support(A)
+
+
+def _fixed_point_fill(A, AT, lam, pinned, h_pinned, nu_pinned, maxiter=2000):
+    """The fill as a whole-matrix fixed point: each round applies A and A.T
+    to both vectors with the pinned cells held, until no entry moves by more
+    than 1e-16 of the largest pinned one: the reference for the one-pass
+    fill, which pins the core."""
+    h = np.zeros(A.shape[0])
+    nu = np.zeros(A.shape[0])
+    h[pinned] = h_pinned
+    nu[pinned] = nu_pinned
+    for _ in range(maxiter):
+        h_new = (A @ h) / lam
+        nu_new = (AT @ nu) / lam
+        h_new[pinned] = h_pinned
+        nu_new[pinned] = nu_pinned
+        delta = max(
+            np.max(np.abs(h_new - h)) / max(np.max(np.abs(h_pinned)), 1e-300),
+            np.max(np.abs(nu_new - nu)) / max(np.max(np.abs(nu_pinned)), 1e-300),
+        )
+        h, nu = h_new, nu_new
+        if delta <= 1e-16:
+            return h, nu
+    raise ConvergenceError("fixed point did not settle")
+
+
+def _solve_recording_fill(tm, **kwargs):
+    """leading_eigen(tm), with the arguments and the raw result of its fill."""
+    fills = []
+    fill = spectral._extend_to_full
+
+    def recording(*args):
+        fills.append((args, fill(*args)))
+        return fills[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_extend_to_full", recording)
+        triple = leading_eigen(tm, **kwargs)
+    (args, result), = fills
+    return triple, args, result
+
+
+def _assert_zero_off_the_paths(triple, A, AT, core_idx):
+    # h lives on the cells with a path to the core, nu on the cells with a path from it
+    for M, v in ((AT, triple.eigenfunction), (A, triple.eigenmeasure)):
+        reached = np.zeros(A.shape[0], bool)
+        reached[breadth_first_order(M, core_idx[0], return_predecessors=False)] = True
+        assert np.all(v[~reached] == 0) and np.all(v[reached] >= 0)
+
+
+def _check_fill(tm):
+    """The one-pass fill against the fixed point from the same core pair,
+    and its zeros against a breadth-first search from the core."""
+    triple, (A, AT, lam, core_idx, h_core, nu_core, transient_idx, _), fill = _solve_recording_fill(tm)
+    for got, expected in zip(fill, _fixed_point_fill(A, AT, lam, core_idx, h_core, nu_core)):
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+        if len(transient_idx) == 0:
+            assert got.tobytes() == expected.tobytes()
+    _assert_zero_off_the_paths(triple, A, AT, core_idx)
+    return triple
+
+
+@pytest.mark.parametrize("m,N", [(LSV_HALF, 4), (MapSpec.lsv(2.0), 3), (MapSpec("pm", 1.0), 4), (FAREY, 6)],
+                         ids=["lsv-0.5", "lsv-2", "pm-1", "farey"])
+def test_one_pass_fill_matches_the_fixed_point_on_markov_grids(m, N):
+    sys, grid = build_induced(m, N), markov_grid(m, N, 4096)
+    _check_fill(combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid)))
+
+
+def test_one_pass_fill_matches_the_fixed_point_past_transient_classes():
+    # farey's Ulam matrix prunes 3,315 cells, some of whose rows read its 117 transient cells
+    triple = _check_fill(assemble_ulam_open(FAREY, 0.236, hole_grid(FAREY, 0.236, 4096)))
+    assert (triple.stats["pruned_cells"], triple.stats["transient_cells"]) == (3315, 117)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_sparse_graphs())
+def test_one_pass_fill_matches_the_fixed_point_on_drawn_matrices(A):
+    tm = TransferMatrix(Grid(np.linspace(0.0, 1.0, A.shape[0] + 1)), A)
+    try:
+        triple, (A, AT, lam, core_idx, h_core, nu_core, transient_idx, _), fill = _solve_recording_fill(
+            tm, maxiter=2000
+        )
+    except (ReducibleMatrixError, ConvergenceError):
+        return  # no unique dominant class, or a periodic one
+    _assert_zero_off_the_paths(triple, A, AT, core_idx)
+    reference = _fixed_point_fill(A, AT, lam, core_idx, h_core, nu_core)
+    if len(transient_idx) == 0:
+        assert all(got.tobytes() == expected.tobytes() for got, expected in zip(fill, reference))
+        return
+    # the pass over the pruned cells is exact given the transient values ...
+    pinned = np.concatenate([core_idx, transient_idx])
+    exact = _fixed_point_fill(A, AT, lam, pinned, fill[0][pinned], fill[1][pinned])
+    assert all(got.tobytes() == expected.tobytes() for got, expected in zip(fill, exact))
+    # ... and those are the fixed point's to within where each iteration
+    # stopped: a last move of 1e-16 of the core's largest value leaves it
+    # within K times that of the solution, K = |(I - T)^-1 T| for the
+    # transient block T (A^T's block for nu), rounding adding about as much
+    T = A[np.ix_(transient_idx, transient_idx)].toarray() / lam
+    for got, expected, core, M in zip(fill, reference, (h_core, nu_core), (T, T.T)):
+        K = np.linalg.norm(np.linalg.solve(np.eye(len(M)) - M, M), np.inf)
+        gap = np.abs(got - expected)[transient_idx]
+        assert np.all(gap <= (1.0 + K) * 1e-15 * np.max(core))
 
 
 # ---------------------------------------------------------------------------
