@@ -9,22 +9,21 @@ Discretized open operators are never irreducible as raw matrices: cells
 inside the hole have empty columns, and cells in the gaps of the survivor set
 are transient (some carry small self-loops around periodic points of the
 branch maps).  ``leading_eigen`` therefore peels off the cells without a
-source or a target, splits the rest into strongly connected components,
-solves on the dominant one (which must be unique), and fills both
-eigenvectors on the other cells so that they are eigenvectors of the full
+source or a target and splits the rest into strongly connected classes.
+Each class of more than 256 cells is solved once, by power iteration to
+EIGEN_TOL, and that root is its radius; smaller classes, which may be
+periodic, take a dense radius, one-cell classes their diagonal entry.  The
+dominant class (which must be unique) keeps its pair, and both eigenvectors
+are filled on the other cells so that they are eigenvectors of the full
 matrix: by fixed-point iteration on the transient classes, and on the peeled
-cells, which lie on no cycle, in one pass back along the peel, reading each
-of their rows once.
+cells, which lie on no cycle, in one pass back along the peel.
 
 The leading pair feeds three derived quantities: per-branch cylinder masses
 of the normalized product h * nu, the accumulated hole-avoiding pullback
 function of the eigenfunction, and the mass consistency check between its
-integral and the mean return time.  The prune is one peel that reads each
-edge at most once, where repeated sweeps read them all once per round; the
-fill reads each peeled row once, where a whole-matrix fixed point read every
-row once per round (16 rounds for lsv s = 2, N = 3, M = 262,144); and the
-mass check pulls back only the nodes of the cells where nu is nonzero (5.6 %
-of the 262,144 cells for lsv s = 2, N = 3), not every node of the grid.
+integral and the mean return time.  The prune reads each edge at most once,
+the fill each peeled row once, and the mass check pulls back only the nodes
+of the cells where nu is nonzero (5.6 % of 262,144 cells, lsv s = 2, N = 3).
 """
 
 from __future__ import annotations
@@ -119,9 +118,9 @@ def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix):
     return np.nonzero(alive)[0], rounds
 
 
-def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, tol: float, maxiter: int):
+def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, maxiter: int):
     """Two-sided power iteration on an irreducible nonnegative block ``B``,
-    with ``BT`` its CSR transpose, from the uniform vectors."""
+    with ``BT`` its CSR transpose, from the uniform vectors, to ``EIGEN_TOL``."""
     m = B.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
@@ -140,24 +139,11 @@ def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, tol: float, maxiter: int):
         gap = max(rv_max - rv_min, ru.max() - ru.min())
         v = Bv / sv
         u = BTu / su
-        if gap <= tol * lam:
+        if gap <= EIGEN_TOL * lam:
             return lam, v, u, iterations
     raise ConvergenceError(
         f"power iteration did not converge in {maxiter} iterations (ratio gap {gap:.3e})"
     )
-
-
-def _component_radius(block: sp.csr_matrix) -> float:
-    """Perron root of one strongly connected block.
-
-    Small blocks go through a dense solve because they may be periodic (cells
-    around a periodic point of the branch maps), where ratio-based power
-    iteration cannot settle.
-    """
-    if block.shape[0] <= 256:
-        return float(np.max(np.abs(np.linalg.eigvals(block.toarray()))))
-    lam, _, _, _ = _power_pair(block, block.T.tocsr(), 1e-8, 20_000)
-    return lam
 
 
 def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds, maxiter=2000):
@@ -209,10 +195,11 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     iteration from the uniform vectors on the dominant class.
 
     The matrix must be nonnegative with a unique dominant strongly connected
-    class on its support (ReducibleMatrixError otherwise).  Raises
-    ConvergenceError when the ratio gap fails to reach ``EIGEN_TOL`` within
-    ``maxiter`` iterations.  Every call prunes the support and splits it into
-    classes; stored zeros are dropped first, so they change nothing.
+    class on its support: ReducibleMatrixError when the top two class radii
+    lie within 1e-9 relative.  Every class of more than 256 cells is solved
+    once and the dominant one keeps its pair.  ``maxiter`` bounds each such
+    solve: ConvergenceError when a ratio gap fails to reach ``EIGEN_TOL``
+    within it.  Stored zeros are dropped first, so they change nothing.
     """
     A = tm.matrix.tocsr()
     if A.nnz == 0:
@@ -229,31 +216,39 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     B = A if len(keep) == A.shape[0] else A[np.ix_(keep, keep)].tocsr()
     ncomp, labels = connected_components(B, directed=True, connection="strong")
     if ncomp == 1:
-        best, core_block = 0, B
+        # transposing a pruned block costs less than slicing it from AT
+        best, pair = 0, _power_pair(B, AT if B is A else B.T.tocsr(), maxiter)
     else:
         # one-cell classes take their radius straight from the diagonal
         sizes = np.bincount(labels, minlength=ncomp)
         radii = np.empty(ncomp)
         single = sizes[labels] == 1
         radii[labels[single]] = B.diagonal()[single]
-        blocks = {}
+        blocks, pairs = {}, {}
         for c in np.nonzero(sizes > 1)[0]:
             idx = np.nonzero(labels == c)[0]
-            blocks[c] = B[np.ix_(idx, idx)].tocsr()
-            radii[c] = _component_radius(blocks[c])
+            block = blocks[c] = B[np.ix_(idx, idx)].tocsr()
+            if len(idx) <= 256:
+                # small classes may be periodic (cells around a periodic point
+                # of the branch maps), where the ratios cannot settle
+                radii[c] = np.max(np.abs(np.linalg.eigvals(block.toarray())))
+            else:
+                pairs[c] = _power_pair(block, block.T.tocsr(), maxiter)
+                radii[c] = pairs[c][0]
         order = np.argsort(radii)
         best, second = order[-1], radii[order[-2]]
         if second >= radii[best] * (1.0 - 1e-9):
             raise ReducibleMatrixError(
-                f"no unique dominant class: top spectral radii {radii[best]:.6e} and {second:.6e}"
+                "no unique dominant class: the top two spectral radii differ by "
+                f"{(radii[best] - second) / radii[best]:.3e} relative"
             )
-        core_block = blocks.get(best, sp.csr_matrix([[radii[best]]]))
+        if best not in pairs:
+            core = blocks.get(best, sp.csr_matrix([[radii[best]]]))
+            pairs[best] = _power_pair(core, core.T.tocsr(), maxiter)
+        pair = pairs[best]
     in_core = labels == best
     core_idx, transient_idx = keep[in_core], keep[~in_core]
-
-    # transposing a pruned block costs less than slicing it from AT
-    core_T = AT if core_block is A else core_block.T.tocsr()
-    lam, v, u, iterations = _power_pair(core_block, core_T, EIGEN_TOL, maxiter)
+    lam, v, u, iterations = pair
     h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds)
 
     nu_total = nu.sum()

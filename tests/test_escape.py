@@ -378,13 +378,11 @@ def test_import_leaves_scipy_optimize_out():
 # the unit-eigenvalue solve
 # ---------------------------------------------------------------------------
 
-# gamma of the collocation route at lsv s = 0.5 (33 nodes at every N here);
-# N = 200 is 3.0e-11 relative from the same route with every inversion
+# gamma of the collocation route at lsv s = 0.5 (33 nodes at every N here),
+# where TRUE_GAMMA below has no 40-digit value; N = 200 is 3.0e-11 relative from the same route with every inversion
 # rounded from 40 digits (2.1944884896818935e-05)
 LSV_HALF_COLLOCATION_GAMMA = {
-    25: 0.0017255875267352492,
     50: 0.00039264446372470354,
-    100: 9.17338844788288e-05,
     200: 2.1944884897471635e-05,
 }
 

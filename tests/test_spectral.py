@@ -160,6 +160,60 @@ def test_stored_zero_changes_nothing():
     assert a.eigenmeasure.tobytes() == b.eigenmeasure.tobytes()
 
 
+def _aperiodic_block(n, seed):
+    """A cycle, the diagonal and 3n random chords with weights in [0.1, 1],
+    scaled to a dense spectral radius of 1: irreducible and aperiodic."""
+    r = np.random.default_rng(seed)
+    rows = np.r_[np.arange(n), np.arange(n), r.integers(0, n, 3 * n)]
+    cols = np.r_[(np.arange(n) + 1) % n, np.arange(n), r.integers(0, n, 3 * n)]
+    block = sp.csr_matrix((r.uniform(0.1, 1.0, len(rows)), (rows, cols)), shape=(n, n))
+    return block / np.max(np.abs(np.linalg.eigvals(block.toarray())))
+
+
+def _near_tie(seed, gap=3e-9):
+    """Two disjoint 300-cell classes, the second's radius 1 + gap."""
+    A = sp.block_diag([_aperiodic_block(300, seed), (1.0 + gap) * _aperiodic_block(300, 1000 + seed)], "csr")
+    return TransferMatrix(Grid(np.linspace(0.0, 1.0, 601)), A)
+
+
+def test_near_tied_classes_pick_the_larger_root():
+    # radius estimates to 1e-8 could not order classes 3e-9 apart: the
+    # smaller root came back, or a spurious tie was raised, for some seeds
+    for seed in range(40):
+        assert abs(leading_eigen(_near_tie(seed)).eigenvalue - (1.0 + 3e-9)) <= 1e-12
+    with pytest.raises(ReducibleMatrixError, match=r"differ by (2\.99\d|3\.00\d)e-10 relative"):
+        leading_eigen(_near_tie(0, gap=3e-10))
+
+
+def _markov_matrix(m, N, size):
+    sys, grid = build_induced(m, N), markov_grid(m, N, size)
+    return combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid))
+
+
+@pytest.mark.parametrize("build,calls,iterations,transient", [
+    (lambda: _markov_matrix(FAREY, 13, 4096), 1, 34, 898),              # one class above 256 cells, the core
+    (lambda: _markov_matrix(MapSpec.lsv(1.0), 4, 65536), 1, 49, 1),     # a one-cell class beside the core
+    (lambda: _near_tie(0), 2, None, 300),                               # two classes above 256 cells
+], ids=["farey-13", "lsv-1-4", "near-tie"])
+def test_each_class_is_solved_once(monkeypatch, build, calls, iterations, transient):
+    tm = build()
+    solves = []
+    power_pair = spectral._power_pair
+
+    def counting(*args):
+        solves.append(power_pair(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(spectral, "_power_pair", counting)
+    triple = leading_eigen(tm)
+    assert len(solves) == calls
+    # the core's pair is the one its class was ranked by
+    assert any(triple.eigenvalue == float(pair[0]) for pair in solves)
+    if iterations is not None:
+        assert triple.stats["iterations"] == iterations
+    assert triple.stats["transient_cells"] == transient
+
+
 def _sweep_support(A):
     """The prune as repeated sweeps, each a full A @ x and A.T @ x over the
     indicator of the kept set: the reference for the peel."""
