@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .maps import MapSpec, preimage_sequence
+from .maps import MapSpec, _check_unit_interval, preimage_sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,19 +56,19 @@ def build_induced(m: MapSpec, N: int) -> InducedOpenSystem:
 def branch_walk(sys: InducedOpenSystem, x):
     """Yield (zeta_n(x), log|zeta_n'(x)|) for n = 1, ..., N in one walk.
 
-    The map's family object walks its inverse branches: the closed-form Gauss
-    branches 1/(n + x) for the Farey map, affine branches of slope p_n for
-    piecewise-linear maps, and for the smooth families one left-inverse root
-    solve per step down to branch k0, accumulating the log weight along the
-    way, then every deeper branch from the Fatou coordinate of the parabolic
-    point in one vector evaluation (see :mod:`.maps`).  A smooth walk reads
+    x is checked here, once (DomainError outside [0, 1], NaN included);
+    then the map's family object walks its own inverse branches: the
+    closed-form Gauss branches 1/(n + x) for the Farey map, affine branches
+    of slope p_n for piecewise-linear maps, and for the smooth families one
+    left-inverse root solve per step down to branch k0, accumulating the log
+    weight along the way, then every deeper branch from the Fatou coordinate
+    of the parabolic point in one vector evaluation.  A smooth walk reads
     a_0..a_k0 from the family and keeps a_n past k0 in one local column, so
     zeta_n(1) = a_{n-1} and zeta_n(0) = a_n hold bit for bit.
     """
     x_a = np.asarray(x, float)
-    if np.any(x_a < 0.0) or np.any(x_a > 1.0):
-        raise DomainError("branch evaluation needs x in [0, 1]")
-    yield from sys.map.branches.walk(sys.map, x_a, sys.branch_count)
+    _check_unit_interval(x_a)
+    yield from sys.map.branches.walk(x_a, sys.branch_count)
 
 
 def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):

@@ -13,13 +13,13 @@ indifferent fixed point at the origin, each by one private class:
 branches ``left``/``right``, their absolute derivatives ``dleft``/``dright``,
 the local inverses ``inv_left``/``inv_right``, the chain a_0..a_N
 (``chain(N)``) and a_n alone (``point(n)``), ``return_time(x, cap)``, and
-``walk(m, x, N)``, which yields (zeta_n(x), log|zeta_n'(x)|) for n = 1..N
-down the inverse-branch chain of m.  pm and lsv share ``_Smooth``: its
-walk takes a root solve per step down to the first branch k0 that lies
-deep enough in the parabolic basin, and yields every deeper branch from the
-Fatou coordinate of the fixed point (the Abel function Psi, with
-Psi(phi_0(x)**-s) = Psi(x**-s) + 1), in one vector evaluation.  The chain
-a_n past k0 comes from the same function.
+``walk(x, N)``, which yields (zeta_n(x), log|zeta_n'(x)|) for n = 1..N,
+stepping with its own inverses on an x the caller has checked.  pm and lsv
+share ``_Smooth``: its walk takes a root solve per step down to the first
+branch k0 that lies deep enough in the parabolic basin, and yields every
+deeper branch from the Fatou coordinate of the fixed point (the Abel
+function Psi, with Psi(phi_0(x)**-s) = Psi(x**-s) + 1), in one vector
+evaluation.  The chain a_n past k0 comes from the same function.
 
 Conventions: the left branch domain is the closed interval [0, a], so the map
 value at the branch cut is the left-branch value 1.  The level sets of the
@@ -128,8 +128,8 @@ class ZipfWeights(Weights):
     s: float
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise DomainError("zipf weights need s > 0")
+        if not 0 < self.s < np.inf:
+            raise DomainError("zipf weights need 0 < s < inf")
 
     @property
     def exponent(self):
@@ -384,14 +384,13 @@ class _Smooth(_Family):
         gap += _horner(self._gamma, 1.0 / u) - _horner(self._gamma, 1.0 / u0)
         return _first_below(lambda ns: np.array([self.point(n) for n in ns.tolist()]), x, k0 + 1 + gap, cap)
 
-    def walk(self, m, x, N):
-        # branches 1..k0 through the public inverses, one root solve a step
-        # with the error linear in n
-        y = right_inverse(m, x)
+    def walk(self, x, N):
+        # branches 1..k0 one root solve a step, with the error linear in n
+        y = self.inv_right(x)
         logw = -np.log(self.dright(np.asarray(y, float)))
         yield y, logw
         for _ in range(2, min(N, self.k0) + 1):
-            y = left_inverse(m, y)
+            y = self.inv_left(y)
             logw = logw - np.log(self.dleft(np.asarray(y, float)))
             yield y, logw
         if N > self.k0:
@@ -505,7 +504,7 @@ class _Farey(_Family):
             raise ReturnTimeOverflowError(f"return time exceeds cap {cap}")
         return int(np.searchsorted(-self.chain(min(int(1.0 / x) + 2, cap + 1)), -x, side="right"))
 
-    def walk(self, m, x, N):
+    def walk(self, x, N):
         for n in range(1, N + 1):
             yield 1.0 / (n + x), -2.0 * np.log(n + x)
 
@@ -562,7 +561,7 @@ class _Pwl(_Family):
     def return_time(self, x, cap):
         return int(self.weights.cell_index(x, cap=cap))
 
-    def walk(self, m, x, N):
+    def walk(self, x, N):
         w = self.weights
         for n in range(1, N + 1):
             p_n = float(np.asarray(w.mass(n), float))
@@ -596,8 +595,8 @@ class MapSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not self.s > 0:
-            raise DomainError("intermittency exponent s must be positive")
+        if not 0 < self.s < np.inf:
+            raise DomainError("intermittency exponent s must be positive and finite")
         branches = _FAMILY_TYPES[self.family](self.s, self.weights)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "weights", branches.weights)

@@ -48,7 +48,7 @@ class Grid:
         nodes = np.asarray(self.nodes, float)
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise DomainError("grid must span [0, 1]")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):  # NaN fails the comparison
             raise DomainError("grid nodes must be strictly increasing")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -187,6 +187,7 @@ def apply_Q0(m: MapSpec, N: int, f: Callable, x):
     """
     seq = preimage_sequence(m, N)
     x_a = np.asarray(x, float)
+    maps._check_unit_interval(x_a)
     alive = x_a > seq[N - 1]
     out = np.zeros_like(np.atleast_1d(x_a))
     alive1 = np.atleast_1d(alive)

@@ -146,14 +146,14 @@ def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, maxiter: int):
     )
 
 
-def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds, maxiter=2000):
+def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds, maxiter):
     """Fill the non-core entries so (h, nu) solve the full eigen equations
     h = (A h)/lam and nu = (A^T nu)/lam, given the core pair.
 
     On the transient cells (kept, outside the core) the equations are
     contractions, every other class having spectral radius below lam, so a
     fixed-point iteration from zero with the core pinned converges
-    geometrically; it reads only the transient rows.
+    geometrically, within ``maxiter`` rounds; it reads only the transient rows.
 
     The peeled cells lie on no cycle and take one pass back over the peel's
     ``rounds`` (see :func:`_prune_support`).  h is 0 on every no-target cell
@@ -198,8 +198,8 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     class on its support: ReducibleMatrixError when the top two class radii
     lie within 1e-9 relative.  Every class of more than 256 cells is solved
     once and the dominant one keeps its pair.  ``maxiter`` bounds each such
-    solve: ConvergenceError when a ratio gap fails to reach ``EIGEN_TOL``
-    within it.  Stored zeros are dropped first, so they change nothing.
+    solve and the fill of the transient cells: ConvergenceError when one
+    does not settle within it.  Stored zeros are dropped first.
     """
     A = tm.matrix.tocsr()
     if A.nnz == 0:
@@ -249,7 +249,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     in_core = labels == best
     core_idx, transient_idx = keep[in_core], keep[~in_core]
     lam, v, u, iterations = pair
-    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds)
+    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds, maxiter)
 
     nu_total = nu.sum()
     if nu_total <= 0:

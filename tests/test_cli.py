@@ -192,6 +192,38 @@ def test_farey_exponent_other_than_one_rejected(capsys):
     assert "DomainError" in err
 
 
+@pytest.mark.parametrize("family", ["pm", "lsv", "pwl"])
+def test_infinite_exponent_rejected(family, capsys):
+    code, out, err = run_cli(["escape", "--map", family, "--s", "inf", "--hole-index", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_escape_on_an_epsilon_hole(capsys):
+    code, out, _ = run_cli(["escape", "--map", "lsv", "--s", "0.5", "--method", "ulam", "--epsilon", "0.05"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"][0]["gamma_mu"] > 0
+
+
+def test_mc_on_an_epsilon_hole(capsys):
+    argv = ["mc", "--map", "lsv", "--s", "0.5", "--epsilon", "0.05", "--samples", "20000", "--tmax", "20"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [row["n"] for row in payload["curve"]] == list(range(1, 21))
+    assert payload["result"]["gamma"] > 0
+
+
+def test_induced_route_rejects_an_epsilon_hole(capsys):
+    code, out, err = run_cli(["escape", "--method", "induced", "--epsilon", "0.05"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "DomainError"
+    assert "Markov hole index" in error["message"]
+
+
 def test_pwl_weights_rejected_for_other_families():
     with pytest.raises(DomainError):
         build_map(RunConfig("escape", map="lsv", s=0.5, pwl_weights="zipf", hole_index="2"))

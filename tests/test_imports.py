@@ -81,8 +81,6 @@ UNREAD_PARAMETERS = {
     ("escape.py", "sandwich_bounds", "grid_size"): "perfbench passes it",
     ("operators.py", "combine_branch_matrices", "sys"): "perfbench passes it",
     ("maps.py", "ExplicitWeights.cell_index", "cap"): "a finite list ends before any cap",
-    ("maps.py", "_Farey.walk", "m"): "every family has the same walk signature",
-    ("maps.py", "_Pwl.walk", "m"): "every family has the same walk signature",
 }
 
 

@@ -139,17 +139,17 @@ def test_branch_index_validation():
 def test_markov_rate_on_a_fresh_map_walks_the_chain_once(monkeypatch, family, s):
     m = MapSpec(family, s)  # its head is computed here, or was by an earlier map
     calls, solves = [], []
-    original, solve = maps.left_inverse, maps.solve_monotone
+    original, solve = maps._Smooth.inv_left, maps.solve_monotone
 
-    def counting(m, y):
+    def counting(branches, y):
         calls.append(1)
-        return original(m, y)
+        return original(branches, y)
 
     def counting_solve(*args, **kwargs):
         solves.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(maps, "left_inverse", counting)
+    monkeypatch.setattr(maps._Smooth, "inv_left", counting)
     monkeypatch.setattr(maps, "solve_monotone", counting_solve)
     report = compute_escape(m, Hole.markov(100), method="induced")
     k0 = report.diagnostics["walked_branches"]

@@ -113,6 +113,16 @@ def test_nan_rejected_by_every_domain_check():
         eval_map(FAREY, np.array([0.2, np.inf]))
 
 
+@pytest.mark.parametrize("m", [PM_ONE, LSV_HALF, FAREY, PWL_ONE], ids=["pm", "lsv", "farey", "pwl"])
+@pytest.mark.parametrize("x", [np.nan, np.array([0.3, np.nan]), -0.5, np.array([0.3, 1.5])],
+                         ids=["nan", "nan-array", "below", "above-array"])
+def test_branch_walk_rejects_points_outside_the_unit_interval(m, x):
+    # the walk checks x once, before its first step; the closed-form farey
+    # and pwl branches would otherwise carry a NaN through every branch
+    with pytest.raises(DomainError):
+        next(branch_walk(build_induced(m, 3), x))
+
+
 @pytest.mark.parametrize("m,x", [(PWL_ONE, 2e-7), (MapSpec.pwl(0.5), 1e-13)], ids=["harmonic", "zipf"])
 def test_pwl_deep_cells_need_no_return_time_cap(m, x):
     # both points lie in cells beyond the default return-time cap of 10**6
@@ -527,6 +537,20 @@ def test_farey_rejects_any_other_exponent():
     for s in (0.5, 2.0, 1.0 + 1e-12):
         with pytest.raises(DomainError):
             MapSpec("farey", s)
+
+
+@pytest.mark.parametrize("family", ["pm", "lsv", "farey", "pwl"])
+@pytest.mark.parametrize("s", [np.inf, np.nan, 0.0, -1.0])
+def test_exponent_must_be_positive_and_finite(family, s):
+    with pytest.raises(DomainError):
+        MapSpec(family, s)
+
+
+@pytest.mark.parametrize("s", [np.inf, np.nan, 0.0])
+def test_zipf_exponent_must_be_positive_and_finite(s):
+    # at s = inf every Zipf mass would be 0
+    with pytest.raises(DomainError):
+        ZipfWeights(s)
 
 
 def test_pwl_weights_must_have_the_declared_exponent():

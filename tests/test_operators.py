@@ -42,6 +42,8 @@ def test_grid_invariants():
         Grid(np.array([0.1, 0.5, 1.0]))
     with pytest.raises(DomainError):
         Grid(np.array([0.0, 0.5, 0.5, 1.0]))
+    with pytest.raises(DomainError):
+        Grid(np.array([0.0, np.nan, 1.0]))
     g = Grid(np.array([0.0, 0.25, 1.0]))
     assert g.n_cells == 2
     assert g.node_index(0.25) == 1
@@ -185,6 +187,14 @@ def test_apply_q0_examples():
     assert apply_Q0(FAREY, 3, ONES, 0.5) == pytest.approx(4 / 9, abs=1e-14)
     # affine slope ratio for the piecewise-linear family
     assert apply_Q0(PWL_ONE, 2, ONES, 0.9) == pytest.approx(1 / 3, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [FAREY, LSV_HALF], ids=["farey", "lsv"])
+@pytest.mark.parametrize("x", [np.nan, -0.5, 1.5, np.array([0.6, np.nan])], ids=["nan", "below", "above", "nan-array"])
+def test_apply_q0_rejects_points_outside_the_unit_interval(m, x):
+    # below a_{N-1} a point is in the hole and its term 0, but only inside [0, 1]
+    with pytest.raises(DomainError):
+        apply_Q0(m, 3, ONES, x)
 
 
 def test_apply_q1_right_branch_weight():
@@ -349,13 +359,13 @@ def test_branch_pieces_walk_the_chain_once(monkeypatch):
     sys = build_induced(LSV_HALF, N)
     grid = markov_grid(LSV_HALF, N, 512)
     calls = []
-    original = maps.left_inverse
+    original = maps._Smooth.inv_left
 
-    def counting(m, y):
+    def counting(branches, y):
         calls.append(1)
-        return original(m, y)
+        return original(branches, y)
 
-    monkeypatch.setattr(maps, "left_inverse", counting)
+    monkeypatch.setattr(maps._Smooth, "inv_left", counting)
     induced_branch_matrices(sys, grid)
     # root solves down to branch k0 = 13, the rest from the Abel function;
     # rebuilding each branch from scratch takes N(N-1)/2

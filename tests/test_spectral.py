@@ -185,6 +185,23 @@ def test_near_tied_classes_pick_the_larger_root():
         leading_eigen(_near_tie(0, gap=3e-10))
 
 
+@pytest.mark.parametrize("rho", [0.99, 0.999])
+def test_transient_fill_settles_inside_the_dominance_margin(rho):
+    # the fill on the transient class converges at the ratio rho of its
+    # radius to the core's: about 37,000 rounds at 0.999, past a cap of
+    # 2,000 and inside the solve's own maxiter
+    A = sp.block_diag([_aperiodic_block(300, 1), rho * _aperiodic_block(300, 2)], "lil")
+    A[300, 0] = 0.5
+    A = A.tocsr()
+    triple = leading_eigen(TransferMatrix(Grid(np.linspace(0.0, 1.0, 601)), A))
+    lam = triple.eigenvalue
+    assert lam == pytest.approx(1.0, abs=1e-12)
+    assert triple.stats["transient_cells"] == 300
+    assert np.all(triple.eigenfunction[300:] > 0)
+    for M, v in ((A, triple.eigenfunction), (A.T, triple.eigenmeasure)):
+        assert np.all(np.abs(M @ v - lam * v) <= 1e-12 * lam * v)
+
+
 def _markov_matrix(m, N, size):
     sys, grid = build_induced(m, N), markov_grid(m, N, size)
     return combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid))
@@ -344,7 +361,7 @@ def _assert_zero_off_the_paths(triple, A, AT, core_idx):
 def _check_fill(tm):
     """The one-pass fill against the fixed point from the same core pair,
     and its zeros against a breadth-first search from the core."""
-    triple, (A, AT, lam, core_idx, h_core, nu_core, transient_idx, _), fill = _solve_recording_fill(tm)
+    triple, (A, AT, lam, core_idx, h_core, nu_core, transient_idx, *_), fill = _solve_recording_fill(tm)
     for got, expected in zip(fill, _fixed_point_fill(A, AT, lam, core_idx, h_core, nu_core)):
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
         if len(transient_idx) == 0:
@@ -371,7 +388,7 @@ def test_one_pass_fill_matches_the_fixed_point_past_transient_classes():
 def test_one_pass_fill_matches_the_fixed_point_on_drawn_matrices(A):
     tm = TransferMatrix(Grid(np.linspace(0.0, 1.0, A.shape[0] + 1)), A)
     try:
-        triple, (A, AT, lam, core_idx, h_core, nu_core, transient_idx, _), fill = _solve_recording_fill(
+        triple, (A, AT, lam, core_idx, h_core, nu_core, transient_idx, *_), fill = _solve_recording_fill(
             tm, maxiter=2000
         )
     except (ReducibleMatrixError, ConvergenceError):
