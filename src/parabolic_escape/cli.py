@@ -96,8 +96,8 @@ class RunConfig:
         if holes and sum(getattr(self, o) is not None for o in holes) != 1:
             flags = " and ".join(map(_flag, holes))
             raise ConfigError(f"{self.command} needs {'exactly one of ' if len(holes) > 1 else ''}{flags}")
-        if not self.s > 0:
-            raise ConfigError("--s must be positive")
+        if not 0 < self.s < math.inf:
+            raise ConfigError("--s must be positive and finite")
         if self.grid < 8:
             raise ConfigError("--grid must be at least 8")
         if self.threads < 1:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .exceptions import ConvergenceError, DomainError, ReturnTimeOverflowError
 from .roots import solve_monotone
@@ -136,15 +135,17 @@ class ZipfWeights(Weights):
         return 1.0 + 1.0 / self.s
 
     def _norm(self):
-        return float(_zeta(self.exponent))
+        from scipy.special import zeta
+        return float(zeta(self.exponent))
 
     def mass(self, k):
         k = np.asarray(k, float)
         return k ** (-self.exponent) / self._norm()
 
     def tail(self, n):
+        from scipy.special import zeta
         n = np.asarray(n, float)
-        return _zeta(self.exponent, n + 1.0) / self._norm()
+        return zeta(self.exponent, n + 1.0) / self._norm()
 
     def _start(self, x):
         return (self.s / (self._norm() * x)) ** self.s  # a_n ~ s n**(-1/s) / norm

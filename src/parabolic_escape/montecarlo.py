@@ -18,7 +18,6 @@ thread (the traced ``mc-survival`` benchmark workload).
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -114,6 +113,7 @@ def survival_curve(
 
     jobs = list(enumerate(sizes))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, jobs))
     else:

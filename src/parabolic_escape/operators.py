@@ -18,20 +18,23 @@ must be vectorized.
 Discretization is by the Ulam method on aligned grids: piecewise-constant
 densities, with every entry an exact interval overlap (branch images of the
 cells for the induced operator, preimages of the cells for the direct one).
+scipy.sparse is imported on first use, by the three matrix assemblers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import maps
 from .exceptions import DomainError
 from .induced import InducedOpenSystem, branch_walk
 from .maps import MapSpec, preimage_sequence
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +307,7 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     left-inverse solves, plus one Abel-function evaluation past k0.  The
     open operator N_1 is the sum of the pieces.
     """
+    import scipy.sparse as sp
     M = grid.n_cells
     nodes = grid.nodes
     widths = grid.widths
@@ -327,6 +331,7 @@ def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces) -> Trans
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:
     """The exact rank-one matrix of a piecewise-linear induced system: every
     row equals (p_1, ..., p_N) on the natural partition."""
+    import scipy.sparse as sp
     if m.family != "pwl":
         raise DomainError("exact matrix exists only for the pwl family")
     grid = natural_partition_grid(m, N)
@@ -345,6 +350,7 @@ def assemble_ulam_open(m: MapSpec, epsilon: float, grid: Grid) -> TransferMatrix
     columns of cells meeting [0, epsilon] are removed (their indices stay in
     the matrix as structural zeros so the grid indexing is unchanged).
     """
+    import scipy.sparse as sp
     i0 = grid.node_index(epsilon)
     nodes = grid.nodes
     live_nodes = nodes[i0:]

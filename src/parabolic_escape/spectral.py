@@ -24,21 +24,23 @@ function of the eigenfunction, and the mass consistency check between its
 integral and the mean return time.  The prune reads each edge at most once,
 the fill each peeled row once, and the mass check pulls back only the nodes
 of the cells where nu is nonzero (5.6 % of 262,144 cells, lsv s = 2, N = 3).
+scipy.sparse and its csgraph are imported on the first ``leading_eigen`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import maps
 from .exceptions import ConvergenceError, DomainError, NormalizationError, ReducibleMatrixError
 from .induced import InducedOpenSystem
 from .operators import Grid, TransferMatrix, induced_branch_matrices, interval_cell_overlaps
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: relative ratio gap that ends power iteration, and |log lambda| that ends a unit-eigenvalue solve
 EIGEN_TOL = 1e-13
@@ -201,6 +203,8 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     solve and the fill of the transient cells: ConvergenceError when one
     does not settle within it.  Stored zeros are dropped first.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     A = tm.matrix.tocsr()
     if A.nnz == 0:
         raise ReducibleMatrixError("zero matrix")

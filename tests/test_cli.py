@@ -197,7 +197,18 @@ def test_infinite_exponent_rejected(family, capsys):
     code, out, err = run_cli(["escape", "--map", family, "--s", "inf", "--hole-index", "3"], capsys)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "DomainError"
+    assert json.loads(err) == {"error": "ConfigError", "message": "--s must be positive and finite"}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+def test_exponent_must_be_positive_and_finite(value, capsys):
+    # the config check, not MapSpec, rejects it, the same way for every value
+    with pytest.raises(ConfigError, match="positive and finite"):
+        RunConfig("escape", s=float(value), hole_index="3").validate()
+    code, out, err = run_cli(["escape", "--map", "lsv", f"--s={value}", "--hole-index", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ConfigError", "message": "--s must be positive and finite"}
 
 
 def test_escape_on_an_epsilon_hole(capsys):

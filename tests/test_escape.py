@@ -365,13 +365,83 @@ def test_diagnostics_carry_solver_counts_in_json_only(monkeypatch):
     assert header == "family,s,N,a_N,m_H,lambda,gamma_rho,sum_k_rho,gamma_mu,method,grid_M,eigen_residual,runtime_ms"
 
 
-def test_import_leaves_scipy_optimize_out():
-    code = "import sys, parabolic_escape; print('scipy.optimize' in sys.modules)"
+def run_fresh(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
     # the subprocess does not inherit pytest's pythonpath, so hand it the checkout's src
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+                         timeout=300)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+FOOTPRINT = """
+import json, sys
+import parabolic_escape, parabolic_escape.cli
+from parabolic_escape import Hole, MapSpec, compute_escape, survival_curve
+
+def loaded():
+    return sorted(n for n in sys.modules if n.split(".")[0] in ("scipy", "concurrent"))
+
+seen = {"import": loaded()}
+for m in (MapSpec("pm", 1.0), MapSpec.lsv(0.5), MapSpec.farey(), MapSpec.pwl(1.0)):
+    compute_escape(m, Hole.markov(25), method="induced")
+survival_curve(MapSpec.lsv(0.5), Hole.markov(3), n_max=10, samples=1000, threads=1)
+seen["numpy routes"] = loaded()
+compute_escape(MapSpec.lsv(0.5), Hole.markov(10), method="ulam", grid_size=256)
+seen["ulam"] = loaded()
+MapSpec.pwl(2.0)
+seen["zipf"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_on_the_routes_that_call_it():
+    # the induced rates (pm, lsv, farey, the pwl closed form) and Monte Carlo
+    # on one thread run on numpy alone; scipy.optimize is never loaded
+    seen = run_fresh(FOOTPRINT)
+    assert seen["import"] == seen["numpy routes"] == []
+    assert {"scipy.sparse", "scipy.sparse.csgraph"} <= set(seen["ulam"])
+    assert "scipy.special" not in seen["ulam"]
+    assert "scipy.special" in seen["zipf"]
+    assert "scipy.optimize" not in seen["zipf"]
+
+
+FIRST_USE_FROM_THREADS = """
+import json, sys, threading
+from parabolic_escape import Hole, MapSpec, compute_escape
+
+def run():
+    rep = compute_escape(MapSpec.lsv(0.5), Hole.markov(10), method="ulam", grid_size=512).to_dict()
+    del rep["runtime_ms"]
+    return json.dumps(rep)
+
+fresh = "scipy.sparse" not in sys.modules
+start, out = threading.Barrier(2), [None, None]
+
+def worker(i):
+    start.wait(60)
+    out[i] = run()
+
+# a short switch interval interleaves the two imports more finely
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(120)
+done = not any(t.is_alive() for t in threads)
+sys.setswitchinterval(0.005)
+print(json.dumps({"fresh": fresh, "done": done, "threaded": out, "serial": run()}))
+"""
+
+
+def test_first_scipy_import_from_two_threads():
+    # both threads reach the first import of scipy.sparse at once; each report
+    # must equal a serial run's, bit for bit (json keeps every float's repr)
+    seen = run_fresh(FIRST_USE_FROM_THREADS)
+    assert seen["fresh"] and seen["done"]
+    assert seen["threaded"] == [seen["serial"]] * 2
 
 
 # ---------------------------------------------------------------------------
