@@ -305,15 +305,17 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     values come from one walk down the inverse-branch chain
     (:func:`branch_walk`), so N pieces of pm or lsv cost min(N, k0) - 1
     left-inverse solves, plus one Abel-function evaluation past k0.  The
-    open operator N_1 is the sum of the pieces.
+    open operator N_1 is the sum of the pieces.  Node images are clipped to
+    the cylinder [a_n, a_{n-1}], whose ends farey's closed form misses by ulps.
     """
     import scipy.sparse as sp
     M = grid.n_cells
     nodes = grid.nodes
     widths = grid.widths
+    seq = sys.preimages
     pieces = []
-    for u, _ in branch_walk(sys, nodes):
-        cells, rows, overlap = interval_cell_overlaps(nodes, u)
+    for n, (u, _) in enumerate(branch_walk(sys, nodes), start=1):
+        cells, rows, overlap = interval_cell_overlaps(nodes, np.clip(u, seq[n], seq[n - 1]))
         # the triplets come row by row, each row in cell order: CSR as they stand
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=M))])
         pieces.append(sp.csr_matrix((overlap / widths[rows], cells, indptr), shape=(M, M)))

@@ -19,18 +19,18 @@ from .exceptions import ConvergenceError
 
 #: residual every returned root must meet
 FTOL_HARD = 1e-13
-MAXITER = 200
+MAXITER = 200  # Newton steps a point may take
 
 
-def solve_monotone(f, df, lo, hi, *, y=0.0, maxiter=MAXITER):
+def solve_monotone(f, df, lo, hi, *, y=0.0):
     """Solve f(x) = y for increasing convex f on the bracket [lo, hi], elementwise.
 
     ``lo``, ``hi`` and ``y`` are scalars or arrays (broadcast together);
     ``f`` and ``df`` must act elementwise on arrays, because after the first
     evaluation only the points still open are iterated.  Newton steps start
-    at ``hi`` and are clamped at ``lo``.  Requires f(lo) <= y <= f(hi) and f
-    convex on [lo, hi].  Returns an array of the broadcast shape (or a scalar
-    if all three were scalars).
+    at ``hi`` and are clamped at ``lo``, at most ``MAXITER`` a point.
+    Requires f(lo) <= y <= f(hi) and f convex on [lo, hi].  Returns an array
+    of the broadcast shape (or a scalar if all three were scalars).
     """
     lo_b, hi_b, y_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float), np.asarray(y, float))
     shape = lo_b.shape
@@ -42,7 +42,7 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, maxiter=MAXITER):
     x = hi_b.ravel().copy()
     fx = np.asarray(f(x), float) - y_b
     at = np.nonzero(fx > tol)[0]  # the open points; a NaN residual closes and fails below
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if at.size == 0:
             break
         x_a = x[at]
@@ -59,6 +59,6 @@ def solve_monotone(f, df, lo, hi, *, y=0.0, maxiter=MAXITER):
     worst = float(np.max(np.abs(fx)))
     if not worst <= FTOL_HARD:  # a NaN residual fails too
         raise ConvergenceError(
-            f"branch inversion did not converge: max residual {worst:.3e} after {maxiter} iterations"
+            f"branch inversion did not converge: max residual {worst:.3e} after {MAXITER} iterations"
         )
     return float(x[0]) if shape == () else x.reshape(shape)

@@ -15,7 +15,7 @@ EIGEN_TOL, and that root is its radius; smaller classes, which may be
 periodic, take a dense radius, one-cell classes their diagonal entry.  The
 dominant class (which must be unique) keeps its pair, and both eigenvectors
 are filled on the other cells so that they are eigenvectors of the full
-matrix: by fixed-point iteration on the transient classes, and on the peeled
+matrix: by one sparse solve on the transient classes, and on the peeled
 cells, which lie on no cycle, in one pass back along the peel.
 
 The leading pair feeds three derived quantities: per-branch cylinder masses
@@ -44,6 +44,7 @@ if TYPE_CHECKING:
 
 #: relative ratio gap that ends power iteration, and |log lambda| that ends a unit-eigenvalue solve
 EIGEN_TOL = 1e-13
+EIGEN_MAXITER = 100_000  # power iterations a class may take to reach EIGEN_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +121,7 @@ def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix):
     return np.nonzero(alive)[0], rounds
 
 
-def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, maxiter: int):
+def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix):
     """Two-sided power iteration on an irreducible nonnegative block ``B``,
     with ``BT`` its CSR transpose, from the uniform vectors, to ``EIGEN_TOL``."""
     m = B.shape[0]
@@ -128,7 +129,7 @@ def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, maxiter: int):
     u = np.full(m, 1.0 / m)
     lam = 0.0
     gap = np.inf
-    for iterations in range(1, maxiter + 1):
+    for iterations in range(1, EIGEN_MAXITER + 1):
         Bv = B @ v
         BTu = BT @ u
         sv, su = Bv.sum(), BTu.sum()
@@ -144,18 +145,17 @@ def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix, maxiter: int):
         if gap <= EIGEN_TOL * lam:
             return lam, v, u, iterations
     raise ConvergenceError(
-        f"power iteration did not converge in {maxiter} iterations (ratio gap {gap:.3e})"
+        f"power iteration did not converge in {EIGEN_MAXITER} iterations (ratio gap {gap:.3e})"
     )
 
 
-def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds, maxiter):
+def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds):
     """Fill the non-core entries so (h, nu) solve the full eigen equations
     h = (A h)/lam and nu = (A^T nu)/lam, given the core pair.
 
-    On the transient cells (kept, outside the core) the equations are
-    contractions, every other class having spectral radius below lam, so a
-    fixed-point iteration from zero with the core pinned converges
-    geometrically, within ``maxiter`` rounds; it reads only the transient rows.
+    On the transient cells t (kept, outside the core), (lam I - T) h_t =
+    A[t, core] h_core for T = A[t, t], and the transpose for nu: T's radius is
+    below lam, so one sparse LU of this nonsingular M-matrix serves both.
 
     The peeled cells lie on no cycle and take one pass back over the peel's
     ``rounds`` (see :func:`_prune_support`).  h is 0 on every no-target cell
@@ -172,19 +172,16 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds
     h[core_idx] = h_core
     nu[core_idx] = nu_core
     if len(transient_idx):
-        # a kept cell's peeled targets (sources) are no-target (no-source) cells: their 0 is final
-        A_t, AT_t = A[transient_idx], AT[transient_idx]
-        for _ in range(maxiter):
-            h_t, nu_t = (A_t @ h) / lam, (AT_t @ nu) / lam
-            delta = max(
-                np.max(np.abs(h_t - h[transient_idx])) / np.max(h_core),
-                np.max(np.abs(nu_t - nu[transient_idx])) / np.max(nu_core),
-            )
-            h[transient_idx], nu[transient_idx] = h_t, nu_t
-            if delta <= 1e-16:
-                break
-        else:
-            raise ConvergenceError("eigenvector extension to transient cells did not settle")
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+        A_t = A[transient_idx]
+        K = (lam * sp.identity(len(transient_idx)) - A_t[:, transient_idx]).tocsc()
+        # diagonal pivots keep the M-matrix sign pattern in the factors: no negative value
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        # a kept cell's peeled targets (sources) are no-target (no-source) cells:
+        # their 0 is final, so the right-hand sides read the core only
+        h[transient_idx] = lu.solve(A_t @ h)
+        nu[transient_idx] = lu.solve(AT[transient_idx] @ nu, trans="T")
     for peeled in reversed(rounds):
         for M, v, rows in ((A, h, peeled[0]), (AT, nu, peeled[1])):
             if len(rows):
@@ -192,16 +189,16 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds
     return h, nu
 
 
-def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
+def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
     """Perron root and both eigenvectors by a cold solve: two-sided power
     iteration from the uniform vectors on the dominant class.
 
     The matrix must be nonnegative with a unique dominant strongly connected
     class on its support: ReducibleMatrixError when the top two class radii
     lie within 1e-9 relative.  Every class of more than 256 cells is solved
-    once and the dominant one keeps its pair.  ``maxiter`` bounds each such
-    solve and the fill of the transient cells: ConvergenceError when one
-    does not settle within it.  Stored zeros are dropped first.
+    once and the dominant one keeps its pair: ConvergenceError when one does
+    not settle within ``EIGEN_MAXITER`` iterations.  The transient cells take
+    one sparse solve.  Stored zeros are dropped first.
     """
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
@@ -221,7 +218,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
     ncomp, labels = connected_components(B, directed=True, connection="strong")
     if ncomp == 1:
         # transposing a pruned block costs less than slicing it from AT
-        best, pair = 0, _power_pair(B, AT if B is A else B.T.tocsr(), maxiter)
+        best, pair = 0, _power_pair(B, AT if B is A else B.T.tocsr())
     else:
         # one-cell classes take their radius straight from the diagonal
         sizes = np.bincount(labels, minlength=ncomp)
@@ -237,7 +234,7 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
                 # of the branch maps), where the ratios cannot settle
                 radii[c] = np.max(np.abs(np.linalg.eigvals(block.toarray())))
             else:
-                pairs[c] = _power_pair(block, block.T.tocsr(), maxiter)
+                pairs[c] = _power_pair(block, block.T.tocsr())
                 radii[c] = pairs[c][0]
         order = np.argsort(radii)
         best, second = order[-1], radii[order[-2]]
@@ -248,12 +245,12 @@ def leading_eigen(tm: TransferMatrix, maxiter: int = 100_000) -> SpectralTriple:
             )
         if best not in pairs:
             core = blocks.get(best, sp.csr_matrix([[radii[best]]]))
-            pairs[best] = _power_pair(core, core.T.tocsr(), maxiter)
+            pairs[best] = _power_pair(core, core.T.tocsr())
         pair = pairs[best]
     in_core = labels == best
     core_idx, transient_idx = keep[in_core], keep[~in_core]
     lam, v, u, iterations = pair
-    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds, maxiter)
+    h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds)
 
     nu_total = nu.sum()
     if nu_total <= 0:

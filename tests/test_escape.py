@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -304,6 +305,23 @@ def test_report_schema():
     assert d["diagnostics"]["gamma_pressure_ratio"] == pytest.approx(0.3243720864865315, abs=1e-12)
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"hole_measure": 0.0}, r"hole measure 0\.0 outside \(0, 1\)"),
+    ({"hole_measure": 1.0}, r"hole measure 1\.0 outside \(0, 1\)"),
+    ({"gamma": -1e-3}, "escape rates are nonnegative"),
+    ({"gamma": 0.3, "gamma_induced": 0.2}, "original rate cannot exceed the induced rate"),
+], ids=["no-hole", "whole-interval", "negative-rate", "above-induced"])
+def test_report_rejects_impossible_fields(fields, message):
+    rep = compute_escape(PWL_ONE, Hole.markov(2), method="induced")
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(rep, **fields)
+
+
+def test_unknown_method_rejected():
+    with pytest.raises(DomainError, match="unknown method 'bogus'"):
+        compute_escape(PWL_ONE, Hole.markov(2), method="bogus")
+
+
 def test_mc_method_report():
     rep = compute_escape(
         PWL_ONE, Hole.markov(2), method="montecarlo", samples=300_000, n_max=30, window=(8, 22), seed=11
@@ -598,13 +616,15 @@ def test_reports_bitwise_pinned(monkeypatch):
     assert report_digest(monkeypatch) == REPORTS_DIGEST
 
 
-# each tolerance is one module constant; a caller's own value would move a
-# rate without any report recording it
+# each tolerance and iteration cap is one module constant; a caller's own
+# value would move a rate without any report recording it
 REMOVED_KEYWORDS = {
     "compute_escape-eigen_tol": lambda: compute_escape(PWL_ONE, Hole.markov(2), eigen_tol=1e-4),
     "induced_analysis-eigen_tol": lambda: induced_analysis(PWL_ONE, 2, eigen_tol=1e-4),
     "leading_eigen-tol": lambda: leading_eigen(pwl_exact_matrix(PWL_ONE, 2), tol=1e-4),
+    "leading_eigen-maxiter": lambda: leading_eigen(pwl_exact_matrix(PWL_ONE, 2), maxiter=10),
     "solve_monotone-ftol": lambda: solve_monotone(lambda t: t, np.ones_like, 0.0, 1.0, y=0.5, ftol=1e-4),
+    "solve_monotone-maxiter": lambda: solve_monotone(lambda t: t, np.ones_like, 0.0, 1.0, y=0.5, maxiter=10),
     "sweep-monotone_slack": lambda: sweep(PWL_ONE, [2, 3], monotone_slack=1.0),
     "branch_weight_sums-samples": lambda: branch_weight_sums(build_induced(PWL_ONE, 2), samples=9),
 }

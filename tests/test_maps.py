@@ -213,6 +213,12 @@ def test_preimage_recurrence_and_monotone():
         assert np.max(np.abs(fwd - seq[:-1])) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_preimage_sequence_needs_one_step(N):
+    with pytest.raises(DomainError, match="need N >= 1"):
+        preimage_sequence(FAREY, N)
+
+
 def test_return_time_examples():
     assert return_time(FAREY, 0.6) == 1
     assert return_time(FAREY, 0.3) == 3
@@ -489,6 +495,9 @@ def test_hole_construction():
         Hole(index=2, epsilon=0.1)
     with pytest.raises(DomainError):
         Hole()
+    for epsilon in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\)"):
+            Hole(epsilon=epsilon)
     # the index is a positive integer, stored as an int
     for index in (2.5, 3.0, "3", 0, -2):
         with pytest.raises(DomainError):
@@ -519,6 +528,12 @@ def test_bad_weights_flagged():
     names = {c.name: c.passed for c in report.checks}
     assert not names["weights_normalized"]
     assert not report.ok
+    # one line a check, its verdict first
+    lines = str(report).splitlines()
+    assert len(lines) == len(report.checks)
+    assert all(line.startswith(f"[{'pass' if c.passed else 'FAIL'}] {c.name}: ")
+               for line, c in zip(lines, report.checks))
+    assert any(line.startswith("[FAIL] weights_normalized: ") for line in lines)
 
 
 def test_mapspec_validation():

@@ -80,6 +80,9 @@ def test_markov_grid_is_the_hole_grid_at_the_hole_edge(m, monkeypatch):
 def test_hole_grid_has_epsilon_node():
     g = hole_grid(LSV_HALF, 0.2, 128)
     assert g.node_index(0.2) >= 0
+    for epsilon in (0.0, 1.0, 1.5, np.nan):
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1\)"):
+            hole_grid(LSV_HALF, epsilon, 128)
 
 
 def test_interval_cell_overlaps_oracle():
@@ -244,6 +247,12 @@ def test_pwl_natural_grid_reproduces_exact_matrix():
     assert np.allclose(dense, dense[0], atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [LSV_HALF, FAREY, PM_ONE], ids=lambda m: m.family)
+def test_exact_matrix_only_for_pwl(m):
+    with pytest.raises(DomainError, match="only for the pwl family"):
+        pwl_exact_matrix(m, 3)
+
+
 def test_single_cell_grid_collapses_to_total_weight():
     # one live cell spanning (a_N, 1]: the entry is the full weight integral
     m = FAREY
@@ -338,6 +347,7 @@ def test_branch_pieces_match_per_branch_reference(m):
     assert len(pieces) == N
     walked = [np.asarray(y, float) for y, _ in branch_walk(sys, nodes)]
     k0 = maps._walked_branches(m, N)
+    seq = sys.preimages
     for n, piece in enumerate(pieces, start=1):
         u = _reference_branch_nodes(m, n, nodes)
         if n > k0:
@@ -346,12 +356,26 @@ def test_branch_pieces_match_per_branch_reference(m):
             # those images is exact
             assert np.all(np.abs(walked[n - 1] - u) <= 1e-14 * u)
             u = walked[n - 1]
-        # the pieces are assembled as CSR directly; the reference goes through COO
-        cells, rows, overlap = interval_cell_overlaps(nodes, u)
+        # the images clipped to the cylinder [a_n, a_(n-1)]; the pieces are
+        # assembled as CSR directly, the reference goes through COO
+        cells, rows, overlap = interval_cell_overlaps(nodes, np.clip(u, seq[n], seq[n - 1]))
         ref = sp.coo_matrix((overlap / widths[rows], (rows, cells)), shape=(M, M)).tocsr()
         assert np.array_equal(piece.indptr, ref.indptr)
         assert np.array_equal(piece.indices, ref.indices)
         assert piece.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("m,N,size", [(PM_ONE, 13, 4096), (LSV_HALF, 40, 4096), (FAREY, 13, 4096), (FAREY, 100, 4096),
+                                      (PWL_ONE, 25, 4096)], ids=["pm-13", "lsv-40", "farey-13", "farey-100", "pwl-25"])
+def test_branch_pieces_stay_inside_their_cylinders(m, N, size):
+    # piece n maps into zeta_n's image [a_n, a_(n-1)], whose ends are grid
+    # nodes; a closed-form branch one ulp off the chain must not spill
+    # entries into the neighbouring cylinders
+    grid = markov_grid(m, N, size)
+    seq = build_induced(m, N).preimages
+    for n, piece in enumerate(induced_branch_matrices(build_induced(m, N), grid), start=1):
+        targets = np.unique(piece.indices)
+        assert targets.size and grid.lo[targets].min() >= seq[n] and grid.hi[targets].max() <= seq[n - 1]
 
 
 def test_branch_pieces_walk_the_chain_once(monkeypatch):

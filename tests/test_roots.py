@@ -31,16 +31,23 @@ def test_flat_region_near_zero():
     assert np.max(np.abs(x + x**3 - y)) <= 1e-13
 
 
-def test_unsolvable_raises():
-    with pytest.raises(ConvergenceError):
+def test_unsolvable_raises(monkeypatch):
+    monkeypatch.setattr(roots, "MAXITER", 30)
+    with pytest.raises(ConvergenceError, match="after 30 iterations"):
         # no sign change: f > 0 on the whole bracket
-        solve_monotone(lambda t: t + 1.0, lambda t: np.ones_like(t), 0.0, 1.0, maxiter=30)
+        solve_monotone(lambda t: t + 1.0, lambda t: np.ones_like(t), 0.0, 1.0)
 
 
-def test_nan_residual_raises():
+def test_nan_residual_raises(monkeypatch):
     # NaN fails every comparison, so the final residual check must not pass it
+    monkeypatch.setattr(roots, "MAXITER", 30)
     with pytest.raises(ConvergenceError):
-        solve_monotone(lambda t: np.full_like(t, np.nan), lambda t: np.ones_like(t), 0.0, 1.0, maxiter=30)
+        solve_monotone(lambda t: np.full_like(t, np.nan), lambda t: np.ones_like(t), 0.0, 1.0)
+
+
+def test_reversed_bracket_raises():
+    with pytest.raises(ConvergenceError, match="hi < lo"):
+        solve_monotone(lambda t: t, lambda t: np.ones_like(t), 1.0, 0.0, y=0.5)
 
 
 def test_concave_function_raises():
