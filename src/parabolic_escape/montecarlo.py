@@ -11,8 +11,8 @@ One step of a chunk is one ``maps.eval_map`` call and one survivor
 extraction.  The call does one domain check and one branch mask, and
 evaluates each branch formula only on the points of its own branch; the
 extraction keeps the points outside the hole, in order.  On a 2-core VM,
-lsv s = 0.5 with hole index 3 runs about 4.1e7 point steps per second on one
-thread (the traced ``mc-survival`` benchmark workload).
+lsv s = 0.5 with hole index 3 runs about 8.2e7 point steps per second on one
+thread (the traced ``mc-survival`` benchmark workload, seed 1).
 """
 
 from __future__ import annotations

@@ -188,19 +188,14 @@ def apply_Q0(m: MapSpec, N: int, f: Callable, x):
     The hole test is done in x-space: phi_0(x) <= a_N exactly when
     x <= a_{N-1}.
     """
-    seq = preimage_sequence(m, N)
     x_a = np.asarray(x, float)
     maps._check_unit_interval(x_a)
-    alive = x_a > seq[N - 1]
-    out = np.zeros_like(np.atleast_1d(x_a))
-    alive1 = np.atleast_1d(alive)
-    if np.any(alive1):
-        xs = np.atleast_1d(x_a)[alive1]
-        y = np.asarray(maps.left_inverse(m, xs), float)
-        w = 1.0 / np.asarray(m.branches.dleft(y), float)
-        out[alive1] = w * np.asarray(f(y), float)
-    out = out.reshape(x_a.shape)
-    return out if np.asarray(x).ndim else float(out)
+    x1 = np.atleast_1d(x_a)
+    alive = x1 > preimage_sequence(m, N)[N - 1]
+    out = np.zeros_like(x1)
+    y = np.asarray(maps.left_inverse(m, x1[alive]), float)
+    out[alive] = 1.0 / np.asarray(m.branches.dleft(y), float) * np.asarray(f(y), float)
+    return out.reshape(x_a.shape) if x_a.ndim else float(out[0])
 
 
 def apply_Q1(m: MapSpec, f: Callable, x):
@@ -263,35 +258,48 @@ def interval_cell_overlaps(nodes: np.ndarray, bounds: np.ndarray):
     the length of their intersection, ordered by interval and then by cell.
     Degenerate or empty intersections are dropped; repeated bounds give empty
     intervals, and so does a NaN bound on both of its sides (it marks a node
-    left out).  One binary search of the K + 1 bounds places every interval,
-    so the cost is O(K log M + nnz).
+    left out).  The bounds, in increasing order, are merged with the M' nodes
+    strictly inside their range, placed by one binary search: each piece
+    between consecutive breakpoints is an overlap, whose cell and interval
+    count the nodes and bounds before it.  The cost is O(M' log K + K + nnz);
+    decreasing bounds have their interval groups put back in order.
     """
-    n_cells = len(nodes) - 1
     bounds = np.asarray(bounds, float)
-    start, end = bounds[:-1], bounds[1:]
-    # a NaN fails both comparisons
-    which0 = np.nonzero((start < end) | (start > end))[0]
-    up = start[which0] < end[which0]
-    l_v = np.minimum(start[which0], end[which0])
-    h_v = np.maximum(start[which0], end[which0])
-    at = np.searchsorted(nodes, bounds, side="left")
-    i_hi = np.clip(np.where(up, at[which0 + 1], at[which0]) - 1, 0, n_cells - 1)
-    # side="right" differs from side="left" only where a bound is a node; as
-    # a lower end, it skips the cell below, whose overlap is empty
-    at += nodes[np.minimum(at, n_cells)] == bounds
-    i_lo = np.clip(np.where(up, at[which0], at[which0 + 1]) - 1, 0, n_cells - 1)
-    counts = i_hi - i_lo + 1
-    total = int(counts.sum())
-    if total == 0:
+    nan = np.isnan(bounds)
+    if nan.all():
         return (np.empty(0, int), np.empty(0, int), np.empty(0))
-    offsets = np.cumsum(counts) - counts
-    cells = np.repeat(i_lo, counts) + (np.arange(total) - np.repeat(offsets, counts))
-    which = np.repeat(which0, counts)
-    l_rep = np.repeat(l_v, counts)
-    h_rep = np.repeat(h_v, counts)
-    overlap = np.minimum(nodes[cells + 1], h_rep) - np.maximum(nodes[cells], l_rep)
-    keep = overlap > 0
-    return cells[keep], which[keep], overlap[keep]
+    # every interval before the first number or after the last has a NaN end
+    first, stop = int(np.argmin(nan)), len(nan) - int(np.argmin(nan[::-1]))
+    d = -1 if bounds[first] > bounds[stop - 1] else 1  # decreasing bounds are read backwards
+    b, nan = bounds[first:stop][::d], nan[first:stop][::d]
+    i0, i1 = int(np.searchsorted(nodes, b[0], side="right")), int(np.searchsorted(nodes, b[-1], side="left"))
+    inner = nodes[i0:i1]
+    merged = np.empty(len(b) + len(inner))
+    # each node goes after the bounds below it; a NaN bound sorts as the
+    # number before it (the running maximum, kept in merged until the merge)
+    below = np.searchsorted(np.fmax.accumulate(b, out=merged[:len(b)]), inner, side="left")
+    at = np.arange(len(inner)) + below
+    passed = np.zeros(len(merged), int)
+    passed[at] = 1
+    merged[passed == 0] = b
+    # the nodes in an interval that starts at a NaN are NaN too, so all its
+    # pieces drop; past the nodes, the bounds meet no cell
+    merged[at] = np.where(nan[below - 1], np.nan, inner)
+    np.clip(merged, nodes[0], nodes[-1], out=merged)
+    seg = np.flatnonzero(merged[1:] > merged[:-1])
+    passed = np.cumsum(passed, out=passed)[seg]  # the nodes at or before each piece's start
+    cells, overlap = passed + (i0 - 1), merged[seg + 1] - merged[seg]
+    seg -= passed  # the interval of each piece, counted in b
+    if d > 0:
+        return cells, seg + first, overlap
+    # b runs backwards: interval r of b is interval stop - 2 - r, and its
+    # group moves from ends[r] - counts[r] to n - ends[r]
+    counts = np.bincount(seg, minlength=len(b) - 1)
+    ends = np.cumsum(counts)
+    dest = np.arange(len(seg)) + (len(seg) - 2 * ends + counts)[seg]
+    out = (np.empty_like(cells), np.empty_like(seg), np.empty_like(overlap))
+    out[0][dest], out[1][dest], out[2][dest] = cells, (stop - 2) - seg, overlap
+    return out
 
 
 def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
@@ -355,18 +363,10 @@ def assemble_ulam_open(m: MapSpec, epsilon: float, grid: Grid) -> TransferMatrix
     import scipy.sparse as sp
     i0 = grid.node_index(epsilon)
     nodes = grid.nodes
-    live_nodes = nodes[i0:]
     M = grid.n_cells
-    widths = grid.widths
-
-    blocks = []
-    for inverse in (maps.left_inverse, maps.right_inverse):
-        u = np.asarray(inverse(m, live_nodes), float)
-        # source mass below the hole edge escaped already
-        rows, tgt, overlap = interval_cell_overlaps(nodes, np.maximum(u, epsilon))
-        if rows.size == 0:
-            continue
-        data = overlap / widths[rows]
-        blocks.append(sp.coo_matrix((data, (rows, tgt + i0)), shape=(M, M)))
-    matrix = sum(blocks).tocsr() if blocks else sp.csr_matrix((M, M))
+    # source mass below the hole edge escaped already; coo sums an entry both branches reach
+    parts = [interval_cell_overlaps(nodes, np.maximum(np.asarray(inverse(m, nodes[i0:]), float), epsilon))
+             for inverse in (maps.left_inverse, maps.right_inverse)]
+    rows, tgt, overlap = (np.concatenate(arrays) for arrays in zip(*parts))
+    matrix = sp.coo_matrix((overlap / grid.widths[rows], (rows, tgt + i0)), shape=(M, M)).tocsr()
     return TransferMatrix(grid, matrix)

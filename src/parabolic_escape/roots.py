@@ -9,6 +9,9 @@ small targets near the neutral fixed point, or once rounding stops its
 iterate from falling.  Every returned root must then meet the absolute
 residual ``FTOL_HARD`` that the inversion contracts promise, so an f that is
 not convex, and overshoots, fails loudly instead of returning a wrong root.
+The open points are iterated as a packed working set: their x, f(x) - y,
+lower end, target and tolerance sit in contiguous arrays, compressed on a
+step where a point closes and written back to the result only then.
 """
 
 from __future__ import annotations
@@ -39,24 +42,31 @@ def solve_monotone(f, df, lo, hi, *, y=0.0):
     lo_b, y_b = lo_b.ravel(), y_b.ravel()
     tol = 4.0 * np.finfo(float).eps * np.abs(y_b)
 
-    x = hi_b.ravel().copy()
+    x = hi_b.flatten()
     fx = np.asarray(f(x), float) - y_b
     at = np.nonzero(fx > tol)[0]  # the open points; a NaN residual closes and fails below
+    # the packed working set of the open points
+    x_w, fx_w, lo_w, y_w, tol_w = x[at], fx[at], lo_b[at], y_b[at], tol[at]
     for _ in range(MAXITER):
         if at.size == 0:
             break
-        x_a = x[at]
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.maximum(x_a - fx[at] / np.asarray(df(x_a), float), lo_b[at])
-        falling = step < x_a  # a NaN step, or one that rounding no longer lowers, ends the point
-        at = at[falling]
-        if at.size == 0:
-            break
-        x[at] = step[falling]
-        fx[at] = np.asarray(f(x[at]), float) - y_b[at]
-        at = at[fx[at] > tol[at]]
+            step = np.maximum(x_w - fx_w / np.asarray(df(x_w), float), lo_w)
+        falling = step < x_w  # a NaN step, or one that rounding no longer lowers, ends the point
+        if not falling.all():
+            x[at], fx[at] = x_w, fx_w
+            at, step, lo_w, y_w, tol_w = at[falling], step[falling], lo_w[falling], y_w[falling], tol_w[falling]
+            if at.size == 0:
+                break
+        x_w, fx_w = step, np.asarray(f(step), float) - y_w
+        still = fx_w > tol_w
+        if not still.all():
+            x[at], fx[at] = x_w, fx_w
+            at, x_w, fx_w, lo_w, y_w, tol_w = at[still], x_w[still], fx_w[still], lo_w[still], y_w[still], tol_w[still]
+    else:  # the points still open after MAXITER steps
+        x[at], fx[at] = x_w, fx_w
 
-    worst = float(np.max(np.abs(fx)))
+    worst = float(np.max(np.abs(fx), initial=0.0))
     if not worst <= FTOL_HARD:  # a NaN residual fails too
         raise ConvergenceError(
             f"branch inversion did not converge: max residual {worst:.3e} after {MAXITER} iterations"

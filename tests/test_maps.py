@@ -102,6 +102,21 @@ def test_each_branch_formula_sees_only_its_points(m, monkeypatch):
     assert seen["right"].tolist() == np.where(left, 1.0, x).tolist()
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["0", "0x3"])
+@pytest.mark.parametrize("inverse", [left_inverse, right_inverse], ids=["left", "right"])
+@pytest.mark.parametrize("m", FOUR_FAMILIES, ids=lambda m: m.family)
+def test_inverses_of_no_points_are_empty(m, inverse, shape):
+    out = inverse(m, np.empty(shape))
+    assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+
+
+@pytest.mark.parametrize("m", FOUR_FAMILIES, ids=lambda m: m.family)
+def test_branch_walk_of_no_points_is_empty(m):
+    steps = list(branch_walk(build_induced(m, 3), np.array([])))
+    assert len(steps) == 3
+    assert all(np.shape(y) == (0,) and np.shape(lw) == (0,) for y, lw in steps)
+
+
 def test_nan_rejected_by_every_domain_check():
     with pytest.raises(DomainError):
         eval_map(LSV_HALF, float("nan"))

@@ -158,18 +158,34 @@ def test_overlaps_from_monotone_bounds_match_two_searches(case):
 @settings(max_examples=200, deadline=None)
 @given(
     interior=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12, unique=True),
-    picks=st.lists(st.one_of(st.integers(0, 13), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+    picks=st.lists(st.one_of(st.integers(0, 13), st.floats(0.0, 1.0), st.just(np.nan)), min_size=1, max_size=30),
     reverse=st.booleans(),
 )
 def test_overlaps_from_drawn_bounds_match_two_searches(interior, picks, reverse):
-    # bounds drawn from the nodes themselves and from [0, 1], with repeats
+    # bounds drawn from the nodes themselves and from [0, 1], with repeats;
+    # a NaN stays where it was drawn and the numbers around it are sorted
     nodes = np.concatenate([[0.0], np.sort(interior), [1.0]])
     values = [nodes[min(p, len(nodes) - 1)] if isinstance(p, int) else p for p in picks]
-    bounds = np.sort(np.array(values, float))
+    bounds = np.array(values, float)
+    numbers = ~np.isnan(bounds)
+    bounds[numbers] = np.sort(bounds[numbers])
     if reverse:
         bounds = bounds[::-1]
     ref = _two_search_overlaps(nodes, np.minimum(bounds[:-1], bounds[1:]), np.maximum(bounds[:-1], bounds[1:]))
     _assert_same_triplets(interval_cell_overlaps(nodes, bounds), ref)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "decreasing"])
+@pytest.mark.parametrize("bounds", [[-0.3, -0.1, 0.3, 0.6, 1.2, 1.5], [0.1, 0.5, 0.9], [-0.2, 0.35, np.nan, 0.8, 1.1]],
+                         ids=["past-both-ends", "inside", "nan"])
+def test_overlaps_of_bounds_beyond_the_nodes_match_two_searches(bounds, reverse):
+    # nodes need not span [0, 1]: the parts of an interval outside them meet no cell
+    nodes = np.array([0.0, 0.2, 0.45, 0.7, 1.0]) * 0.6 + 0.2
+    bounds = np.array(bounds[::-1] if reverse else bounds, float)
+    ref = _two_search_overlaps(nodes, np.minimum(bounds[:-1], bounds[1:]), np.maximum(bounds[:-1], bounds[1:]))
+    got = interval_cell_overlaps(nodes, bounds)
+    _assert_same_triplets(got, ref)
+    assert got[0].size > 0
 
 
 def test_nan_bound_empties_both_neighbours():

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parabolic_escape import maps, roots
 from parabolic_escape.exceptions import ConvergenceError
@@ -118,3 +121,90 @@ def test_preimage_chain_keeps_relative_precision(family, s):
             a = x  # a_1 = phi_0(1) is the cut of both families
             worst = max(worst, float(abs(mp.mpf(float(chain[n])) - a) / a))
     assert worst <= 5e-14
+
+
+def _index_loop(f, df, lo, hi, *, y=0.0):
+    """The solver as an index-array loop, gathering and scattering every open
+    point through ``at`` on each step: the bitwise reference for the packed
+    working set."""
+    lo_b, hi_b, y_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float), np.asarray(y, float))
+    shape = lo_b.shape
+    lo_b, y_b = lo_b.ravel(), y_b.ravel()
+    tol = 4.0 * np.finfo(float).eps * np.abs(y_b)
+    x = hi_b.ravel().copy()
+    fx = np.asarray(f(x), float) - y_b
+    at = np.nonzero(fx > tol)[0]
+    for _ in range(roots.MAXITER):
+        if at.size == 0:
+            break
+        x_a = x[at]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.maximum(x_a - fx[at] / np.asarray(df(x_a), float), lo_b[at])
+        falling = step < x_a
+        at = at[falling]
+        if at.size == 0:
+            break
+        x[at] = step[falling]
+        fx[at] = np.asarray(f(x[at]), float) - y_b[at]
+        at = at[fx[at] > tol[at]]
+    worst = float(np.max(np.abs(fx), initial=0.0))
+    if not worst <= roots.FTOL_HARD:
+        raise ConvergenceError(
+            f"branch inversion did not converge: max residual {worst:.3e} after {roots.MAXITER} iterations"
+        )
+    return float(x[0]) if shape == () else x.reshape(shape)
+
+
+def _run_both(f, df, lo, hi, y):
+    """The outcome of both loops (the root, or the error message) and the
+    sizes of the arrays each evaluated f on."""
+    outcomes = []
+    for solver in (roots.solve_monotone, _index_loop):
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        try:
+            outcome = np.asarray(solver(counted, df, lo, hi, y=y)).tobytes()
+        except ConvergenceError as exc:
+            outcome = str(exc)
+        outcomes.append((outcome, sizes))
+    return outcomes
+
+
+# (family, s, inverse) for every branch inverted by a root solve; lsv's right branch is affine
+ROOT_SOLVED = [("lsv", 0.5, "left"), ("lsv", 1.0, "left"), ("lsv", 2.0, "left"),
+               ("pm", 1.0, "left"), ("pm", 1.0, "right"), ("pm", 2.0, "left"), ("pm", 2.0, "right")]
+
+
+@pytest.mark.parametrize("family,s,branch", ROOT_SOLVED, ids=lambda v: str(v))
+@settings(max_examples=40, deadline=None)
+@given(targets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300))
+def test_packed_loop_matches_the_index_loop_bitwise(family, s, branch, targets):
+    m = MapSpec(family, s)
+    inverse = maps.left_inverse if branch == "left" else maps.right_inverse
+    solves = []
+
+    def both(f, df, lo, hi, *, y=0.0):
+        (got, got_sizes), (ref, ref_sizes) = _run_both(f, df, lo, hi, y)
+        assert got == ref and got_sizes == ref_sizes
+        solves.append(ref_sizes)
+        return roots.solve_monotone(f, df, lo, hi, y=y)
+
+    with mock.patch.object(maps, "solve_monotone", both):
+        inverse(m, np.array(targets))
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 5])
+def test_points_open_after_maxiter_fail_as_in_the_index_loop(maxiter):
+    # the open points are written back once, after the last step; their
+    # residuals must reach the final check as the index loop leaves them
+    lsv = MapSpec.lsv(0.5).branches
+    y = np.concatenate([np.geomspace(1e-9, 1.0, 200), [0.0]])
+    with mock.patch.object(roots, "MAXITER", maxiter):
+        (got, got_sizes), (ref, ref_sizes) = _run_both(lsv.left, lsv.dleft, np.zeros_like(y), np.minimum(y, lsv.cut), y)
+    assert got == ref and got_sizes == ref_sizes
+    assert isinstance(got, str) == (maxiter < 5)
