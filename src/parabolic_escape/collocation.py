@@ -9,16 +9,20 @@ values and evaluates the interpolant at zeta_n(x_i) (barycentric formula).
 
 The nodes are Chebyshev-Lobatto points, nested under doubling of the degree,
 so one walk down the inverse-branch chain on the finest node set serves every
-coarser one.  The leading pair comes from a dense eigen solve, which must find
-it real, simple and strictly dominant.
+coarser one.  The leading pair of N_t, from a dense eigen solve that must find
+it real, simple and strictly dominant, gives the branch masses and the
+unit-eigenvalue equation log lambda(N_t) = 0 that :mod:`.escape` solves.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .exceptions import ConvergenceError, ReducibleMatrixError
+from .exceptions import ConvergenceError, NormalizationError, ReducibleMatrixError
 from .induced import InducedOpenSystem, branch_walk
+from .spectral import mean_return_time
 
 #: polynomial degrees tried in turn; each node set contains the previous one
 DEGREES = (16, 32, 64)
@@ -89,3 +93,31 @@ def leading_pair(A: np.ndarray) -> tuple:
     h = h / h[np.argmax(np.abs(h))]
     ell = left[:, np.argmin(np.abs(vals_t - lam))].real
     return lam, h, ell / (ell @ h)
+
+
+def leading_masses(stack: np.ndarray, t: float) -> tuple:
+    """Leading eigenvalue of N_t = sum_n e^(n t) L_n for the (N, n, n) stack
+    of collocation pieces, its branch masses and its eigen residual.
+
+    The weights are formed from t, never from z = e^t.  At the leading pair
+    (lambda, h, l) the masses are rho_n = e^(n t) l.L_n h / (lambda l.h); they
+    add up to one, and their mean is the derivative of log lambda in t.
+    """
+    weights = np.exp(np.arange(1, len(stack) + 1) * t)
+    A = np.tensordot(weights, stack, axes=1)
+    lam, h, ell = leading_pair(A)
+    rho = weights * (np.tensordot(stack, h, axes=(2, 0)) @ ell) / lam  # l.h = 1
+    total = rho.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise NormalizationError(f"cylinder masses sum to {total!r}, expected 1")
+    residual = max(
+        float(np.max(np.abs(A @ h - lam * h)) / np.max(np.abs(h))),
+        float(np.max(np.abs(ell @ A - lam * ell)) / np.max(np.abs(ell))),
+    )
+    return lam, rho / total, residual
+
+
+def unit_equation(stack: np.ndarray, t: float) -> tuple:
+    """(f(t), f'(t)) for f(t) = log lambda(N_t)."""
+    lam, rho, _ = leading_masses(stack, t)
+    return math.log(lam), mean_return_time(rho)

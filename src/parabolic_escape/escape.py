@@ -3,25 +3,25 @@
 Three methods produce escape rates of the original map:
 
 ``induced``
-    Build the open induced system for a Markov hole, collocate its operator
-    family N_t = sum_n e^(n t) L_n on Chebyshev-Lobatto nodes, and find the
-    smallest t at which the leading eigenvalue reaches one; that t is the
-    escape rate.  The node count is chosen, not set: the degree doubles from
-    16 until the rates at degrees d and d/2 agree to 1e-10 relative.  The
-    classical pressure-ratio value (induced rate divided by the mean return
-    time) is reported alongside as a diagnostic: it is an upper bound that
-    becomes exact only as the hole shrinks, with a relative excess of
-    roughly half the return time variance times the rate itself.  It is also
+    Build the open induced system for a Markov hole and find the smallest t at
+    which its operator family N_t = sum_n e^(n t) L_n reaches eigenvalue one;
+    that t is the escape rate.  :mod:`.collocation` collocates N_t on
+    Chebyshev-Lobatto nodes and forms its z = 1 leading data and its
+    unit-eigenvalue equation; piecewise-linear maps supply the same two from
+    their closed form.  :func:`_solve_rates` forms both rates from them, and
+    the degree loop of :func:`induced_analysis` chooses the node count: the
+    degree doubles from 16 until the rates at degrees d and d/2 agree to 1e-10
+    relative.  The classical pressure-ratio value (induced rate divided by the
+    mean return time) is reported alongside as a diagnostic: it is an upper
+    bound that becomes exact only as the hole shrinks, with a relative excess
+    of roughly half the return time variance times the rate itself.  It is also
     the first Newton iterate on the convex function log lambda(e^t), whose
     derivative is the mean return time of the cylinder masses at t; the
-    iterates fall onto the root from above, so a rate costs a handful of
-    dense eigen solves.  Induced reports carry the node count, the gap to
-    the half-degree rate, the solver counts, and how many branches the walk
-    took by root solves (``walked_branches``) and how many from the Fatou
-    coordinate (``fatou_branches``) in their JSON diagnostics.
-    Piecewise-linear maps take their closed form instead.  Each of the two
-    routes supplies only its z = 1 leading data and its unit-eigenvalue
-    equation; :func:`_solve_rates` forms both rates from them.
+    iterates fall onto the root from above, so a rate costs a handful of dense
+    eigen solves.  Induced reports carry the node count, the gap to the
+    half-degree rate, the solver counts, and how many branches the walk took by
+    root solves (``walked_branches``) and how many from the Fatou coordinate
+    (``fatou_branches``) in their JSON diagnostics.
 
 ``ulam``
     Discretize the open operator of the original map directly on a
@@ -46,9 +46,7 @@ import numpy as np
 
 from . import collocation
 from . import montecarlo as mc
-from .exceptions import (
-    ConvergenceError, DomainError, EscapeError, InsufficientRangeError, MonotonicityError, NormalizationError,
-)
+from .exceptions import ConvergenceError, DomainError, EscapeError, InsufficientRangeError, MonotonicityError
 from .induced import build_induced
 from .maps import Hole, MapSpec, _walked_branches, return_time
 from .operators import assemble_ulam_open, hole_grid
@@ -205,7 +203,7 @@ def induced_analysis(m: MapSpec, N: int, grid_size: int = 4096, exact_pwl: bool 
         ia = _collocation_analysis(stack)
         # the coarse rate is one Newton step from the fine one, which is
         # exact to second order in their gap
-        f, df = _unit_equation(coarse, ia.gamma)
+        f, df = collocation.unit_equation(coarse, ia.gamma)
         gap = abs(f / df)
         evals += ia.zsolve_evals + 1
         # the z = 1 solve, one per Newton evaluation, and the coarse step
@@ -218,40 +216,12 @@ def induced_analysis(m: MapSpec, N: int, grid_size: int = 4096, exact_pwl: bool 
     )
 
 
-def _leading_masses(stack: np.ndarray, t: float) -> tuple:
-    """Leading eigenvalue of N_t = sum_n e^(n t) L_n for the (N, n, n) stack
-    of collocation pieces, its branch masses and its eigen residual.
-
-    The weights are formed from t, never from z = e^t.  At the leading pair
-    (lambda, h, l) the masses are rho_n = e^(n t) l.L_n h / (lambda l.h); they
-    add up to one, and their mean is the derivative of log lambda in t.
-    """
-    weights = np.exp(np.arange(1, len(stack) + 1) * t)
-    A = np.tensordot(weights, stack, axes=1)
-    lam, h, ell = collocation.leading_pair(A)
-    rho = weights * (np.tensordot(stack, h, axes=(2, 0)) @ ell) / lam  # l.h = 1
-    total = rho.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(f"cylinder masses sum to {total!r}, expected 1")
-    residual = max(
-        float(np.max(np.abs(A @ h - lam * h)) / np.max(np.abs(h))),
-        float(np.max(np.abs(ell @ A - lam * ell)) / np.max(np.abs(ell))),
-    )
-    return lam, rho / total, residual
-
-
-def _unit_equation(stack: np.ndarray, t: float) -> tuple:
-    """(f(t), f'(t)) for f(t) = log lambda(N_t)."""
-    lam, rho, _ = _leading_masses(stack, t)
-    return math.log(lam), mean_return_time(rho)
-
-
 def _collocation_analysis(stack: np.ndarray) -> InducedAnalysis:
     """Both rates from one stack of collocation pieces."""
-    lam, masses, residual = _leading_masses(stack, 0.0)
+    lam, masses, residual = collocation.leading_masses(stack, 0.0)
     nodes = stack.shape[1]
     return _solve_rates(
-        lam, masses, mean_return_time(masses), residual, lambda t: _unit_equation(stack, t), nodes,
+        lam, masses, mean_return_time(masses), residual, lambda t: collocation.unit_equation(stack, t), nodes,
         collocation_nodes=nodes,
     )
 

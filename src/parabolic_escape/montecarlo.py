@@ -46,7 +46,7 @@ class SurvivalCurve:
 
     def __post_init__(self):
         for name in ("n_values", "survivors"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.array(getattr(self, name))  # a copy: the caller's array stays writable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -48,7 +48,7 @@ class Grid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, float)
+        nodes = np.array(self.nodes, float)  # a copy: the caller's array stays writable
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise DomainError("grid must span [0, 1]")
         if not np.all(np.diff(nodes) > 0):  # NaN fails the comparison
@@ -95,16 +95,16 @@ def _graded_nodes(anchors: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate(pieces + [[hi_all]])
 
 
-def _anchor_chain(m: MapSpec, edge: float, limit: int = 4096) -> np.ndarray:
-    """Preimage-chain anchors above ``edge`` plus right-branch preimages.
+def _aligned_grid(m: MapSpec, edge: float, size: int) -> Grid:
+    """The grid of :func:`hole_grid` and :func:`markov_grid` for the hole [0, ``edge``].
 
-    The chain is read in doubling lengths until it passes ``edge``, capped
-    at ``limit`` anchors: alignment to very deep preimages buys nothing once
-    the chain outnumbers the cells, and the cap keeps tiny holes affordable.
+    The preimage chain is read in doubling lengths until it passes ``edge``,
+    capped at ``size`` anchors: alignment to very deep preimages buys nothing
+    once the chain outnumbers the cells, and the cap keeps tiny holes affordable.
     """
     seq = preimage_sequence(m, 2).values
-    while seq[-1] > edge and len(seq) - 1 < limit:
-        seq = preimage_sequence(m, min(2 * (len(seq) - 1), limit)).values
+    while seq[-1] > edge and len(seq) - 1 < size:
+        seq = preimage_sequence(m, min(2 * (len(seq) - 1), size)).values
     chain = seq[seq > edge]
     primary = np.unique(np.concatenate([[edge, 1.0], chain]))
     derived = np.asarray(maps.right_inverse(m, primary), float)
@@ -120,7 +120,7 @@ def _anchor_chain(m: MapSpec, edge: float, limit: int = 4096) -> np.ndarray:
         )
         if gap > 1e-11:
             anchors = np.insert(anchors, pos, u)
-    return anchors
+    return _with_hole_block(_graded_nodes(anchors, size))
 
 
 def _with_hole_block(live_nodes: np.ndarray) -> Grid:
@@ -139,8 +139,7 @@ def markov_grid(m: MapSpec, N: int, size: int = 4096) -> Grid:
         return natural_partition_grid(m, N)
     if size <= N:
         raise DomainError(f"grid size {size} must exceed the hole index {N}")
-    edge = preimage_sequence(m, N)[N]
-    return _with_hole_block(_graded_nodes(_anchor_chain(m, edge, limit=size), size))
+    return _aligned_grid(m, preimage_sequence(m, N)[N], size)
 
 
 def natural_partition_grid(m: MapSpec, N: int) -> Grid:
@@ -154,8 +153,7 @@ def hole_grid(m: MapSpec, epsilon: float, size: int = 4096) -> Grid:
     preimages, with log-graded subdivision in between."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    anchors = _anchor_chain(m, epsilon, limit=size)
-    return _with_hole_block(_graded_nodes(anchors, size))
+    return _aligned_grid(m, epsilon, size)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class SpectralTriple:
 
     def __post_init__(self):
         for name in ("eigenfunction", "eigenmeasure"):
-            arr = np.asarray(getattr(self, name), float)
+            arr = np.array(getattr(self, name), float)  # a copy: the caller's array stays writable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

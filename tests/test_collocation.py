@@ -104,6 +104,22 @@ def test_node_counts_agree(m, N):
     assert abs(_collocation_analysis(fine).gamma - ia.gamma) <= 1e-10 * ia.gamma
 
 
+DERIVATIVE_CASES = [(MapSpec.lsv(0.5), 25), (MapSpec.lsv(2.0), 25), (MapSpec("pm", 1.0), 10), (MapSpec.farey(), 20)]
+
+
+@pytest.mark.parametrize("m,N", DERIVATIVE_CASES, ids=[f"{m.family}-{m.s}-{N}" for m, N in DERIVATIVE_CASES])
+def test_unit_equation_derivative_is_the_t_derivative(m, N):
+    # Newton reads the second value as the t-derivative of the first
+    stack = collocation.branch_stack(collocation.branch_values(build_induced(m, N), 32), 32)
+    gamma = _collocation_analysis(stack).gamma
+    step = 1e-4 * gamma
+    for t in (0.0, gamma / 2, gamma):
+        _, df = collocation.unit_equation(stack, t)
+        f_up = collocation.unit_equation(stack, t + step)[0]
+        f_down = collocation.unit_equation(stack, t - step)[0]
+        assert abs((f_up - f_down) / (2 * step) - df) <= 1e-7 * df
+
+
 def test_collocation_route_builds_no_grid(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("grid work on the collocation route")

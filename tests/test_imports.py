@@ -3,8 +3,9 @@ Every parameter in ``src/`` is read, or listed with the reason it is not.
 Every public name in ``src/`` has a caller, or is listed with the reason it
 has none.  Each report type is built in one place, so its fields are filled
 in once.  A MapSpec holds its fields only, takes no lock and hands out
-read-only arrays.  Every source parses with the grammar of the oldest Python
-that pyproject.toml declares."""
+read-only arrays; a record freezes its own copy of each array it is handed.
+Every source parses with the grammar of the oldest Python that
+pyproject.toml declares."""
 
 import ast
 import dataclasses
@@ -16,6 +17,9 @@ import pytest
 
 import parabolic_escape
 from parabolic_escape.maps import ExplicitWeights, MapSpec, preimage_sequence
+from parabolic_escape.montecarlo import SurvivalCurve
+from parabolic_escape.operators import Grid
+from parabolic_escape.spectral import SpectralTriple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "parabolic_escape").glob("*.py") if p.name != "__init__.py")
@@ -106,6 +110,12 @@ def test_call_site_counter():
 def test_reports_built_at_one_site(name):
     sources = (ROOT / "src" / "parabolic_escape").glob("*.py")
     assert sum(call_sites(p.read_text(), name) for p in sources) == 1
+
+
+def test_escape_forms_no_weighted_sum_of_pieces():
+    # N_t, its masses and the unit equation live in collocation alone
+    source = (ROOT / "src" / "parabolic_escape" / "escape.py").read_text()
+    assert call_sites(source, "tensordot") == call_sites(source, "leading_pair") == 0
 
 
 def public_definitions(source: str) -> list:
@@ -222,3 +232,18 @@ def test_map_spec_is_immutable_and_hands_out_read_only_arrays(m):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = a.copy()
+
+
+def test_records_freeze_a_copy_of_the_callers_arrays():
+    nodes = np.linspace(0.0, 1.0, 5)
+    grid = Grid(nodes)
+    h, nu = np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 0.25)
+    triple = SpectralTriple(0.5, h, nu, grid)
+    n_values, survivors = np.arange(1, 4), np.array([90, 80, 70])
+    curve = SurvivalCurve(n_values, survivors, 100, 0, 0.1)
+    for given, held in ((nodes, grid.nodes), (h, triple.eigenfunction), (nu, triple.eigenmeasure),
+                        (n_values, curve.n_values), (survivors, curve.survivors)):
+        before = held.copy()
+        given[1] += 1  # the caller's array stays writable
+        assert np.array_equal(held, before)
+        assert not held.flags.writeable
