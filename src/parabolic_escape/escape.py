@@ -466,9 +466,9 @@ def sandwich_bounds(m: MapSpec, epsilon: float, grid_size: int = 4096) -> Sandwi
 # ---------------------------------------------------------------------------
 
 def reports_csv_text(reports: Sequence[EscapeReport]) -> str:
-    """Fixed-schema CSV; floats at 17 significant digits."""
+    """Fixed-schema CSV; floats at 17 significant digits, lines ended by \\n."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS))
+    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
     writer.writeheader()
     for r in reports:
         writer.writerow(r.to_row())

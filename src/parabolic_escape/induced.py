@@ -83,11 +83,12 @@ def zeta_and_log_weight(sys: InducedOpenSystem, n: int, x):
 
 
 def forward_jump(sys: InducedOpenSystem, n: int, y):
-    """G(y) for y in the n-th branch interval: n-1 left steps, then the right
-    branch.  Used as the round-trip oracle |G(zeta_n(x)) - x|."""
+    """G(y) for y in the n-th branch interval (DomainError off [0, 1]): n-1
+    left steps, then the right branch.  The round-trip oracle |G(zeta_n(x)) - x|."""
     sys._check_branch(n)
     f = sys.map.branches
     out = np.asarray(y, float)
+    _check_unit_interval(out)
     for _ in range(n - 1):
         out = np.asarray(f.left(out), float)
     out = np.asarray(f.right(out), float)

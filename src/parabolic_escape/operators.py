@@ -74,7 +74,7 @@ class Grid:
 
     def node_index(self, value: float) -> int:
         i = int(np.argmin(np.abs(self.nodes - value)))
-        if abs(self.nodes[i] - value) > 1e-12:
+        if not abs(self.nodes[i] - value) <= 1e-12:  # NaN fails the comparison
             raise DomainError(f"{value!r} is not a grid node")
         return i
 
@@ -254,49 +254,43 @@ def interval_cell_overlaps(nodes: np.ndarray, bounds: np.ndarray):
     either direction: interval k runs between bounds[k] and bounds[k + 1].
     Returns (cells, which, overlap) triplets: cell index, interval index, and
     the length of their intersection, ordered by interval and then by cell.
-    Degenerate or empty intersections are dropped; repeated bounds give empty
-    intervals, and so does a NaN bound on both of its sides (it marks a node
-    left out).  The bounds, in increasing order, are merged with the M' nodes
-    strictly inside their range, placed by one binary search: each piece
-    between consecutive breakpoints is an overlap, whose cell and interval
-    count the nodes and bounds before it.  The cost is O(M' log K + K + nnz);
-    decreasing bounds have their interval groups put back in order.
+    Empty intersections are dropped, so repeated bounds give no triplet; a
+    NaN bound is a DomainError.  The bounds, in increasing order, are merged
+    with the M' nodes strictly inside their range, placed by one binary
+    search: each piece between consecutive breakpoints is an overlap, whose
+    cell and interval count the nodes and bounds before it.  The cost is
+    O(M' log K + K + nnz); decreasing bounds have their groups put back in order.
     """
     bounds = np.asarray(bounds, float)
-    nan = np.isnan(bounds)
-    if nan.all():
+    if np.isnan(bounds).any():
+        raise DomainError("interval bound is not a number")
+    if len(bounds) < 2:
         return (np.empty(0, int), np.empty(0, int), np.empty(0))
-    # every interval before the first number or after the last has a NaN end
-    first, stop = int(np.argmin(nan)), len(nan) - int(np.argmin(nan[::-1]))
-    d = -1 if bounds[first] > bounds[stop - 1] else 1  # decreasing bounds are read backwards
-    b, nan = bounds[first:stop][::d], nan[first:stop][::d]
+    d = -1 if bounds[0] > bounds[-1] else 1  # decreasing bounds are read backwards
+    b = bounds[::d]
     i0, i1 = int(np.searchsorted(nodes, b[0], side="right")), int(np.searchsorted(nodes, b[-1], side="left"))
     inner = nodes[i0:i1]
     merged = np.empty(len(b) + len(inner))
-    # each node goes after the bounds below it; a NaN bound sorts as the
-    # number before it (the running maximum, kept in merged until the merge)
-    below = np.searchsorted(np.fmax.accumulate(b, out=merged[:len(b)]), inner, side="left")
-    at = np.arange(len(inner)) + below
+    # each node goes after the bounds below it
+    at = np.arange(len(inner)) + np.searchsorted(b, inner, side="left")
     passed = np.zeros(len(merged), int)
     passed[at] = 1
     merged[passed == 0] = b
-    # the nodes in an interval that starts at a NaN are NaN too, so all its
-    # pieces drop; past the nodes, the bounds meet no cell
-    merged[at] = np.where(nan[below - 1], np.nan, inner)
-    np.clip(merged, nodes[0], nodes[-1], out=merged)
+    merged[at] = inner
+    np.clip(merged, nodes[0], nodes[-1], out=merged)  # past the nodes, the bounds meet no cell
     seg = np.flatnonzero(merged[1:] > merged[:-1])
     passed = np.cumsum(passed, out=passed)[seg]  # the nodes at or before each piece's start
     cells, overlap = passed + (i0 - 1), merged[seg + 1] - merged[seg]
     seg -= passed  # the interval of each piece, counted in b
     if d > 0:
-        return cells, seg + first, overlap
-    # b runs backwards: interval r of b is interval stop - 2 - r, and its
+        return cells, seg, overlap
+    # b runs backwards: interval r of b is interval K - 2 - r, and its
     # group moves from ends[r] - counts[r] to n - ends[r]
     counts = np.bincount(seg, minlength=len(b) - 1)
     ends = np.cumsum(counts)
     dest = np.arange(len(seg)) + (len(seg) - 2 * ends + counts)[seg]
     out = (np.empty_like(cells), np.empty_like(seg), np.empty_like(overlap))
-    out[0][dest], out[1][dest], out[2][dest] = cells, (stop - 2) - seg, overlap
+    out[0][dest], out[1][dest], out[2][dest] = cells, (len(b) - 2) - seg, overlap
     return out
 
 

@@ -323,19 +323,19 @@ def _pullback_sum(sys: InducedOpenSystem, triple: SpectralTriple, fill: np.ndarr
     hole_edge = float(sys.preimages[sys.branch_count])
 
     e = np.where(fill, h, 0.0)
-    live = np.append(fill, False) | np.insert(fill, 0, False)
-    # the nodes of the filled cells, each run followed by a NaN node: no
-    # interval ends at a NaN, so between kept[j] and kept[j + 1] lies cell kept[j]
-    kept = np.nonzero(live | np.insert(live[:-1], 0, False))[0]
-    live = live[kept]
-    u = np.where(live, nodes[kept], np.nan)
+    # the nodes of the filled cells; interval j, from kept[j] to kept[j + 1], is
+    # cell kept[j] exactly when that cell is filled, for then kept[j + 1] = kept[j] + 1
+    kept = np.flatnonzero(np.append(fill, False) | np.insert(fill, 0, False))
+    own = fill[kept[:-1]]
+    u = nodes[kept]
     for k in range(1, sys.branch_count):
-        u[live] = maps.left_inverse(sys.map, u[live])
+        u = maps.left_inverse(sys.map, u)
         # x survives k pullbacks iff its k-fold image stays above the hole
         # edge, so clipping the image interval realizes the indicator exactly
         cells, which, overlap = interval_cell_overlaps(nodes, np.maximum(u, hole_edge))
-        e = e + np.bincount(kept[which], overlap * h[cells], grid.n_cells) / widths
-    return np.where(fill, e, 0.0)
+        mine = own[which]
+        e = e + np.bincount(kept[which[mine]], overlap[mine] * h[cells[mine]], grid.n_cells) / widths
+    return e
 
 
 class MassCheck(NamedTuple):

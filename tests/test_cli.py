@@ -26,8 +26,9 @@ def test_parse_index_range_forms():
     assert parse_index_range("2:20:geom:1.5")[-1] == 20
     with pytest.raises(ConfigError):
         parse_index_range("10:2:1")
-    with pytest.raises(ConfigError):
-        parse_index_range("2:10:geom:0.5")
+    for text in ("2:10:geom:0.5", "1:5", "1:5:2:3", "1:5:0"):
+        with pytest.raises(ConfigError):
+            parse_index_range(text)
 
 
 def test_parse_window():
@@ -44,8 +45,13 @@ def test_config_validation():
         RunConfig("escape").validate()
     with pytest.raises(ConfigError):
         RunConfig("sandwich").validate()
-    with pytest.raises(ConfigError):
-        RunConfig("escape", hole_index="2", method="magic").validate()
+    for bad in (dict(method="magic"), dict(map="tent"), dict(format="xml"), dict(grid=7)):
+        with pytest.raises(ConfigError):
+            RunConfig("escape", hole_index="2", **bad).validate()
+    with pytest.raises(ConfigError, match="unknown command"):
+        RunConfig("plot").validate()
+    with pytest.raises(ConfigError, match="unknown command"):
+        RunConfig.from_dict({"command": "plot"})
     RunConfig("escape", hole_index="2").validate()
 
 
@@ -293,6 +299,8 @@ MALFORMED_INPUTS = {
     "escape-index-range": ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "2:10:1"],
     "mc-index-range": ["mc", "--hole-index", "3:5:1"],
     "unwritable-output": ["escape", "--hole-index", "2", "--output", "{tmp}/missing/out.json"],
+    # its folder is writable, so this fails only when the result is written
+    "output-is-a-directory": ["escape", "--map", "pwl", "--hole-index", "2", "--output", "{tmp}"],
 }
 # weights files that hold no list of numbers, or no probability vector
 WEIGHT_FILES = {
@@ -386,6 +394,13 @@ ECHO_RUNS = {
     "sandwich": ["sandwich", "--map", "farey", "--epsilon", "0.3"],
     "mc": ["mc", "--map", "pwl", "--hole-index", "2", "--samples", "10000", "--tmax", "10"],
 }
+
+
+@pytest.mark.parametrize("command", ECHO_RUNS)
+def test_csv_lines_end_with_a_bare_newline(command, capsys):
+    code, out, _ = run_cli(ECHO_RUNS[command] + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.endswith("\n") and "\r" not in out
 
 
 @pytest.mark.parametrize("command", ECHO_RUNS)

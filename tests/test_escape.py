@@ -554,6 +554,8 @@ def test_newton_solver_stops_and_fails_loudly():
         esc._bracket_and_solve(lambda t: (t, 1.0), 1.0, 0.1, 1e-15)
     with pytest.raises(ConvergenceError):  # steps that never shrink hit the cap
         esc._bracket_and_solve(lambda t: (1.0, 1e-3), 0.5, 1.0, 1e-15)
+    with pytest.raises(ConvergenceError, match="Newton step nan"):  # a NaN f stops at once
+        esc._bracket_and_solve(lambda t: (math.nan, 1.0), 0.5, 1.0, 1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_jump_roundtrip_residual():
             assert np.max(np.abs(forward_jump(sys, n, z) - xs)) <= 1e-11
 
 
+@pytest.mark.parametrize("m", [FAREY, LSV_HALF, PM_ONE], ids=["farey", "lsv", "pm"])
+@pytest.mark.parametrize("y", [np.nan, -0.5, 1.5, np.array([0.6, np.nan])], ids=["nan", "below", "above", "nan-array"])
+def test_forward_jump_rejects_points_outside_the_unit_interval(m, y):
+    # the left and right branch formulas would extend past [0, 1] and return a number
+    with pytest.raises(DomainError, match="outside"):
+        forward_jump(build_induced(m, 5), 2, y)
+
+
 def test_chain_rule_against_central_differences():
     xs = np.linspace(0.05, 0.95, 19)
     h = 1e-6

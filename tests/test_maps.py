@@ -489,6 +489,8 @@ def test_explicit_weights_bounds():
     assert w.tail(0) == pytest.approx(1.0)
     assert w.cell_index(0.4) == 2
     assert w.cell_index(0.1) == 3  # the final cell reaches down to zero
+    with pytest.raises(ReturnTimeOverflowError):  # but zero itself never returns
+        w.cell_index(0.0)
     with pytest.raises(DomainError):
         w.mass(4)
     short = ExplicitWeights((0.4, 0.3))  # sums to 0.7; nothing above the top tail

@@ -47,8 +47,9 @@ def test_grid_invariants():
     g = Grid(np.array([0.0, 0.25, 1.0]))
     assert g.n_cells == 2
     assert g.node_index(0.25) == 1
-    with pytest.raises(DomainError):
-        g.node_index(0.3)
+    for value in (0.3, np.nan):  # NaN is within 1e-12 of no node
+        with pytest.raises(DomainError):
+            g.node_index(value)
 
 
 def test_markov_grid_contains_preimage_chain():
@@ -158,17 +159,13 @@ def test_overlaps_from_monotone_bounds_match_two_searches(case):
 @settings(max_examples=200, deadline=None)
 @given(
     interior=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=12, unique=True),
-    picks=st.lists(st.one_of(st.integers(0, 13), st.floats(0.0, 1.0), st.just(np.nan)), min_size=1, max_size=30),
+    picks=st.lists(st.one_of(st.integers(0, 13), st.floats(0.0, 1.0)), min_size=1, max_size=30),
     reverse=st.booleans(),
 )
 def test_overlaps_from_drawn_bounds_match_two_searches(interior, picks, reverse):
-    # bounds drawn from the nodes themselves and from [0, 1], with repeats;
-    # a NaN stays where it was drawn and the numbers around it are sorted
+    # bounds drawn from the nodes themselves and from [0, 1], with repeats
     nodes = np.concatenate([[0.0], np.sort(interior), [1.0]])
-    values = [nodes[min(p, len(nodes) - 1)] if isinstance(p, int) else p for p in picks]
-    bounds = np.array(values, float)
-    numbers = ~np.isnan(bounds)
-    bounds[numbers] = np.sort(bounds[numbers])
+    bounds = np.sort([nodes[min(p, len(nodes) - 1)] if isinstance(p, int) else p for p in picks])
     if reverse:
         bounds = bounds[::-1]
     ref = _two_search_overlaps(nodes, np.minimum(bounds[:-1], bounds[1:]), np.maximum(bounds[:-1], bounds[1:]))
@@ -176,8 +173,7 @@ def test_overlaps_from_drawn_bounds_match_two_searches(interior, picks, reverse)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "decreasing"])
-@pytest.mark.parametrize("bounds", [[-0.3, -0.1, 0.3, 0.6, 1.2, 1.5], [0.1, 0.5, 0.9], [-0.2, 0.35, np.nan, 0.8, 1.1]],
-                         ids=["past-both-ends", "inside", "nan"])
+@pytest.mark.parametrize("bounds", [[-0.3, -0.1, 0.3, 0.6, 1.2, 1.5], [0.1, 0.5, 0.9]], ids=["past-both-ends", "inside"])
 def test_overlaps_of_bounds_beyond_the_nodes_match_two_searches(bounds, reverse):
     # nodes need not span [0, 1]: the parts of an interval outside them meet no cell
     nodes = np.array([0.0, 0.2, 0.45, 0.7, 1.0]) * 0.6 + 0.2
@@ -188,11 +184,15 @@ def test_overlaps_of_bounds_beyond_the_nodes_match_two_searches(bounds, reverse)
     assert got[0].size > 0
 
 
-def test_nan_bound_empties_both_neighbours():
+def test_nan_bound_is_a_domain_error():
     nodes = np.array([0.0, 0.25, 0.5, 1.0])
-    cells, which, overlap = interval_cell_overlaps(nodes, np.array([0.1, 0.3, np.nan, 0.6, 0.9]))
-    assert list(which) == [0, 0, 3] and list(cells) == [0, 1, 2]
-    assert np.allclose(overlap, [0.15, 0.05, 0.3])
+    rising = np.array([0.1, 0.3, 0.45, 0.6, 0.9])
+    for at in (0, 2, 4):
+        for order in (rising, rising[::-1]):
+            bounds = order.copy()
+            bounds[at] = np.nan
+            with pytest.raises(DomainError, match="not a number"):
+                interval_cell_overlaps(nodes, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +330,9 @@ def test_ulam_refinement_differences_decrease():
 
 def test_assemble_ulam_requires_node():
     grid = hole_grid(FAREY, 0.2, 64)
-    with pytest.raises(DomainError):
-        assemble_ulam_open(FAREY, 0.21, grid)
+    for edge in (0.21, np.nan):
+        with pytest.raises(DomainError):
+            assemble_ulam_open(FAREY, edge, grid)
 
 
 

@@ -563,6 +563,37 @@ def test_mass_check_reads_only_the_support(m, N, monkeypatch):
     assert 0 < sum(points) <= 2 * (N - 1) * support
 
 
+def _fill_masks(M):
+    """Named cell masks: isolated cells at both ends and inside, runs of 1..5
+    cells between gaps of 1..4, one unfilled cell between filled ones, a
+    random third of the cells, and every cell."""
+    isolated = np.zeros(M, bool)
+    isolated[[0, 5, 17, M // 2, M - 1]] = True
+    runs = np.zeros(M, bool)
+    start, length = 3, 1
+    while start < M:
+        runs[start:start + length] = True
+        start += length + 1 + length % 4
+        length = length % 5 + 1
+    one_gap = np.zeros(M, bool)
+    one_gap[[40, 42]] = True
+    one_gap[M // 3:2 * M // 3] = True
+    one_gap[M // 2] = False
+    return {"isolated": isolated, "runs": runs, "one-gap": one_gap,
+            "random": np.random.default_rng(7).random(M) < 0.3, "all": np.ones(M, bool)}
+
+
+@pytest.mark.parametrize("mask", ["isolated", "runs", "one-gap", "random", "all"])
+def test_pullback_sum_on_filled_cells_is_the_invariant_function(mask):
+    # each filled cell gets exactly the triplets of its own interval, in the same
+    # order, so it matches the sum over every cell bit for bit; the rest stay 0
+    sys, grid, _, triple = _induced_triple(LSV_HALF, 4, 512)
+    fill = _fill_masks(grid.n_cells)[mask]
+    e = spectral._pullback_sum(sys, triple, fill)
+    assert e[fill].tobytes() == invariant_function(sys, triple)[fill].tobytes()
+    assert np.all(e[~fill] == 0.0)
+
+
 def test_mean_return_growth_regimes():
     # partial sums of k * rho_k stabilize for s < 1 and grow like log N at s = 1
     values = {}
