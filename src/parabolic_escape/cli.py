@@ -235,6 +235,8 @@ def run(cfg: RunConfig) -> int:
         return run_verify(cfg)
     if cfg.output:  # checked before computing, so a long run cannot lose its result
         folder = os.path.dirname(os.path.abspath(cfg.output))
+        if os.path.isdir(cfg.output):
+            raise ConfigError(f"cannot write output {cfg.output!r}: it is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"cannot write output {cfg.output!r}: no writable directory {folder!r}")
     m = build_map(cfg)

@@ -299,7 +299,7 @@ MALFORMED_INPUTS = {
     "escape-index-range": ["escape", "--map", "lsv", "--s", "0.5", "--hole-index", "2:10:1"],
     "mc-index-range": ["mc", "--hole-index", "3:5:1"],
     "unwritable-output": ["escape", "--hole-index", "2", "--output", "{tmp}/missing/out.json"],
-    # its folder is writable, so this fails only when the result is written
+    # its folder is writable, yet the output names a directory
     "output-is-a-directory": ["escape", "--map", "pwl", "--hole-index", "2", "--output", "{tmp}"],
 }
 # weights files that hold no list of numbers, or no probability vector
@@ -315,7 +315,12 @@ for name in WEIGHT_FILES:
 
 
 @pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
-def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
+def test_malformed_input_is_a_config_error(argv, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("computed a rate for a malformed input")
+
+    # every case fails before computing, so no run is lost to a bad option
+    monkeypatch.setattr(escape, "compute_escape", never)
     (tmp_path / "broken.json").write_text('{"grid": ')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "typed.json").write_text('{"grid": "big"}')

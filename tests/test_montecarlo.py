@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from parabolic_escape.exceptions import DomainError, InsufficientSurvivorsError
-from parabolic_escape.maps import Hole, MapSpec
+from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, eval_map
 from parabolic_escape.montecarlo import (
+    CHUNK_SIZE,
     SurvivalCurve,
     curve_csv_text,
     mc_escape_rate,
@@ -182,3 +183,49 @@ def test_tiny_hole_on_pwl_reaches_deep_cells():
     # is still defined
     curve = survival_curve(PWL_ONE, Hole.interval(1e-8), n_max=10, samples=2_000_000, seed=0)
     assert len(curve.survivors) == 10
+
+
+def eval_map_counts(m, hole, n_max, samples, seed):
+    """Survivor counts from the plain loop on ``eval_map``, chunk by chunk with
+    the same per-chunk random keys, keeping the survivors in order."""
+    edge = hole.edge(m)
+    counts = np.zeros(n_max, dtype=np.int64)
+    for chunk, start in enumerate(range(0, samples, CHUNK_SIZE)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        x = rng.random(min(CHUNK_SIZE, samples - start))
+        for n in range(n_max):
+            x = x[x > edge]
+            counts[n] += x.size
+            if n < n_max - 1:
+                x = eval_map(m, x)
+    return counts
+
+
+EVAL_MAP_CASES = {
+    "lsv-0.5": MapSpec.lsv(0.5),
+    "pm-1": MapSpec.pomeau_manneville(1.0),
+    "farey": MapSpec.farey(),
+    "pwl-1": MapSpec.pwl(1.0),
+    "pwl-zipf-0.5": MapSpec.pwl(0.5, ZipfWeights(0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_MAP_CASES))
+def test_survivor_counts_equal_the_eval_map_loop(name):
+    # the Monte Carlo step applies the branch formulas itself, so it must not
+    # drift from eval_map: same counts for both hole kinds and thread counts,
+    # with a last chunk shorter than the others
+    m = EVAL_MAP_CASES[name]
+    samples = 3 * CHUNK_SIZE + 12_345
+    for hole in (Hole.markov(3), Hole.interval(0.0123)):
+        expected = eval_map_counts(m, hole, 30, samples, seed=11)
+        for threads in (1, 2):
+            curve = survival_curve(m, hole, n_max=30, samples=samples, seed=11, threads=threads)
+            assert curve.survivors.tolist() == expected.tolist()
+
+
+def test_a_nan_from_a_branch_formula_is_a_domain_error(monkeypatch):
+    m = MapSpec.lsv(0.5)
+    monkeypatch.setattr(m.branches, "left", lambda x: np.full_like(x, np.nan))
+    with pytest.raises(DomainError):
+        survival_curve(m, Hole.markov(3), n_max=12, samples=10_000, seed=1)
