@@ -1,33 +1,34 @@
 """Direct survival estimation by orbit simulation.
 
-This estimator deliberately shares no machinery with the spectral routes: it
-iterates the map forward, exactly, one step at a time, so it can serve as an
-independent oracle for them.  Points are processed in fixed chunks of 2**16
-samples, each chunk driven by its own counter-based random stream keyed by
-(seed, chunk index); survivor counts are therefore identical for any thread
-count, and merging is plain integer addition.
+This estimator shares no machinery with the spectral routes: it iterates the
+map forward, exactly, so it can serve as an independent oracle for them.
+Points come in chunks of 2**16, each from its own counter-based random stream
+keyed by (seed, chunk index); a count depends only on the multiset of (time,
+point) pairs, so counts are identical for any thread count or grouping.
 
-A chunk keeps its survivors in any order, since a count depends only on the
-multiset of points.  A step partitions in place twice, the hole points to the
-front (the survivors are the view behind them), then the survivors at the
-branch cut, and runs each branch formula of ``maps.eval_map`` on its own
-contiguous part, with the same domain check and clip: no mask, gather or
-scatter.  On a 2-core VM, lsv s = 0.5 with hole index 3 runs about 8.7e7 point
-steps per second on one thread (traced ``mc-survival`` workload, seed 1).
+A step partitions the survivors in place at the branch cut, runs each branch
+formula of ``maps.eval_map`` on its part with the same clip, and partitions
+only the right images at the hole edge: the left branch moves points up.  A
+chunk steps alone while 2**12 of its points survive; then the tails of 16
+chunks step together as one array.  lsv s = 0.5 with hole index 3 runs about
+1.2e8 point steps per second on one thread of a 2-core VM (traced
+``mc-survival``, seed 1).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .exceptions import DomainError, InsufficientSurvivorsError
-from .maps import Hole, MapSpec, _check_unit_interval
+from .maps import Hole, MapSpec
 
 CHUNK_SIZE = 1 << 16
+_GROUP_CHUNKS = 16  # the tails of a group's chunks, each below CHUNK_SIZE // 16 points, step together
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,19 +70,48 @@ def _split(y: np.ndarray, t: float) -> int:
     return k
 
 
-def _chunk_counts(m: MapSpec, edge: float, n_max: int, size: int, seed: int, chunk: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    y = rng.random(size)
+def _survivors(y: np.ndarray, r: int, edge: float) -> np.ndarray:
+    """The points of y outside the hole [0, edge], a view of y partitioned in place.
+    Only y[:r] is hole-tested: the left branch moves the survivors behind it up.
+    The min that checks this finds NaN too (points lie in [0, 1] otherwise), and
+    a left image in the hole falls back to testing all of y."""
+    x = y[_split(y[:r], edge):]
+    lo = x.min(initial=1.0)
+    if np.isnan(lo):
+        raise DomainError("argument outside [0, 1] or not a number")
+    return x if lo > edge else y[_split(y, edge):]
+
+
+def _images(m: MapSpec, x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """F(x) clipped to [0, 1] as eval_map does, the r right-branch images first; (F(x), r)."""
+    j = _split(x, m.branch_cut)
+    y = np.concatenate([m.branches.right(x[j:]), m.branches.left(x[:j])])
+    np.clip(y, 0.0, 1.0, out=y)
+    return y, x.size - j
+
+
+def _chunk_counts(m: MapSpec, edge: float, n_max: int, seed: int, chunks) -> np.ndarray:
+    """Survivor counts of a group of (index, size) chunks.  A chunk steps alone
+    while CHUNK_SIZE // _GROUP_CHUNKS of its points survive, then its tail waits,
+    by time, to step with the group's other tails as one array: a count depends
+    only on the multiset of (time, point) pairs."""
     counts = np.zeros(n_max, dtype=np.int64)
-    for n in range(n_max):
-        x = y[_split(y, edge):]  # the survivors, in no particular order
-        counts[n] = x.size
-        if x.size == 0 or n == n_max - 1:
-            break
-        _check_unit_interval(x)
-        j = _split(x, m.branch_cut)
-        y = np.concatenate([m.branches.left(x[:j]), m.branches.right(x[j:])])
-        np.clip(y, 0.0, 1.0, out=y)
+    waiting = {}
+    for chunk, size in chunks:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        x, n = _survivors(rng.random(size), size, edge), 0
+        counts[0] += x.size
+        while x.size >= CHUNK_SIZE // _GROUP_CHUNKS and n < n_max - 1:
+            x, n = _survivors(*_images(m, x), edge), n + 1
+            counts[n] += x.size
+        if x.size and n < n_max - 1:
+            waiting.setdefault(n, []).append(x.copy())  # a view would hold its step's whole array
+    x = np.empty(0)
+    for n in range(min(waiting, default=n_max), n_max - 1):
+        x = np.concatenate([x, *waiting.pop(n, ())])  # pop: a kept list holds its tails to the end
+        if x.size:
+            x = _survivors(*_images(m, x), edge)
+            counts[n + 1] += x.size
     return counts
 
 
@@ -113,19 +143,16 @@ def survival_curve(
     if threads < 1:
         raise DomainError("threads must be >= 1")
     edge = hole.edge(m)
-    sizes = [min(CHUNK_SIZE, samples - start) for start in range(0, samples, CHUNK_SIZE)]
-
-    def run(args) -> np.ndarray:
-        chunk, size = args
-        return _chunk_counts(m, edge, n_max, size, seed, chunk)
-
-    jobs = list(enumerate(sizes))
+    chunks = list(enumerate(min(CHUNK_SIZE, samples - start) for start in range(0, samples, CHUNK_SIZE)))
+    g = min(_GROUP_CHUNKS, -(-len(chunks) // threads))  # smaller groups give every thread work
+    groups = [chunks[i:i + g] for i in range(0, len(chunks), g)]
+    run = partial(_chunk_counts, m, edge, n_max, seed)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
+            parts = list(pool.map(run, groups))
     else:
-        parts = [run(job) for job in jobs]
+        parts = [run(group) for group in groups]
     counts = np.sum(parts, axis=0, dtype=np.int64)
     return SurvivalCurve(np.arange(1, n_max + 1), counts, samples, seed, edge)
 
@@ -139,16 +166,19 @@ class McEstimate(NamedTuple):
 def mc_escape_rate(curve: SurvivalCurve, window: Optional[Tuple[int, int]] = None) -> McEstimate:
     """Escape rate as the windowed slope of -log survival versus time.
 
-    The window defaults to [n_max/3, n_max].  Requires at least 100 survivors
-    at the right window edge.  The reported standard error combines the
-    regression residual error with binomial error propagated from the curve
-    (the points are correlated, so this is a scale estimate, not an exact
-    confidence radius).
+    The window [lo, hi] defaults to [n_max/3, n_max]; non-integer ends raise
+    DomainError.  Requires at least 100 survivors at hi.  The standard error
+    combines the regression residual error with binomial error propagated from
+    the curve (the points are correlated, so this is a scale estimate, not an
+    exact confidence radius).
     """
     n_max = int(curve.n_values[-1])
     if window is None:
         window = (max(1, n_max // 3), n_max)
-    lo, hi = int(window[0]), int(window[1])
+    try:
+        lo, hi = map(operator.index, window)
+    except (TypeError, ValueError):
+        raise DomainError(f"window {window!r} is not a pair of integers") from None
     if not 1 <= lo < hi <= n_max:
         raise DomainError(f"window {window} outside 1..{n_max}")
     sel = (curve.n_values >= lo) & (curve.n_values <= hi)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from parabolic_escape import montecarlo
 from parabolic_escape.exceptions import DomainError, InsufficientSurvivorsError
 from parabolic_escape.maps import Hole, MapSpec, ZipfWeights, eval_map
 from parabolic_escape.montecarlo import (
@@ -122,6 +124,11 @@ def test_window_validation():
     curve = survival_curve(PWL_ONE, Hole.markov(2), n_max=12, samples=10_000, seed=1)
     with pytest.raises(DomainError):
         mc_escape_rate(curve, (5, 30))
+    # window ends are not truncated or parsed
+    for window in ((3.7, 12), (3, 11.0), ("3", 12), (3,), (3, 8, 12)):
+        with pytest.raises(DomainError):
+            mc_escape_rate(curve, window)
+    assert mc_escape_rate(curve, (np.int64(3), 12)).window == (3, 12)
     with pytest.raises(DomainError):
         survival_curve(PWL_ONE, Hole.markov(2), n_max=5, samples=10_000, seed=1)
     with pytest.raises(DomainError):
@@ -229,3 +236,63 @@ def test_a_nan_from_a_branch_formula_is_a_domain_error(monkeypatch):
     monkeypatch.setattr(m.branches, "left", lambda x: np.full_like(x, np.nan))
     with pytest.raises(DomainError):
         survival_curve(m, Hole.markov(3), n_max=12, samples=10_000, seed=1)
+
+
+def test_a_nan_at_the_last_step_is_a_domain_error(monkeypatch):
+    # 1000 samples are one chunk, below the tail size from step 0, so the ninth
+    # call of the left branch makes the images counted at n_max = 10
+    m = MapSpec.lsv(0.5)
+    left, calls = m.branches.left, []
+
+    def nan_on_ninth_call(x):
+        calls.append(x.size)
+        return np.full_like(x, np.nan) if len(calls) == 9 else left(x)
+
+    monkeypatch.setattr(m.branches, "left", nan_on_ninth_call)
+    with pytest.raises(DomainError):
+        survival_curve(m, Hole.markov(3), n_max=10, samples=1000, seed=1)
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("group", [4, 16])
+@pytest.mark.parametrize("name", ["lsv-0.5", "farey"])
+def test_pooled_tails_equal_the_eval_map_loop(monkeypatch, name, group):
+    # group + 2 chunks, the last one below the tail size from step 0: at 1, 2
+    # and 3 threads the tails pool in groups of (4, 2), (3, 3) and (2, 2, 2)
+    # chunks at group 4, and of (16, 2), (9, 9) and (6, 6, 6) at group 16
+    monkeypatch.setattr(montecarlo, "_GROUP_CHUNKS", group)
+    m = EVAL_MAP_CASES[name]
+    samples = (group + 1) * CHUNK_SIZE + 1000
+    expected = eval_map_counts(m, Hole.markov(3), 30, samples, seed=3)
+    for threads in (1, 2, 3):
+        curve = survival_curve(m, Hole.markov(3), n_max=30, samples=samples, seed=3, threads=threads)
+        assert curve.survivors.tolist() == expected.tolist()
+
+
+def test_a_left_branch_that_moves_points_down_still_counts_exactly(monkeypatch):
+    # only right images are hole-tested while the left branch moves points up;
+    # a left image in the hole must send the step back to testing all images
+    m = MapSpec.lsv(0.5)
+    left = m.branches.left
+    monkeypatch.setattr(m.branches, "left", lambda x: 0.5 * left(x))
+    expected = eval_map_counts(m, Hole.markov(3), 20, CHUNK_SIZE + 5000, seed=2)
+    curve = survival_curve(m, Hole.markov(3), n_max=20, samples=CHUNK_SIZE + 5000, seed=2)
+    assert curve.survivors.tolist() == expected.tolist()
+
+
+def test_survival_memory_stays_within_one_chunk_of_a_one_chunk_curve():
+    # a group parks at most 15 tails of under CHUNK_SIZE // 16 points while a
+    # chunk steps, and drops each waiting list once pooled, so 32 chunks (two
+    # groups) peak less than one chunk of float64 above a single chunk: 0.89 of
+    # it with numpy 2.4, against 1.15 with the lists kept and 1.02 with each
+    # tail parked as a view of its chunk's buffer
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            survival_curve(LSV_HALF, Hole.markov(3), n_max=60, samples=samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    survival_curve(LSV_HALF, Hole.markov(3), n_max=60, samples=1000, seed=1)  # one-time allocations
+    assert traced_peak(32 * CHUNK_SIZE) - traced_peak(CHUNK_SIZE) < 8 * CHUNK_SIZE
