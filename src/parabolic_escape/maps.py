@@ -728,8 +728,11 @@ def return_time(m: MapSpec, x: float, cap: int = DEFAULT_RETURN_TIME_CAP) -> int
     Never by orbit iteration: for pm and lsv a guess from the Abel function,
     for infinite pwl weights one from the tails' asymptotics, then a search
     of the chain's own a_n out from that guess, at a cost that does not
-    depend on tau.  Raises ``ReturnTimeOverflowError`` once tau exceeds
-    ``cap``.
+    depend on tau.  farey builds its chain a_n = a_{n-1}/(1 + a_{n-1}) out
+    to tau + 1 and searches it, at a cost linear in tau: the iterated chain
+    is the one every other farey routine reads, and the closed form
+    1/(n + 1) differs from it in the last digits.  Raises
+    ``ReturnTimeOverflowError`` once tau exceeds ``cap``.
     """
     if not 0.0 < x <= 1.0:
         raise DomainError("return time defined for x in (0, 1]")

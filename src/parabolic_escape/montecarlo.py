@@ -10,9 +10,7 @@ A step partitions the survivors in place at the branch cut, runs each branch
 formula of ``maps.eval_map`` on its part with the same clip, and partitions
 only the right images at the hole edge: the left branch moves points up.  A
 chunk steps alone while 2**12 of its points survive; then the tails of 16
-chunks step together as one array.  lsv s = 0.5 with hole index 3 runs about
-1.2e8 point steps per second on one thread of a 2-core VM (traced
-``mc-survival``, seed 1).
+chunks step together as one array.
 """
 
 from __future__ import annotations

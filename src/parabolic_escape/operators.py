@@ -24,7 +24,7 @@ scipy.sparse is imported on first use, by the three matrix assemblers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -166,13 +166,11 @@ class TransferMatrix:
 
     Assembly is deterministic: every entry is an exact interval overlap,
     summed in a fixed order; shape, row sums and dense form are read from
-    ``matrix``.  ``pieces`` (shared, not copied) are those of a
-    :func:`combine_branch_matrices` sum; other matrices have none.
+    ``matrix``.
     """
 
     grid: Grid
     matrix: sp.csr_matrix = field(compare=False)
-    pieces: Optional[tuple] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +322,8 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
 
 def combine_branch_matrices(sys: InducedOpenSystem, grid: Grid, pieces) -> TransferMatrix:
     """N_1 = sum_n piece_n on the grid, as a branch-order sum: the pieces
-    are added one after another, each entry in branch order; the result
-    records them."""
-    pieces = tuple(pieces)
-    return TransferMatrix(grid, sum(pieces[1:], pieces[0]).tocsr(), pieces)
+    are added one after another, each entry in branch order."""
+    return TransferMatrix(grid, sum(pieces[1:], pieces[0]).tocsr())
 
 
 def pwl_exact_matrix(m: MapSpec, N: int) -> TransferMatrix:

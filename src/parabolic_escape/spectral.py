@@ -18,26 +18,26 @@ are filled on the other cells so that they are eigenvectors of the full
 matrix: by one sparse solve on the transient classes, and on the peeled
 cells, which lie on no cycle, in one pass back along the peel.
 
-The leading pair feeds three derived quantities: per-branch cylinder masses
-of the normalized product h * nu, the accumulated hole-avoiding pullback
-function of the eigenfunction, and the mass consistency check between its
-integral and the mean return time.  The prune reads each edge at most once,
-the fill each peeled row once, and the mass check pulls back only the nodes
-of the cells where nu is nonzero (5.6 % of 262,144 cells, lsv s = 2, N = 3).
+The leading pair feeds three derived quantities: the cylinder masses of the
+normalized product h * nu, the accumulated hole-avoiding pullback function of
+the eigenfunction, and the mass consistency check between its integral and
+the mean return time.  The prune reads each edge at most once, the fill each
+peeled row once, and the mass check pulls back only the nodes of the cells
+where nu is nonzero.
 scipy.sparse and its csgraph are imported on the first ``leading_eigen`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import maps
 from .exceptions import ConvergenceError, DomainError, NormalizationError, ReducibleMatrixError
 from .induced import InducedOpenSystem
-from .operators import Grid, TransferMatrix, induced_branch_matrices, interval_cell_overlaps
+from .operators import Grid, TransferMatrix, interval_cell_overlaps
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -54,8 +54,7 @@ class SpectralTriple:
     ``eigenfunction`` holds per-cell values (the density-like right vector),
     ``eigenmeasure`` per-cell masses summing to one.  The joint normalization
     sum(eigenmeasure * eigenfunction) = 1 makes their product a probability.
-    ``pieces`` are those the solved matrix recorded (see
-    :class:`TransferMatrix`); the matrix itself is not kept.
+    The solved matrix itself is not kept.
     """
 
     eigenvalue: float
@@ -63,7 +62,6 @@ class SpectralTriple:
     eigenmeasure: np.ndarray
     grid: Grid
     stats: dict = field(default_factory=dict)
-    pieces: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("eigenfunction", "eigenmeasure"):
@@ -270,7 +268,7 @@ def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
         "pruned_cells": int(A.shape[0] - len(keep)),
         "transient_cells": len(transient_idx),
     }
-    return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats, pieces=tm.pieces)
+    return SpectralTriple(float(lam), h, nu, tm.grid, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -278,22 +276,24 @@ def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
 # ---------------------------------------------------------------------------
 
 def cylinder_masses(sys: InducedOpenSystem, triple: SpectralTriple) -> np.ndarray:
-    """Branch masses of the normalized eigen-pair product.
+    """Mass of the normalized product h * nu on each cylinder
+    A_k = (a_k, a_{k-1}], k = 1 .. N; DomainError unless the grid nodes hold
+    the chain a_N .. a_0, as those of Markov grids and natural partitions do.
 
-    Branch k receives (1/lambda) * integral of |zeta_k'(x)| h(zeta_k(x))
-    d nu(x), evaluated through the same exact per-branch kernels used in the
-    assembly; for the leading pair of N_1 the masses then add up to the
-    pairing sum(nu h) = 1 to rounding.  Computed through the eigen-pair
-    rather than by cell-indicator sums so cylinder boundaries cannot straddle
-    cells.  Their mean k is the derivative of log lambda(e^t) at t = 0.
-    The pieces are the triple's; a triple without pieces (exact pwl, Ulam or
-    hand-built matrices) has them built from ``sys``.
+    Only for the leading pair of the induced matrix N_1 do these equal its
+    branch masses nu (P_k h) / lambda, whose mean k is the derivative of
+    log lambda(e^t) at t = 0: the columns of piece P_k are the cells of A_k,
+    where nu N_1 = lambda nu gives nu P_k = lambda nu.  Any other pair (Ulam,
+    hand-built) gets its own h * nu mass on each cylinder.  NormalizationError
+    when the masses do not add up to 1 within 1e-9 (mass in the hole).
     """
-    pieces = triple.pieces or induced_branch_matrices(sys, triple.grid)
-    lam = triple.eigenvalue
-    nu = triple.eigenmeasure
-    h = triple.eigenfunction
-    masses = np.array([float(nu @ (piece @ h)) / lam for piece in pieces])
+    nodes = triple.grid.nodes
+    chain = sys.preimages[::-1]
+    at = np.searchsorted(nodes, chain)
+    if np.any(nodes[at] != chain):
+        raise DomainError("grid nodes miss the preimage chain a_N .. a_0")
+    # the cells of A_N, ..., A_1 run from each chain node to the next
+    masses = np.add.reduceat(triple.eigenmeasure * triple.eigenfunction, at[:-1])[::-1]
     total = masses.sum()
     if abs(total - 1.0) > 1e-9:
         raise NormalizationError(f"cylinder masses sum to {total!r}, expected 1")
@@ -347,10 +347,10 @@ class MassCheck(NamedTuple):
 def invariant_mass(sys: InducedOpenSystem, triple: SpectralTriple) -> MassCheck:
     """Total mass of the accumulated invariant function versus the mean
     return time of the cylinder masses; their gap is a pure discretization
-    diagnostic (the two agree in exact arithmetic).  The masses use the
-    triple's pieces (see :func:`cylinder_masses`) and build none again.
-    The eigenmeasure reads the invariant function only on its support, so
-    only the cells there are pulled back."""
+    diagnostic (the two agree in exact arithmetic).  The masses read the
+    eigen-pair alone (see :func:`cylinder_masses`).  The eigenmeasure reads
+    the invariant function only on its support, so only the cells there are
+    pulled back."""
     nu = triple.eigenmeasure
     mass_a = float(nu @ _pullback_sum(sys, triple, nu != 0))
     mass_b = mean_return_time(cylinder_masses(sys, triple))

@@ -1,10 +1,11 @@
 import json
+import os
 
 import pytest
 
 from parabolic_escape.cli import COMMANDS, RunConfig, build_map, main, parse_index_range, parse_window
 from parabolic_escape.exceptions import ConfigError, DomainError
-from parabolic_escape import escape, operators, spectral
+from parabolic_escape import escape, operators
 from parabolic_escape.maps import MapSpec
 from parabolic_escape.operators import markov_grid
 
@@ -345,6 +346,26 @@ def test_unwritable_output_found_before_computing(tmp_path, monkeypatch, capsys)
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_output_write_that_fails_after_the_run_is_a_config_error(monkeypatch, capsys):
+    # /dev/full opens for writing, so the early check passes, but every write fails
+    runs = []
+    original = escape.compute_escape
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(escape, "compute_escape", counting)
+    code, out, err = run_cli(["escape", "--map", "pwl", "--hole-index", "2", "--output", "/dev/full"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert "No space left on device" in error["message"]
+    assert len(runs) == 1
+
+
 # the options each command reads: 59 (command, option) pairs
 COMMAND_OPTIONS = {
     "escape": {"map", "s", "pwl_weights", "hole_index", "epsilon", "method", "grid", "samples", "tmax",
@@ -435,7 +456,7 @@ def test_verify_command(capsys):
 
 
 def test_verify_builds_each_set_of_pieces_once(monkeypatch, capsys):
-    # the mass identity check reads its pieces from the solved triple
+    # the mass identity check reads the solved pair, not the pieces
     builds = []
     original = operators.induced_branch_matrices
 
@@ -444,8 +465,7 @@ def test_verify_builds_each_set_of_pieces_once(monkeypatch, capsys):
         builds.append((sys, grid))
         return original(sys, grid)
 
-    for module in (operators, spectral):
-        monkeypatch.setattr(module, "induced_branch_matrices", counting)
+    monkeypatch.setattr(operators, "induced_branch_matrices", counting)
     code, _, _ = run_cli(["verify", "--grid", "2048"], capsys)
     assert code == 0
     assert builds and len(builds) == len({(id(sys), id(grid)) for sys, grid in builds})

@@ -125,8 +125,7 @@ def test_collocation_route_builds_no_grid(monkeypatch):
         raise AssertionError("grid work on the collocation route")
 
     for module, name in ((operators, "markov_grid"), (escape, "leading_eigen"),
-                         (operators, "induced_branch_matrices"), (spectral, "induced_branch_matrices"),
-                         (spectral, "leading_eigen")):
+                         (operators, "induced_branch_matrices"), (spectral, "leading_eigen")):
         monkeypatch.setattr(module, name, forbidden)
     for m in (MapSpec.lsv(0.5), MapSpec.farey(), MapSpec("pm", 1.0)):
         assert induced_analysis(m, 13, grid_size=16).gamma > 0.0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from parabolic_escape import collocation
 from parabolic_escape import escape as esc
@@ -502,6 +503,26 @@ def test_collocation_gamma_matches_forty_digits(s, N):
     # the float route's own error is rounding in log lambda near one:
     # 2.2e-13, 4.1e-12 and 1.3e-14 relative in the order above
     assert abs(rep.gamma - TRUE_GAMMA[s, N]) <= 1e-11 * TRUE_GAMMA[s, N]
+
+
+def gauss_renewal_rate(N: int) -> float:
+    """Independent oracle for farey: the root t of the first-order renewal
+    equation sum_{n<=N} mu_n expm1(n t) = mu_G(tau > N), with the Gauss
+    masses mu_n = log2(1 + 1/(n(n + 2))) of the return times and the tail
+    mu_G(tau > N) = log2(1 + 1/(N + 1))."""
+    n = np.arange(1, N + 1)
+    mu = np.log2(1.0 + 1.0 / (n * (n + 2.0)))
+    tail = math.log2(1.0 + 1.0 / (N + 1))
+    # the root lies below 1/N, and a wider bracket overflows expm1
+    return brentq(lambda t: mu @ np.expm1(n * t) - tail, 0.0, 1.0 / N, xtol=1e-300)
+
+
+def test_farey_rate_approaches_the_gauss_renewal_root():
+    # the rate sits above the first-order root by a relative gap that falls
+    # faster than 1/N: N times it is 0.0203, 0.0124 and 0.0083
+    scaled = [N * (induced_analysis(FAREY, N).gamma / gauss_renewal_rate(N) - 1.0) for N in (100, 316, 1000)]
+    assert all(0.0 < g <= 0.03 for g in scaled), scaled
+    assert scaled[0] > scaled[1] > scaled[2], scaled
 
 
 NEWTON_CASES = [(MapSpec.lsv(0.5), 25), (FAREY, 13), (MapSpec("pm", 1.0), 3)]

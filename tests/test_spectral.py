@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.sparse.csgraph import breadth_first_order
 
 from parabolic_escape import maps, operators, spectral
-from parabolic_escape.exceptions import ConvergenceError, DomainError, ReducibleMatrixError
+from parabolic_escape.exceptions import ConvergenceError, DomainError, NormalizationError, ReducibleMatrixError
 from parabolic_escape.induced import build_induced
 from parabolic_escape.maps import ExplicitWeights, MapSpec
 from parabolic_escape.operators import (
@@ -19,6 +19,7 @@ from parabolic_escape.operators import (
     hole_grid,
     induced_branch_matrices,
     markov_grid,
+    natural_partition_grid,
     pwl_exact_matrix,
 )
 from parabolic_escape.spectral import (
@@ -312,9 +313,10 @@ def test_peel_rejects_a_matrix_without_a_cycle(n, data):
 
 def _fixed_point_fill(A, AT, lam, pinned, h_pinned, nu_pinned, maxiter=2000):
     """The fill as a whole-matrix fixed point: each round applies A and A.T
-    to both vectors with the pinned cells held, until no entry moves by more
-    than 1e-16 of the largest pinned one: the reference for the one-pass
-    fill, which pins the core."""
+    to both vectors with the pinned cells held, until a round moves no entry
+    at all: the reference for the one-pass fill, which pins the core.  (A
+    stop at moves below 1e-16 of the largest pinned value would leave the
+    far end of a long chain of small values at 0.)"""
     h = np.zeros(A.shape[0])
     nu = np.zeros(A.shape[0])
     h[pinned] = h_pinned
@@ -324,12 +326,9 @@ def _fixed_point_fill(A, AT, lam, pinned, h_pinned, nu_pinned, maxiter=2000):
         nu_new = (AT @ nu) / lam
         h_new[pinned] = h_pinned
         nu_new[pinned] = nu_pinned
-        delta = max(
-            np.max(np.abs(h_new - h)) / max(np.max(np.abs(h_pinned)), 1e-300),
-            np.max(np.abs(nu_new - nu)) / max(np.max(np.abs(nu_pinned)), 1e-300),
-        )
+        settled = np.array_equal(h_new, h) and np.array_equal(nu_new, nu)
         h, nu = h_new, nu_new
-        if delta <= 1e-16:
+        if settled:
             return h, nu
     raise ConvergenceError("fixed point did not settle")
 
@@ -453,15 +452,53 @@ def test_farey_first_mass_tends_to_gauss_value():
     assert gaps[2] == pytest.approx(0.0042, abs=0.001)
 
 
-def test_masses_match_indicator_sums_on_aligned_grid():
-    sys, grid, pieces, triple = _induced_triple(LSV_HALF, 4, 2048)
-    rho = cylinder_masses(sys, triple)
-    seq = sys.preimages
-    centers = 0.5 * (grid.lo + grid.hi)
-    for k in range(1, 5):
-        inside = (centers > seq[k]) & (centers <= seq[k - 1])
-        indicator = float(triple.eigenmeasure[inside] @ triple.eigenfunction[inside])
-        assert abs(rho[k - 1] - indicator) <= 1e-8
+SUPPORT_CASES = [(LSV_HALF, 4), (MapSpec.lsv(2.0), 3), (MapSpec("pm", 1.0), 4), (FAREY, 5), (PWL_ONE, 3)]
+
+
+def _support_triple(m, N):
+    """The induced system and the leading triple of one of SUPPORT_CASES."""
+    sys = build_induced(m, N)
+    if m.family == "pwl":
+        return sys, leading_eigen(pwl_exact_matrix(m, N))
+    return sys, _induced_triple(m, N, 4096)[3]
+
+
+def test_masses_match_the_piece_formula():
+    # on each cylinder's cells nu P_k = lambda nu, so the h * nu mass of A_k
+    # is the branch mass nu (P_k h) / lambda, formed here from the pieces
+    for m, N in SUPPORT_CASES:
+        sys, triple = _support_triple(m, N)
+        pieces = induced_branch_matrices(sys, triple.grid)
+        reference = np.array([triple.eigenmeasure @ (piece @ triple.eigenfunction) for piece in pieces])
+        reference /= triple.eigenvalue
+        rho = cylinder_masses(sys, triple)
+        assert np.all(np.abs(rho - reference) <= 1e-14 * reference), m
+
+
+def test_masses_need_the_chain_on_the_grid():
+    sys = build_induced(LSV_HALF, 3)
+    triple = leading_eigen(_markov_matrix(LSV_HALF, 3, 256))
+    assert cylinder_masses(sys, triple).sum() == pytest.approx(1.0, abs=1e-12)
+    a2 = sys.preimages[2]
+    nodes = triple.grid.nodes
+    # the same pair on a grid whose node a_2 moved by one ulp
+    assert np.count_nonzero(nodes == a2) == 1
+    moved = Grid(np.where(nodes == a2, np.nextafter(a2, 1.0), nodes))
+    shifted = spectral.SpectralTriple(triple.eigenvalue, triple.eigenfunction, triple.eigenmeasure, moved)
+    with pytest.raises(DomainError, match="chain"):
+        cylinder_masses(sys, shifted)
+    # a deeper system: a_4 lies inside the hole cell of the grid for N = 3
+    with pytest.raises(DomainError, match="chain"):
+        cylinder_masses(build_induced(LSV_HALF, 4), triple)
+
+
+def test_mass_in_the_hole_is_a_normalization_error():
+    # a hand-built pair on the natural partition of pwl N = 2, whose first
+    # cell is the hole [0, a_2]: a tenth of its h * nu mass lies there
+    grid = natural_partition_grid(PWL_ONE, 2)
+    triple = spectral.SpectralTriple(0.5, np.ones(3), np.array([0.1, 0.45, 0.45]), grid)
+    with pytest.raises(NormalizationError, match="0.9"):
+        cylinder_masses(build_induced(PWL_ONE, 2), triple)
 
 
 def test_lambda_increasing_in_hole_index():
@@ -511,8 +548,8 @@ def test_lsv_mass_identity_converges():
 
 
 def test_mass_check_builds_the_pieces_once(monkeypatch):
-    # the sequence of acceptance 8: the solved triple hands the pieces of its
-    # matrix on to the masses, so nothing builds them a second time
+    # the sequence of acceptance 8: the masses read the solved pair alone, so
+    # nothing builds the pieces a second time
     builds = []
 
     def counting(sys, grid):
@@ -520,34 +557,26 @@ def test_mass_check_builds_the_pieces_once(monkeypatch):
         return induced_branch_matrices(sys, grid)
 
     monkeypatch.setattr(operators, "induced_branch_matrices", counting)
-    monkeypatch.setattr(spectral, "induced_branch_matrices", counting)
     sys = build_induced(LSV_HALF, 3)
     grid = markov_grid(LSV_HALF, 3, 4096)
     pieces = operators.induced_branch_matrices(sys, grid)
     triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
-    assert all(a is b for a, b in zip(triple.pieces, pieces, strict=True))
     check = invariant_mass(sys, triple)
     # the values a second build of the pieces gave, bit for bit
     assert tuple(check) == (1.52838926758709, 1.5283894204979052, 1.5291081512103233e-07)
     assert builds == [grid]
 
-    # a triple whose matrix carries no pieces builds them
+    # nor does a triple of the exact pwl matrix
     exact = leading_eigen(pwl_exact_matrix(PWL_ONE, 4))
-    assert exact.pieces is None
     ks = np.arange(1, 5)
     rho = cylinder_masses(build_induced(PWL_ONE, 4), exact)
     assert np.max(np.abs(rho - (1.0 / (ks * (ks + 1.0))) / (4 / 5))) <= 1e-14
-    assert len(builds) == 2
+    assert builds == [grid]
 
 
-@pytest.mark.parametrize("m,N", [(LSV_HALF, 4), (MapSpec.lsv(2.0), 3), (MapSpec("pm", 1.0), 4), (FAREY, 5), (PWL_ONE, 3)],
-                         ids=["lsv-0.5", "lsv-2", "pm-1", "farey", "pwl-exact"])
+@pytest.mark.parametrize("m,N", SUPPORT_CASES, ids=["lsv-0.5", "lsv-2", "pm-1", "farey", "pwl-exact"])
 def test_mass_check_reads_only_the_support(m, N, monkeypatch):
-    sys = build_induced(m, N)
-    if m.family == "pwl":
-        triple = leading_eigen(pwl_exact_matrix(m, N))
-    else:
-        triple = _induced_triple(m, N, 4096)[3]
+    sys, triple = _support_triple(m, N)
     full = float(triple.eigenmeasure @ invariant_function(sys, triple))
     points = []
     original = maps.left_inverse
