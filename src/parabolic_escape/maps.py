@@ -319,7 +319,7 @@ class _Smooth(_Family):
         return 1.0 + self.c * (1.0 + self.s) * x ** self.s
 
     def inv_left(self, y):
-        return solve_monotone(self.left, self.dleft, np.zeros_like(y), np.minimum(y, self.cut), y=y)
+        return solve_monotone(self.left, self.dleft, 0.0, np.minimum(y, self.cut), y=y)
 
     def _dpsi(self, w, kseries):
         """Psi'(u) from w = 1/u and the sum of k gamma_k w**k."""
@@ -446,7 +446,7 @@ class _PomeauManneville(_Smooth):
         return 1.0 + (1.0 + self.s) * np.asarray(x, float) ** self.s
 
     def inv_right(self, y):
-        return solve_monotone(self.right, self.dright, np.full_like(y, self.cut), np.ones_like(y), y=y)
+        return solve_monotone(self.right, self.dright, self.cut, 1.0, y=y)
 
 
 class _Lsv(_Smooth):

@@ -257,7 +257,8 @@ def interval_cell_overlaps(nodes: np.ndarray, bounds: np.ndarray):
     with the M' nodes strictly inside their range, placed by one binary
     search: each piece between consecutive breakpoints is an overlap, whose
     cell and interval count the nodes and bounds before it.  The cost is
-    O(M' log K + K + nnz); decreasing bounds have their groups put back in order.
+    O(M' log K + K + nnz) time, and beside the triplets the merge keeps one
+    float and one flag per breakpoint; decreasing bounds have their groups put back in order.
     """
     bounds = np.asarray(bounds, float)
     if np.isnan(bounds).any():
@@ -270,16 +271,20 @@ def interval_cell_overlaps(nodes: np.ndarray, bounds: np.ndarray):
     inner = nodes[i0:i1]
     merged = np.empty(len(b) + len(inner))
     # each node goes after the bounds below it
-    at = np.arange(len(inner)) + np.searchsorted(b, inner, side="left")
-    passed = np.zeros(len(merged), int)
-    passed[at] = 1
-    merged[passed == 0] = b
+    at = np.searchsorted(b, inner, side="left") + np.arange(len(inner))
+    is_node = np.zeros(len(merged), bool)
+    is_node[at] = True
+    merged[~is_node] = b
     merged[at] = inner
     np.clip(merged, nodes[0], nodes[-1], out=merged)  # past the nodes, the bounds meet no cell
-    seg = np.flatnonzero(merged[1:] > merged[:-1])
-    passed = np.cumsum(passed, out=passed)[seg]  # the nodes at or before each piece's start
-    cells, overlap = passed + (i0 - 1), merged[seg + 1] - merged[seg]
-    seg -= passed  # the interval of each piece, counted in b
+    merged = np.diff(merged)
+    seg = np.flatnonzero(merged > 0)
+    overlap = merged[seg]
+    del at, merged
+    # the nodes at or before each piece's start, summed in the smallest type that holds them
+    cells = np.cumsum(is_node, dtype=np.min_scalar_type(len(is_node)))[seg].astype(int)
+    seg -= cells  # the interval of each piece, counted in b
+    cells += i0 - 1
     if d > 0:
         return cells, seg, overlap
     # b runs backwards: interval r of b is interval K - 2 - r, and its
@@ -307,16 +312,17 @@ def induced_branch_matrices(sys: InducedOpenSystem, grid: Grid) -> list:
     the cylinder [a_n, a_{n-1}], whose ends farey's closed form misses by ulps.
     """
     import scipy.sparse as sp
-    M = grid.n_cells
-    nodes = grid.nodes
-    widths = grid.widths
-    seq = sys.preimages
+    M, nodes, widths, seq = grid.n_cells, grid.nodes, grid.widths, sys.preimages
+    index = np.int32 if 2 * M < 2**31 else np.int64  # scipy's index type: nnz < 2 M
     pieces = []
     for n, (u, _) in enumerate(branch_walk(sys, nodes), start=1):
         cells, rows, overlap = interval_cell_overlaps(nodes, np.clip(u, seq[n], seq[n - 1]))
         # the triplets come row by row, each row in cell order: CSR as they stand
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=M))])
-        pieces.append(sp.csr_matrix((overlap / widths[rows], cells, indptr), shape=(M, M)))
+        indptr = np.zeros(M + 1, index)
+        np.cumsum(np.bincount(rows, minlength=M), out=indptr[1:])
+        overlap /= widths[rows]
+        pieces.append(sp.csr_matrix((overlap, cells.astype(index), indptr), shape=(M, M)))
+        del cells, rows, overlap  # before the next branch's root solves
     return pieces
 
 

@@ -9,9 +9,9 @@ small targets near the neutral fixed point, or once rounding stops its
 iterate from falling.  Every returned root must then meet the absolute
 residual ``FTOL_HARD`` that the inversion contracts promise, so an f that is
 not convex, and overshoots, fails loudly instead of returning a wrong root.
-The open points are iterated as a packed working set: their x, f(x) - y,
-lower end, target and tolerance sit in contiguous arrays, compressed on a
-step where a point closes and written back to the result only then.
+The open points are iterated as a packed working set of their index, x,
+f(x) - y, target and tolerance (and lower end, unless scalar), compressed
+two arrays at a time where a point closes and written back only then.
 """
 
 from __future__ import annotations
@@ -31,38 +31,45 @@ def solve_monotone(f, df, lo, hi, *, y=0.0):
     ``lo``, ``hi`` and ``y`` are scalars or arrays (broadcast together);
     ``f`` and ``df`` must act elementwise on arrays, because after the first
     evaluation only the points still open are iterated.  Newton steps start
-    at ``hi`` and are clamped at ``lo``, at most ``MAXITER`` a point.
+    at ``hi`` and are clamped at ``lo`` (kept scalar), at most ``MAXITER`` a point.
     Requires f(lo) <= y <= f(hi) and f convex on [lo, hi].  Returns an array
     of the broadcast shape (or a scalar if all three were scalars).
     """
-    lo_b, hi_b, y_b = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float), np.asarray(y, float))
+    lo = np.asarray(lo, float)
+    lo_b, hi_b, y_b = np.broadcast_arrays(lo, np.asarray(hi, float), np.asarray(y, float))
     shape = lo_b.shape
     if np.any(hi_b < lo_b):
         raise ConvergenceError("invalid bracket: hi < lo")
-    lo_b, y_b = lo_b.ravel(), y_b.ravel()
-    tol = 4.0 * np.finfo(float).eps * np.abs(y_b)
-
+    y_b = y_b.ravel()
     x = hi_b.flatten()
     fx = np.asarray(f(x), float) - y_b
+    tol = 4.0 * np.finfo(float).eps * np.abs(y_b)
     at = np.nonzero(fx > tol)[0]  # the open points; a NaN residual closes and fails below
-    # the packed working set of the open points
-    x_w, fx_w, lo_w, y_w, tol_w = x[at], fx[at], lo_b[at], y_b[at], tol[at]
+    # the packed working set of the open points, compressed two arrays at a time
+    x_w, fx_w, y_w, tol = x[at], fx[at], y_b[at], tol[at]
+    lo = lo_b.ravel()[at] if lo.ndim else lo
     for _ in range(MAXITER):
         if at.size == 0:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.maximum(x_w - fx_w / np.asarray(df(x_w), float), lo_w)
+            step = np.maximum(x_w - fx_w / np.asarray(df(x_w), float), lo)
         falling = step < x_w  # a NaN step, or one that rounding no longer lowers, ends the point
         if not falling.all():
             x[at], fx[at] = x_w, fx_w
-            at, step, lo_w, y_w, tol_w = at[falling], step[falling], lo_w[falling], y_w[falling], tol_w[falling]
+            at, step = at[falling], step[falling]
+            fx_w, y_w = fx_w[falling], y_w[falling]
+            tol, lo = tol[falling], lo[falling] if lo.ndim else lo
             if at.size == 0:
                 break
-        x_w, fx_w = step, np.asarray(f(step), float) - y_w
-        still = fx_w > tol_w
+        x_w = step
+        del step  # the compression below frees the old iterates
+        np.subtract(np.asarray(f(x_w), float), y_w, out=fx_w)
+        still = fx_w > tol
         if not still.all():
             x[at], fx[at] = x_w, fx_w
-            at, x_w, fx_w, lo_w, y_w, tol_w = at[still], x_w[still], fx_w[still], lo_w[still], y_w[still], tol_w[still]
+            at, x_w = at[still], x_w[still]
+            fx_w, y_w = fx_w[still], y_w[still]
+            tol, lo = tol[still], lo[still] if lo.ndim else lo
     else:  # the points still open after MAXITER steps
         x[at], fx[at] = x_w, fx_w
 

@@ -21,9 +21,9 @@ cells, which lie on no cycle, in one pass back along the peel.
 The leading pair feeds three derived quantities: the cylinder masses of the
 normalized product h * nu, the accumulated hole-avoiding pullback function of
 the eigenfunction, and the mass consistency check between its integral and
-the mean return time.  The prune reads each edge at most once, the fill each
-peeled row once, and the mass check pulls back only the nodes of the cells
-where nu is nonzero.
+the mean return time.  The prune reads each edge at most once and the fill
+each peeled row of A once, ``PEEL_CHUNK`` rows at a time, and the mass check
+pulls back only the nodes of the cells where nu is nonzero.
 scipy.sparse and its csgraph are imported on the first ``leading_eigen`` call.
 """
 
@@ -45,6 +45,7 @@ if TYPE_CHECKING:
 #: relative ratio gap that ends power iteration, and |log lambda| that ends a unit-eigenvalue solve
 EIGEN_TOL = 1e-13
 EIGEN_MAXITER = 100_000  # power iterations a class may take to reach EIGEN_TOL
+PEEL_CHUNK = 16_384  # peeled rows whose entries the prune and the fill read at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +77,8 @@ class SpectralTriple:
 
 def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix):
     """The largest set in which every index has a kept source and a kept
-    target under the nonnegative ``A`` (``AT`` its CSR transpose, neither
-    storing zeros), and the peel that found it.
+    target under the nonnegative ``A`` (``AT`` the CSR transpose of A or of
+    its pattern, neither storing zeros), and the peel that found it.
 
     Dropping an index with a zero row (or column) leaves the nonzero spectrum
     unchanged, because the matrix is block triangular over the dropped set.
@@ -107,12 +108,8 @@ def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix):
         rounds.append(peeled)
         alive[dying] = False
         for M, deg, rows in ((A, in_deg, peeled[0]), (AT, out_deg, peeled[1])):
-            if len(rows):
-                first = M.indptr[rows]
-                count = M.indptr[rows + 1] - first
-                # the entries from indptr: slicing the matrix costs more on small grids
-                entries = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-                deg -= np.bincount(M.indices[entries], minlength=n)
+            for _, _, entries in _row_entries(M, rows):
+                np.subtract.at(deg, M.indices[entries], deg.dtype.type(1))  # deg's own type: no cast
         dying = np.nonzero(alive & ((out_deg == 0) | (in_deg == 0)))[0]
     if not alive.any():
         raise ReducibleMatrixError("matrix has no recurrent support")
@@ -162,8 +159,9 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds
     those zeros, every other peeled value reads only core, transient and
     later-peeled cells, so the pass back from the last round sets each value
     once, from final ones.  It is the expression (A[i, :] . h)/lam that a
-    whole-matrix fixed point reaches once it settles, at one read of each
-    peeled row instead of one read of every row per round.
+    whole-matrix fixed point reaches once it settles: one read of each peeled
+    row of A, and for nu one product with ``AT`` (A's transpose in any sparse
+    format) per round that peeled no-target cells.
     """
     h = np.zeros(A.shape[0])
     nu = np.zeros(A.shape[0])
@@ -179,12 +177,25 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds
         # a kept cell's peeled targets (sources) are no-target (no-source) cells:
         # their 0 is final, so the right-hand sides read the core only
         h[transient_idx] = lu.solve(A_t @ h)
-        nu[transient_idx] = lu.solve(AT[transient_idx] @ nu, trans="T")
-    for peeled in reversed(rounds):
-        for M, v, rows in ((A, h, peeled[0]), (AT, nu, peeled[1])):
-            if len(rows):
-                v[rows] = (M[rows] @ v) / lam
+        nu[transient_idx] = lu.solve((AT @ nu)[transient_idx], trans="T")
+    for no_source, no_target in reversed(rounds):
+        for part, count, entries in _row_entries(A, no_source):
+            # each row summed in CSR order from 0, as A[part] @ h sums it
+            weights = A.data[entries] * h[A.indices[entries]]
+            h[part] = np.bincount(np.repeat(np.arange(len(part)), count), weights, len(part)) / lam
+        if len(no_target):
+            nu[no_target] = (AT @ nu)[no_target] / lam
     return h, nu
+
+
+def _row_entries(M, rows):
+    """Per ``PEEL_CHUNK`` of ``rows``: those rows, their entry counts in the CSR
+    ``M`` and their entries' positions, in CSR order (read from the indptr)."""
+    for i in range(0, len(rows), PEEL_CHUNK):
+        part = rows[i:i + PEEL_CHUNK]
+        first = M.indptr[part]
+        count = M.indptr[part + 1] - first
+        yield part, count, np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
@@ -210,13 +221,13 @@ def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
         A = A.copy()
         A.eliminate_zeros()
 
-    AT = A.T.tocsr()
+    # the peel reads only the transpose's pattern: one byte of data an entry
+    AT = sp.csr_matrix((np.ones(A.nnz, np.int8), A.indices, A.indptr), shape=A.shape).T.tocsr()
     keep, rounds = _prune_support(A, AT)
     B = A if len(keep) == A.shape[0] else A[np.ix_(keep, keep)].tocsr()
     ncomp, labels = connected_components(B, directed=True, connection="strong")
     if ncomp == 1:
-        # transposing a pruned block costs less than slicing it from AT
-        best, pair = 0, _power_pair(B, AT if B is A else B.T.tocsr())
+        best, pair = 0, _power_pair(B, B.T.tocsr())
     else:
         # one-cell classes take their radius straight from the diagonal
         sizes = np.bincount(labels, minlength=ncomp)
@@ -248,6 +259,7 @@ def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
     in_core = labels == best
     core_idx, transient_idx = keep[in_core], keep[~in_core]
     lam, v, u, iterations = pair
+    AT = A.T  # A.T @ nu sums in the CSR transpose's order: the fill keeps no transpose
     h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds)
 
     nu_total = nu.sum()

@@ -208,3 +208,81 @@ def test_points_open_after_maxiter_fail_as_in_the_index_loop(maxiter):
         (got, got_sizes), (ref, ref_sizes) = _run_both(lsv.left, lsv.dleft, np.zeros_like(y), np.minimum(y, lsv.cut), y)
     assert got == ref and got_sizes == ref_sizes
     assert isinstance(got, str) == (maxiter < 5)
+
+
+def _counted_outcome(solver, f, df, lo, hi, y):
+    """One solver's outcome (the root, or the error message) and the sizes of
+    the arrays it evaluated f on."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    try:
+        return np.asarray(solver(counted, df, lo, hi, y=y)).tobytes(), sizes
+    except ConvergenceError as exc:
+        return str(exc), sizes
+
+
+def _scalar_bracket_cases(family, s, targets):
+    """(f, df, the bracket ends maps passes, the same ends as full arrays, y)
+    for each root solve of ``maps`` whose ends are scalars."""
+    br = MapSpec(family, s).branches
+    y = np.array(targets)
+    if family == "pm":
+        # the right inverse: both ends scalar, and the branch cut: everything scalar
+        yield br.right, br.dright, (br.cut, 1.0), (np.full_like(y, br.cut), np.ones_like(y)), y
+        yield br.right, br.dright, (0.0, 1.0), (np.zeros(1), np.ones(1)), 0.0
+    # the left inverse: a scalar lower end under array targets
+    hi = np.minimum(y, br.cut)
+    yield br.left, br.dleft, (0.0, hi), (np.zeros_like(y), hi), y
+
+
+@pytest.mark.parametrize("family,s", [("lsv", 0.5), ("lsv", 2.0), ("pm", 1.0), ("pm", 2.0)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(targets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300))
+def test_scalar_bracket_ends_match_the_index_loop_on_arrays_bitwise(family, s, targets):
+    # a scalar end is never expanded, and gives the bits and the f-call sizes
+    # of the index loop on full arrays of it
+    for f, df, (lo, hi), (lo_a, hi_a), y in _scalar_bracket_cases(family, s, targets):
+        got = _counted_outcome(roots.solve_monotone, f, df, lo, hi, y)
+        assert got == _counted_outcome(_index_loop, f, df, lo_a, hi_a, y)
+        assert got == _counted_outcome(_index_loop, f, df, lo, hi, y)
+
+
+def test_maps_pass_scalar_bracket_ends(monkeypatch):
+    lsv, pm = MapSpec.lsv(0.5), MapSpec("pm", 1.0)
+    y = np.linspace(0.0, 1.0, 7)
+    # each map solves its own chain on first use: that happens before the recording
+    maps.left_inverse(lsv, y)
+    maps.right_inverse(pm, y)
+    ends = []
+
+    def recording(f, df, lo, hi, **kwargs):
+        ends.append((np.ndim(lo), np.ndim(hi)))
+        return roots.solve_monotone(f, df, lo, hi, **kwargs)
+
+    monkeypatch.setattr(maps, "solve_monotone", recording)
+    maps.left_inverse(lsv, y)
+    maps.right_inverse(pm, y)
+    pm.branches._branch_cut()
+    assert ends == [(0, 1), (0, 0), (0, 0)]
+
+
+def test_left_inverse_on_the_finest_grid_stays_under_24_mib_of_scratch():
+    # the 262,145 nodes of acceptance 8's finest grid: beside its result the
+    # solve holds f(x) - y and the working set of the open points; the lower
+    # end, the tolerances and the compressions at full size took 34.5 MiB
+    import tracemalloc
+    m = MapSpec.lsv(2.0)
+    nodes = np.array(markov_grid(m, 3, 262144).nodes)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x = maps.left_inverse(m, nodes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(x + 4.0 * x**3 - nodes)) <= 1e-13
+    assert peak <= 24 * 2**20, peak / 2**20

@@ -417,6 +417,104 @@ def test_one_pass_fill_matches_the_fixed_point_on_drawn_matrices(A):
         assert np.all(np.abs(got[t] - dense) <= len(t) * kappa * eps * np.max(np.abs(dense)))
 
 
+def _whole_round_fill(A, lam, core_idx, h_core, nu_core, transient_idx, rounds):
+    """The fill as it read each round whole: the rows of A and of its CSR
+    transpose sliced out as matrices, M[rows] @ v, and the transient cells'
+    right-hand sides from the transpose's rows.  The bitwise reference for
+    the chunked fill."""
+    from scipy.sparse.linalg import splu
+    AT = A.T.tocsr()
+    h = np.zeros(A.shape[0])
+    nu = np.zeros(A.shape[0])
+    h[core_idx] = h_core
+    nu[core_idx] = nu_core
+    if len(transient_idx):
+        A_t = A[transient_idx]
+        K = (lam * sp.identity(len(transient_idx)) - A_t[:, transient_idx]).tocsc()
+        lu = splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+        h[transient_idx] = lu.solve(A_t @ h)
+        nu[transient_idx] = lu.solve(AT[transient_idx] @ nu, trans="T")
+    for peeled in reversed(rounds):
+        for M, v, rows in ((A, h, peeled[0]), (AT, nu, peeled[1])):
+            if len(rows):
+                v[rows] = (M[rows] @ v) / lam
+    return h, nu
+
+
+def _assert_chunks_read_as_whole_rounds(tm, chunk):
+    """leading_eigen(tm) with PEEL_CHUNK = ``chunk``: its peel gives the rounds
+    that whole-round reads give, and its fill the whole-round fill's bits."""
+    triple, (A, _, lam, core_idx, h_core, nu_core, transient_idx, rounds), fill = _solve_recording_fill(
+        tm, EIGEN_MAXITER=2000, PEEL_CHUNK=chunk
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "PEEL_CHUNK", A.shape[0])
+        keep, whole = spectral._prune_support(A, A.T.tocsr())
+    assert np.array_equal(keep, np.sort(np.concatenate([core_idx, transient_idx])))
+    assert len(whole) == len(rounds)
+    for got, expected in zip(rounds, whole):
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+    reference = _whole_round_fill(A, lam, core_idx, h_core, nu_core, transient_idx, rounds)
+    assert all(got.tobytes() == expected.tobytes() for got, expected in zip(fill, reference))
+    return rounds, transient_idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=_sparse_graphs(), chunk=st.integers(1, 3))
+def test_chunked_peel_and_fill_read_as_whole_rounds_on_drawn_matrices(A, chunk):
+    tm = TransferMatrix(Grid(np.linspace(0.0, 1.0, A.shape[0] + 1)), A)
+    try:
+        _assert_chunks_read_as_whole_rounds(tm, chunk)
+    except (ReducibleMatrixError, ConvergenceError):
+        return  # no unique dominant class, or a periodic one
+
+
+def test_chunked_peel_and_fill_read_as_whole_rounds_past_transient_classes():
+    # farey's Ulam matrix: 117 transient cells, and rounds of hundreds of
+    # no-target cells, read seven rows at a time
+    rounds, transient_idx = _assert_chunks_read_as_whole_rounds(
+        assemble_ulam_open(FAREY, 0.236, hole_grid(FAREY, 0.236, 4096)), 7
+    )
+    assert len(transient_idx) == 117
+    assert max(len(no_target) for _, no_target in rounds) > 7
+
+
+def test_chunked_fill_reads_long_rounds_of_no_source_cells_as_whole_ones():
+    # an induced matrix peels rounds of thousands of no-source cells, whose
+    # rows the fill reads in chunks
+    sys, grid = build_induced(MapSpec.lsv(2.0), 3), markov_grid(MapSpec.lsv(2.0), 3, 4096)
+    rounds, _ = _assert_chunks_read_as_whole_rounds(
+        combine_branch_matrices(sys, grid, induced_branch_matrices(sys, grid)), 100
+    )
+    assert max(len(no_source) for no_source, _ in rounds) > 1000
+
+
+def test_mass_check_on_the_finest_grid_stays_under_54_mib():
+    # acceptance 8's body at lsv s=2, N=3, the one pair that reaches 262,144
+    # cells, holding what its loop holds: the last grid's pieces and triple
+    # while the next ones are built.  Full-size scratch in the root solves,
+    # the overlap merge, the peel and the fill peaked at 69.8 MiB here
+    import tracemalloc
+    m = MapSpec.lsv(2.0)
+    sys = build_induced(m, 3)
+    tracemalloc.start()
+    try:
+        size = 65536
+        while True:
+            grid = markov_grid(m, 3, size)
+            pieces = induced_branch_matrices(sys, grid)
+            triple = leading_eigen(combine_branch_matrices(sys, grid, pieces))
+            check = invariant_mass(sys, triple)
+            if check.discrepancy <= 1e-8 or size >= 262144:
+                break
+            size *= 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 262144
+    assert peak <= 54 * 2**20, peak / 2**20
+
+
 # ---------------------------------------------------------------------------
 # cylinder masses
 # ---------------------------------------------------------------------------
