@@ -182,7 +182,7 @@ def parse_index_range(text: str) -> list:
         out = []
         value = float(start)
         while value <= stop + 1e-9:
-            n = int(math.ceil(value))
+            n = int(math.ceil(value - 1e-9))  # the loop's slack: 10.000000000000002 is 10
             if not out or n > out[-1]:
                 out.append(n)
             value *= ratio

@@ -10,8 +10,8 @@ iterate from falling.  Every returned root must then meet the absolute
 residual ``FTOL_HARD`` that the inversion contracts promise, so an f that is
 not convex, and overshoots, fails loudly instead of returning a wrong root.
 The open points are iterated as a packed working set of their index, x,
-f(x) - y, target and tolerance (and lower end, unless scalar), compressed
-two arrays at a time where a point closes and written back only then.
+f(x) - y, target and tolerance, compressed two arrays at a time where a point
+closes and written back only then.
 """
 
 from __future__ import annotations
@@ -28,17 +28,17 @@ MAXITER = 200  # Newton steps a point may take
 def solve_monotone(f, df, lo, hi, *, y=0.0):
     """Solve f(x) = y for increasing convex f on the bracket [lo, hi], elementwise.
 
-    ``lo``, ``hi`` and ``y`` are scalars or arrays (broadcast together);
+    ``lo`` is a scalar, ``hi`` and ``y`` scalars or arrays (broadcast together);
     ``f`` and ``df`` must act elementwise on arrays, because after the first
     evaluation only the points still open are iterated.  Newton steps start
-    at ``hi`` and are clamped at ``lo`` (kept scalar), at most ``MAXITER`` a point.
+    at ``hi`` and are clamped at ``lo``, at most ``MAXITER`` a point.
     Requires f(lo) <= y <= f(hi) and f convex on [lo, hi].  Returns an array
-    of the broadcast shape (or a scalar if all three were scalars).
+    of the broadcast shape (or a scalar if ``hi`` and ``y`` were scalars).
     """
-    lo = np.asarray(lo, float)
-    lo_b, hi_b, y_b = np.broadcast_arrays(lo, np.asarray(hi, float), np.asarray(y, float))
-    shape = lo_b.shape
-    if np.any(hi_b < lo_b):
+    lo = float(lo)
+    hi_b, y_b = np.broadcast_arrays(np.asarray(hi, float), np.asarray(y, float))
+    shape = hi_b.shape
+    if np.any(hi_b < lo):
         raise ConvergenceError("invalid bracket: hi < lo")
     y_b = y_b.ravel()
     x = hi_b.flatten()
@@ -47,7 +47,6 @@ def solve_monotone(f, df, lo, hi, *, y=0.0):
     at = np.nonzero(fx > tol)[0]  # the open points; a NaN residual closes and fails below
     # the packed working set of the open points, compressed two arrays at a time
     x_w, fx_w, y_w, tol = x[at], fx[at], y_b[at], tol[at]
-    lo = lo_b.ravel()[at] if lo.ndim else lo
     for _ in range(MAXITER):
         if at.size == 0:
             break
@@ -58,7 +57,7 @@ def solve_monotone(f, df, lo, hi, *, y=0.0):
             x[at], fx[at] = x_w, fx_w
             at, step = at[falling], step[falling]
             fx_w, y_w = fx_w[falling], y_w[falling]
-            tol, lo = tol[falling], lo[falling] if lo.ndim else lo
+            tol = tol[falling]
             if at.size == 0:
                 break
         x_w = step
@@ -69,7 +68,7 @@ def solve_monotone(f, df, lo, hi, *, y=0.0):
             x[at], fx[at] = x_w, fx_w
             at, x_w = at[still], x_w[still]
             fx_w, y_w = fx_w[still], y_w[still]
-            tol, lo = tol[still], lo[still] if lo.ndim else lo
+            tol = tol[still]
     else:  # the points still open after MAXITER steps
         x[at], fx[at] = x_w, fx_w
 

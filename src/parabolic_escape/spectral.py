@@ -11,12 +11,12 @@ are transient (some carry small self-loops around periodic points of the
 branch maps).  ``leading_eigen`` therefore peels off the cells without a
 source or a target and splits the rest into strongly connected classes.
 Each class of more than 256 cells is solved once, by power iteration to
-EIGEN_TOL, and that root is its radius; smaller classes, which may be
-periodic, take a dense radius, one-cell classes their diagonal entry.  The
-dominant class (which must be unique) keeps its pair, and both eigenvectors
-are filled on the other cells so that they are eigenvectors of the full
-matrix: by one sparse solve on the transient classes, and on the peeled
-cells, which lie on no cycle, in one pass back along the peel.
+EIGEN_TOL, and that root is its radius; with rivals, smaller classes, which
+may be periodic, take a dense radius, one-cell classes their diagonal entry.
+The dominant class (which must be unique) keeps its pair, or if small gets
+one, and both eigenvectors are filled on the other cells so that they are
+eigenvectors of the full matrix: by one sparse solve on the transient classes,
+and on the peeled cells, which lie on no cycle, in one pass back along the peel.
 
 The leading pair feeds three derived quantities: the cylinder masses of the
 normalized product h * nu, the accumulated hole-avoiding pullback function of
@@ -116,9 +116,11 @@ def _prune_support(A: sp.csr_matrix, AT: sp.csr_matrix):
     return np.nonzero(alive)[0], rounds
 
 
-def _power_pair(B: sp.csr_matrix, BT: sp.csr_matrix):
-    """Two-sided power iteration on an irreducible nonnegative block ``B``,
-    with ``BT`` its CSR transpose, from the uniform vectors, to ``EIGEN_TOL``."""
+def _power_pair(B: sp.csr_matrix):
+    """Two-sided power iteration on an irreducible nonnegative block ``B``, from
+    the uniform vectors, to ``EIGEN_TOL``.  The left one multiplies by the CSC
+    view ``B.T``: it sums as the CSR transpose would, so same bits, no copy."""
+    BT = B.T
     m = B.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
@@ -158,10 +160,9 @@ def _extend_to_full(A, AT, lam, core_idx, h_core, nu_core, transient_idx, rounds
     (no-source) cells of earlier rounds, down to empty rows (columns).  Past
     those zeros, every other peeled value reads only core, transient and
     later-peeled cells, so the pass back from the last round sets each value
-    once, from final ones.  It is the expression (A[i, :] . h)/lam that a
-    whole-matrix fixed point reaches once it settles: one read of each peeled
-    row of A, and for nu one product with ``AT`` (A's transpose in any sparse
-    format) per round that peeled no-target cells.
+    once, from final ones: one read of each peeled row of A, and for nu one
+    product with ``AT`` (A's transpose in any sparse format) per round that
+    peeled no-target cells.
     """
     h = np.zeros(A.shape[0])
     nu = np.zeros(A.shape[0])
@@ -205,8 +206,8 @@ def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
     The matrix must be nonnegative with a unique dominant strongly connected
     class on its support: ReducibleMatrixError when the top two class radii
     lie within 1e-9 relative.  Every class of more than 256 cells is solved
-    once and the dominant one keeps its pair: ConvergenceError when one does
-    not settle within ``EIGEN_MAXITER`` iterations.  The transient cells take
+    once, as is a smaller dominant one: ConvergenceError when one does not
+    settle within ``EIGEN_MAXITER`` iterations.  The transient cells take
     one sparse solve.  Stored zeros are dropped first.
     """
     import scipy.sparse as sp
@@ -226,39 +227,36 @@ def leading_eigen(tm: TransferMatrix) -> SpectralTriple:
     keep, rounds = _prune_support(A, AT)
     B = A if len(keep) == A.shape[0] else A[np.ix_(keep, keep)].tocsr()
     ncomp, labels = connected_components(B, directed=True, connection="strong")
-    if ncomp == 1:
-        best, pair = 0, _power_pair(B, B.T.tocsr())
-    else:
-        # one-cell classes take their radius straight from the diagonal
-        sizes = np.bincount(labels, minlength=ncomp)
-        radii = np.empty(ncomp)
-        single = sizes[labels] == 1
-        radii[labels[single]] = B.diagonal()[single]
-        blocks, pairs = {}, {}
-        for c in np.nonzero(sizes > 1)[0]:
-            idx = np.nonzero(labels == c)[0]
-            block = blocks[c] = B[np.ix_(idx, idx)].tocsr()
-            if len(idx) <= 256:
-                # small classes may be periodic (cells around a periodic point
-                # of the branch maps), where the ratios cannot settle
-                radii[c] = np.max(np.abs(np.linalg.eigvals(block.toarray())))
-            else:
-                pairs[c] = _power_pair(block, block.T.tocsr())
-                radii[c] = pairs[c][0]
-        order = np.argsort(radii)
-        best, second = order[-1], radii[order[-2]]
-        if second >= radii[best] * (1.0 - 1e-9):
-            raise ReducibleMatrixError(
-                "no unique dominant class: the top two spectral radii differ by "
-                f"{(radii[best] - second) / radii[best]:.3e} relative"
-            )
-        if best not in pairs:
-            core = blocks.get(best, sp.csr_matrix([[radii[best]]]))
-            pairs[best] = _power_pair(core, core.T.tocsr())
-        pair = pairs[best]
+
+    def block(c):  # a lone class is the pruned matrix itself
+        if ncomp == 1:
+            return B
+        idx = np.nonzero(labels == c)[0]
+        return B[np.ix_(idx, idx)].tocsr()
+
+    # one-cell classes take their radius straight from the diagonal
+    sizes = np.bincount(labels, minlength=ncomp)
+    radii = np.zeros(ncomp)
+    single = sizes[labels] == 1
+    radii[labels[single]] = B.diagonal()[single]
+    pairs = {}
+    for c in np.nonzero(sizes > 1)[0]:
+        if sizes[c] > 256:
+            pairs[c] = _power_pair(block(c))
+            radii[c] = pairs[c][0]
+        elif ncomp > 1:  # a lone class wins unranked: no dense radius
+            # small classes may be periodic, where the ratios cannot settle
+            radii[c] = np.max(np.abs(np.linalg.eigvals(block(c).toarray())))
+    best = radii.argmax()
+    second = np.partition(radii, -2)[-2] if ncomp > 1 else -np.inf
+    if second >= radii[best] * (1.0 - 1e-9):
+        raise ReducibleMatrixError(
+            "no unique dominant class: the top two spectral radii differ by "
+            f"{(radii[best] - second) / radii[best]:.3e} relative"
+        )
+    lam, v, u, iterations = pairs[best] if best in pairs else _power_pair(block(best))
     in_core = labels == best
     core_idx, transient_idx = keep[in_core], keep[~in_core]
-    lam, v, u, iterations = pair
     AT = A.T  # A.T @ nu sums in the CSR transpose's order: the fill keeps no transpose
     h, nu = _extend_to_full(A, AT, lam, core_idx, v, u, transient_idx, rounds)
 

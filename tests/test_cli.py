@@ -25,6 +25,10 @@ def test_parse_index_range_forms():
     assert parse_index_range("2:10:2") == [2, 4, 6, 8, 10]
     assert parse_index_range("2:128:geom") == [2, 4, 8, 16, 32, 64, 128]
     assert parse_index_range("2:20:geom:1.5")[-1] == 20
+    # powers that land on an integer up to rounding stay at it: the range neither
+    # passes its stop nor runs out of order
+    assert parse_index_range("1:1000:geom:3.1622776601683795") == [1, 4, 10, 32, 100, 317, 1000]
+    assert parse_index_range("1:16:geom:1.4142135623730951") == [1, 2, 3, 4, 6, 8, 12, 16]
     with pytest.raises(ConfigError):
         parse_index_range("10:2:1")
     for text in ("2:10:geom:0.5", "1:5", "1:5:2:3", "1:5:0"):

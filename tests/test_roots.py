@@ -18,7 +18,7 @@ def test_scalar_cubic():
 
 def test_vectorized_targets():
     y = np.linspace(0.0, 1.0, 101)
-    x = solve_monotone(lambda t: t + t**2, lambda t: 1 + 2 * t, np.zeros_like(y), np.ones_like(y), y=y)
+    x = solve_monotone(lambda t: t + t**2, lambda t: 1 + 2 * t, 0.0, np.ones_like(y), y=y)
     assert np.max(np.abs(x + x**2 - y)) <= 1e-13
 
 
@@ -30,7 +30,7 @@ def test_endpoint_roots():
 def test_flat_region_near_zero():
     # targets decades below f(hi): Newton from hi falls onto each root without overshooting
     y = np.array([1e-12, 1e-8, 1e-4])
-    x = solve_monotone(lambda t: t + t**3, lambda t: 1 + 3 * t**2, np.zeros(3), np.ones(3), y=y)
+    x = solve_monotone(lambda t: t + t**3, lambda t: 1 + 3 * t**2, 0.0, np.ones(3), y=y)
     assert np.max(np.abs(x + x**3 - y)) <= 1e-13
 
 
@@ -205,7 +205,7 @@ def test_points_open_after_maxiter_fail_as_in_the_index_loop(maxiter):
     lsv = MapSpec.lsv(0.5).branches
     y = np.concatenate([np.geomspace(1e-9, 1.0, 200), [0.0]])
     with mock.patch.object(roots, "MAXITER", maxiter):
-        (got, got_sizes), (ref, ref_sizes) = _run_both(lsv.left, lsv.dleft, np.zeros_like(y), np.minimum(y, lsv.cut), y)
+        (got, got_sizes), (ref, ref_sizes) = _run_both(lsv.left, lsv.dleft, 0.0, np.minimum(y, lsv.cut), y)
     assert got == ref and got_sizes == ref_sizes
     assert isinstance(got, str) == (maxiter < 5)
 

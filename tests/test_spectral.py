@@ -233,6 +233,99 @@ def test_each_class_is_solved_once(monkeypatch, build, calls, iterations, transi
     assert triple.stats["transient_cells"] == transient
 
 
+def _power_pair_on_a_csr_transpose(B):
+    """The two-sided power iteration with its left vector multiplied by a CSR
+    transpose built for it: the bitwise reference for the CSC view."""
+    BT = B.T.tocsr()
+    m = B.shape[0]
+    v = np.full(m, 1.0 / m)
+    u = np.full(m, 1.0 / m)
+    for iterations in range(1, spectral.EIGEN_MAXITER + 1):
+        Bv, BTu = B @ v, BT @ u
+        sv, su = Bv.sum(), BTu.sum()
+        rv, ru = Bv / v, BTu / u
+        rv_max, rv_min = rv.max(), rv.min()
+        lam = 0.5 * (rv_max + rv_min)
+        gap = max(rv_max - rv_min, ru.max() - ru.min())
+        v, u = Bv / sv, BTu / su
+        if gap <= spectral.EIGEN_TOL * lam:
+            return lam, v, u, iterations
+    raise ConvergenceError("the reference did not converge")
+
+
+def _assert_same_pair(B):
+    lam, v, u, iterations = spectral._power_pair(B)
+    ref_lam, ref_v, ref_u, ref_iterations = _power_pair_on_a_csr_transpose(B)
+    assert (lam, iterations) == (ref_lam, ref_iterations)
+    assert v.tobytes() == ref_v.tobytes() and u.tobytes() == ref_u.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_power_pair_on_the_transpose_view_matches_a_csr_transpose_bitwise(n, seed):
+    # B.T @ u on the CSC view adds each row's entries in the CSR transpose's order
+    _assert_same_pair(_aperiodic_block(n, seed))
+
+
+def _recorded_power_pairs(monkeypatch, tm):
+    """The blocks that ``leading_eigen(tm)`` hands to ``_power_pair``."""
+    blocks = []
+    power_pair = spectral._power_pair
+
+    def recording(B):
+        blocks.append(B)
+        return power_pair(B)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "_power_pair", recording)
+        leading_eigen(tm)
+    return blocks
+
+
+@pytest.mark.parametrize("build", [lambda: _markov_matrix(FAREY, 13, 4096),
+                                   lambda: _markov_matrix(MapSpec.lsv(1.0), 4, 65536)],
+                         ids=["farey-13", "lsv-1-4"])
+def test_power_pair_matches_a_csr_transpose_bitwise_on_markov_matrices(monkeypatch, build):
+    blocks = _recorded_power_pairs(monkeypatch, build())
+    assert len(blocks) == 1
+    _assert_same_pair(blocks[0])
+
+
+def test_a_lone_class_is_solved_on_the_pruned_matrix_itself(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+    # nothing to prune: the block is the caller's CSR matrix
+    A = _aperiodic_block(300, 5)
+    assert _recorded_power_pairs(monkeypatch, TransferMatrix(Grid(np.linspace(0.0, 1.0, 301)), A))[0] is A
+    # a cell without a source is pruned: the block is the matrix the classes were split from
+    B = sp.block_diag([_aperiodic_block(300, 6), sp.csr_matrix((1, 1))], "lil")
+    B[300, 0] = 0.5
+    split, components = [], csgraph.connected_components
+
+    def recording(M, *args, **kwargs):
+        split.append(M)
+        return components(M, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", recording)
+    blocks = _recorded_power_pairs(monkeypatch, TransferMatrix(Grid(np.linspace(0.0, 1.0, 302)), B.tocsr()))
+    assert len(split) == 1 and len(blocks) == 1 and blocks[0] is split[0]
+    assert blocks[0].shape == (300, 300)
+
+
+@pytest.mark.parametrize("n", [2, 17, 256])
+def test_a_lone_small_class_solves_to_its_dense_radius(monkeypatch, n):
+    # a lone class of at most 256 cells is not ranked: no dense radius, one power solve
+    A = _aperiodic_block(n, n)
+    tm = TransferMatrix(Grid(np.linspace(0.0, 1.0, n + 1)), A)
+    dense = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: dense.append(M.shape) or eigvals(M))
+    assert len(_recorded_power_pairs(monkeypatch, tm)) == 1
+    assert dense == []
+    triple = leading_eigen(tm)
+    assert triple.eigenvalue == pytest.approx(1.0, abs=1e-12)
+    assert triple.stats["transient_cells"] == 0 and triple.stats["pruned_cells"] == 0
+
+
 def _sweep_support(A):
     """The prune as repeated sweeps, each a full A @ x and A.T @ x over the
     indicator of the kept set: the reference for the peel."""
